@@ -4,12 +4,9 @@ functions whose first derivative raised to a power q is convex, plus the
 special-means inequalities these bounds imply."""
 
 from .bounds import (
-    BoundReport,
     DerivEndpoints,
     HolderParams,
-    bound_named,
-    bound_p1,
-    bound_p_eq_q,
+    bound,
     bound_pq,
     bound_q1,
     kernel_moments_closed,

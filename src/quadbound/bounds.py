@@ -1,6 +1,6 @@
 """Closed-form error bounds for the three-point rule family.
 
-Two master formulas are implemented and everything else dispatches to them:
+Two master formulas are implemented and ``bound`` dispatches to them on (q, p):
 
 * ``bound_q1`` -- the |f'|-convex bound, a pair of cubic polynomials in
   (lam, mu).  Written in plain rational arithmetic so Fraction inputs stay
@@ -10,7 +10,7 @@ Two master formulas are implemented and everything else dispatches to them:
   ``kernel_moments_closed``.
 
 The specializations (p = 1, p = q, the (m, ell) family, the seven named
-rules) are not reimplemented: they route through the master formulas, and
+rules) are not reimplemented: each is ``bound`` at some (rule, q, p), and
 their fully expanded closed forms live in the test suite as golden fixtures
 asserting equality with this dispatch.
 """
@@ -18,25 +18,21 @@ asserting equality with this dispatch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .convexity import ConvexityCertificate
 from .oracle import Interval
-from .rules import LMRule, RuleParams, named_rule, rule_from_lm
+from .rules import LMRule, RuleParams
 
 __all__ = [
     "HolderParams",
     "DerivEndpoints",
     "KernelMoments",
-    "BoundReport",
     "q1_coefficients",
     "bound_q1",
     "kernel_moments_closed",
     "bound_pq",
-    "bound_p1",
-    "bound_p_eq_q",
-    "bound_named",
+    "bound",
     "formula_id",
     "optimize_p",
     "optimize_rule",
@@ -67,22 +63,6 @@ class DerivEndpoints:
     def __post_init__(self):
         if self.da < 0 or self.db < 0:
             raise ValueError("derivative magnitudes must be nonnegative")
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One evaluated bound instance (slack = rhs - lhs_abs)."""
-
-    rule: RuleParams
-    interval: Interval
-    q: float
-    p: Optional[float]
-    lhs: float
-    lhs_abs: float
-    rhs: float
-    slack: float
-    formula_id: str
-    certificate: Optional[ConvexityCertificate] = field(default=None)
 
 
 def _require_bound_admissible(rule: RuleParams) -> None:
@@ -173,45 +153,22 @@ def bound_pq(rule: RuleParams, hp: HolderParams, d: DerivEndpoints,
     return (interval.b - interval.a) * total
 
 
-def bound_p1(rule: RuleParams, q: float, d: DerivEndpoints,
-             interval: Interval) -> float:
-    """p = 1 bound for q >= 1.  At q = 1 the power-mean structure collapses
-    to ``bound_q1``, so that is where q = 1 requests are routed."""
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    if q == 1:
-        return bound_q1(rule, d, interval)
-    return bound_pq(rule, HolderParams(1.0, q), d, interval)
+def bound(rule: RuleParams, d: DerivEndpoints, interval: Interval,
+          q: float = 1.0, p: Optional[float] = None) -> tuple[float, Optional[float]]:
+    """The bound at exponents (q, p), and the p it used.
 
-
-def bound_p_eq_q(rule: RuleParams, q: float, d: DerivEndpoints,
-                 interval: Interval) -> float:
-    """p = q bound for q >= 1; q = 1 routes to ``bound_q1``."""
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    if q == 1:
-        return bound_q1(rule, d, interval)
-    return bound_pq(rule, HolderParams(q, q), d, interval)
-
-
-def bound_named(name: str, mode: str, d: DerivEndpoints, interval: Interval,
-                q: float = 1.0, p: Optional[float] = None) -> float:
-    """Named-rule bound; dispatches to the general formulas.
-
-    mode is one of 'q1', 'p1', 'pq', 'general' (the last needs p).
+    q = 1 is the |f'|-convex bound, which does not involve p (p is ignored
+    and None returned); q > 1 is the Hoelder bound at p, or at the p that
+    minimizes it when p is None.
     """
-    rule = rule_from_lm(named_rule(name))
-    if mode == "q1":
-        return bound_q1(rule, d, interval)
-    if mode == "p1":
-        return bound_p1(rule, q, d, interval)
-    if mode == "pq":
-        return bound_p_eq_q(rule, q, d, interval)
-    if mode == "general":
-        if p is None:
-            raise ValueError("mode 'general' requires p")
-        return bound_pq(rule, HolderParams(p, q), d, interval)
-    raise ValueError(f"mode must be one of q1, p1, pq, general; got {mode!r}")
+    if q < 1:
+        raise ValueError(f"q must be >= 1, got {q}")
+    if q == 1:
+        return bound_q1(rule, d, interval), None
+    if p is None:
+        p, rhs = optimize_p(rule, q, d, interval)
+        return rhs, p
+    return bound_pq(rule, HolderParams(p, q), d, interval), p
 
 
 def formula_id(q: float, p: Optional[float], name: Optional[str] = None,
@@ -288,30 +245,16 @@ def optimize_p(rule: RuleParams, q: float, d: DerivEndpoints, interval: Interval
     return p_star, v_star
 
 
-def optimize_rule(q: float, mode: str, d: DerivEndpoints, interval: Interval,
-                  p: Optional[float] = None, param_tol: float = 1e-6,
-                  ) -> tuple[RuleParams, float]:
-    """Coordinate descent on (lam, mu) over [0, 1/2] x [1/2, 1] from a 3x3
-    grid of starts.  Returns the best local optimum found (no global
-    certificate)."""
-    if mode == "q1":
-        def f(lam, mu):
-            return bound_q1(RuleParams(lam, mu), d, interval)
-    elif mode == "p1":
-        def f(lam, mu):
-            return bound_p1(RuleParams(lam, mu), q, d, interval)
-    elif mode == "pq":
-        def f(lam, mu):
-            return bound_p_eq_q(RuleParams(lam, mu), q, d, interval)
-    elif mode == "general":
-        if p is None:
-            raise ValueError("mode 'general' requires p")
-        hp = HolderParams(p, q)
+def optimize_rule(q: float, p: Optional[float], d: DerivEndpoints, interval: Interval,
+                  param_tol: float = 1e-6) -> tuple[RuleParams, float]:
+    """Minimize ``bound`` at fixed (q, p) over the rule weights by coordinate
+    descent on (lam, mu) over [0, 1/2] x [1/2, 1] from a 3x3 grid of starts.
+    Returns the best local optimum found (no global certificate)."""
+    if q > 1 and p is None:
+        raise ValueError(f"optimizing the rule at q = {q} > 1 requires p")
 
-        def f(lam, mu):
-            return bound_pq(RuleParams(lam, mu), hp, d, interval)
-    else:
-        raise ValueError(f"mode must be one of q1, p1, pq, general; got {mode!r}")
+    def f(lam, mu):
+        return bound(RuleParams(lam, mu), d, interval, q, p)[0]
 
     best: Optional[tuple[float, float, float]] = None
     for lam0 in (0.0, 0.25, 0.5):

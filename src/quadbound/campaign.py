@@ -170,20 +170,20 @@ def run_verify(trials: int, seed: int = 0, family: str = "mixed",
                                samples=cert_samples, tol=cert_tol,
                                seed=cert_seed_q, function_id=draw.source, q=q)
 
-        checks: list[tuple[str, float]] = []
+        # (q, p) of each bound path: q = 1 needs |f'| convex, the rest |f'|^q.
+        exponents: list[tuple[float, Optional[float]]] = []
         if cert1.valid:
-            checks.append(("thm3.1", bounds.bound_q1(rule, d, draw.interval)))
+            exponents.append((1.0, None))
         else:
             skipped_q1 += 1
         if certq.valid:
-            hp = bounds.HolderParams(p, q)
-            checks.append(("thm3.2", bounds.bound_pq(rule, hp, d, draw.interval)))
-            checks.append(("cor3.1-p1", bounds.bound_p1(rule, q, d, draw.interval)))
-            checks.append(("cor3.1-pq", bounds.bound_p_eq_q(rule, q, d, draw.interval)))
+            exponents += [(q, p), (q, 1.0), (q, q)]
         else:
             skipped_q += 1
 
-        for path, rhs in checks:
+        for path_q, path_p in exponents:
+            rhs, _ = bounds.bound(rule, d, draw.interval, path_q, path_p)
+            path = bounds.formula_id(path_q, path_p)
             paths_checked += 1
             slack = float(rhs - lhs_abs)
             if min_slack is None or slack < min_slack:

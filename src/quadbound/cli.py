@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,7 +29,7 @@ from .expr import ExprError, as_function, differentiate, domain_check, parse
 from .oracle import Interval, IntegrationError, integrate
 from .rules import LMRule, NAMED_RULES, RuleParams, lhs_value, named_rule, rule_from_lm
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 SCHEMA = 1
 
@@ -39,55 +38,24 @@ class CliError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    f: Optional[str] = None
-    a: Optional[float] = None
-    b: Optional[float] = None
-    rule: Optional[str] = None
-    lam: Optional[float] = None
-    mu: Optional[float] = None
-    m: Optional[float] = None
-    ell: Optional[float] = None
-    q: float = 1.0
-    p: Optional[float] = None
-    trials: int = 1000
-    seed: int = 0
-    family: str = "mixed"
-    axis: Optional[str] = None
-    start: Optional[float] = None
-    stop: Optional[float] = None
-    step: Optional[float] = None
-    fmt: str = "json"
-    tol: float = 1e-11
-    cert_samples: int = 4096
-    cert_tol: float = 1e-10
-    theorem: Optional[str] = None
-    s: Optional[float] = None
-    what: str = "p"
-    mode: str = "auto"
-
-
+# The config echo of each command: the options it reports, in report order.
 _CONFIG_KEYS = {
     "bound": ("command", "f", "a", "b", "rule", "lam", "mu", "m", "ell", "q",
-              "p", "seed", "tol", "cert_samples", "cert_tol", "fmt"),
-    "verify": ("command", "trials", "seed", "family", "tol", "cert_samples",
-               "cert_tol", "fmt"),
+              "p", "seed", "fmt", "tol", "cert_samples", "cert_tol"),
     "sweep": ("command", "f", "a", "b", "rule", "lam", "mu", "m", "ell", "q",
-              "p", "axis", "start", "stop", "step", "tol", "fmt"),
-    "means": ("command", "theorem", "m", "ell", "s", "a", "b", "q", "p", "fmt"),
+              "p", "axis", "start", "stop", "step", "fmt", "tol"),
+    "means": ("command", "a", "b", "m", "ell", "q", "p", "fmt", "theorem", "s"),
     "optimize": ("command", "f", "a", "b", "rule", "lam", "mu", "m", "ell",
-                 "q", "p", "what", "mode", "tol", "fmt"),
+                 "q", "p", "fmt", "tol", "what", "mode"),
 }
 
 
-def _config_dict(cfg: RunConfig) -> dict:
-    keys = _CONFIG_KEYS[cfg.command]
-    return {k: v for k, v in asdict(cfg).items() if k in keys and v is not None}
+def _config_dict(cfg: argparse.Namespace) -> dict:
+    values = vars(cfg)
+    return {k: values[k] for k in _CONFIG_KEYS[cfg.command] if values[k] is not None}
 
 
-def _resolve_rule(cfg: RunConfig, require: bool = True,
+def _resolve_rule(cfg: argparse.Namespace, require: bool = True,
                   ) -> tuple[Optional[RuleParams], Optional[str], Optional[LMRule]]:
     """Enforce that exactly one rule spec form was provided."""
     forms = []
@@ -116,17 +84,17 @@ def _resolve_rule(cfg: RunConfig, require: bool = True,
     return rule_from_lm(lm), None, lm
 
 
-def _parse_function(cfg: RunConfig):
-    if cfg.f is None:
+def _parse_function(source: Optional[str], a: Optional[float], b: Optional[float]):
+    if source is None:
         raise CliError("--f is required")
-    if cfg.a is None or cfg.b is None:
+    if a is None or b is None:
         raise CliError("--a and --b are required")
-    ast = parse(cfg.f)
-    interval = Interval(cfg.a, cfg.b)
+    ast = parse(source)
+    interval = Interval(a, b)
     report = domain_check(ast, interval)
     if not report.ok:
         msgs = "; ".join(f"{v.node_source}: {v.reason}" for v in report.violations)
-        raise CliError(f"domain error for f on [{cfg.a}, {cfg.b}]: {msgs}")
+        raise CliError(f"domain error for f on [{a}, {b}]: {msgs}")
     # f' needs only the endpoints and the certificate samples (an interior
     # abs kink is fine: |f'| convex covers V-shaped derivatives), so it is
     # checked where it is used rather than over the whole interval.
@@ -155,28 +123,9 @@ def _emit(payload: dict, fmt: str) -> None:
         raise CliError(f"unsupported format {fmt!r} for this command")
 
 
-def _rhs_for(cfg: RunConfig, rule: RuleParams, d: bounds.DerivEndpoints,
-             interval: Interval, q: float, p: Optional[float],
-             name: Optional[str], lm: Optional[LMRule],
-             ) -> tuple[float, Optional[float], str]:
-    """Route (q, p) to the right bound formula.  Returns (rhs, effective p,
-    formula id); p is chosen by optimize_p when q > 1 and no p was given."""
-    if q < 1:
-        raise CliError(f"--q must be >= 1, got {q}")
-    if q == 1:
-        return float(bounds.bound_q1(rule, d, interval)), None, bounds.formula_id(1, None, name, lm)
-    if p is None:
-        p_star, rhs = bounds.optimize_p(rule, q, d, interval)
-        return rhs, p_star, bounds.formula_id(q, p_star, name, lm)
-    if not 0 < p <= q:
-        raise CliError(f"--p must satisfy 0 < p <= q, got p={p}, q={q}")
-    rhs = bounds.bound_pq(rule, bounds.HolderParams(p, q), d, interval)
-    return rhs, p, bounds.formula_id(q, p, name, lm)
-
-
-def cmd_bound(cfg: RunConfig) -> int:
+def cmd_bound(cfg: argparse.Namespace) -> int:
     rule, name, lm = _resolve_rule(cfg)
-    ast, deriv, interval = _parse_function(cfg)
+    ast, deriv, interval = _parse_function(cfg.f, cfg.a, cfg.b)
     if not rule.bound_admissible:
         raise CliError(
             f"rule (lam={rule.lam}, mu={rule.mu}) is not bound-admissible"
@@ -189,21 +138,17 @@ def cmd_bound(cfg: RunConfig) -> int:
     quad = integrate(as_function(ast), interval, cfg.tol)
     mean = quad.value / (interval.b - interval.a)
     lhs = float(lhs_value(rule, ast, interval, mean))
-    rhs, p_eff, fid = _rhs_for(cfg, rule, d, interval, cfg.q, cfg.p, name, lm)
-    report = bounds.BoundReport(
-        rule=rule, interval=interval, q=cfg.q, p=p_eff, lhs=lhs,
-        lhs_abs=abs(lhs), rhs=rhs, slack=rhs - abs(lhs), formula_id=fid,
-        certificate=cert,
-    )
+    rhs, p = bounds.bound(rule, d, interval, cfg.q, cfg.p)
+    slack = rhs - abs(lhs)
     payload = {
         "schema": SCHEMA,
         "config": _config_dict(cfg),
-        "lhs": report.lhs,
-        "lhs_abs": report.lhs_abs,
-        "rhs": report.rhs,
-        "slack": report.slack,
-        "formula_id": report.formula_id,
-        "p": report.p,
+        "lhs": lhs,
+        "lhs_abs": abs(lhs),
+        "rhs": rhs,
+        "slack": slack,
+        "formula_id": bounds.formula_id(cfg.q, p, name, lm),
+        "p": p,
         "certificate": {
             "valid": cert.valid,
             "samples": cert.samples,
@@ -217,10 +162,10 @@ def cmd_bound(cfg: RunConfig) -> int:
     _emit(payload, cfg.fmt)
     if not cert.valid:
         return 2
-    return 0 if report.slack >= 0 else 1
+    return 0 if slack >= 0 else 1
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     if cfg.trials < 1:
         raise CliError(f"--trials must be >= 1, got {cfg.trials}")
     if cfg.family not in campaign.FAMILIES:
@@ -236,7 +181,7 @@ _SWEEP_AXES = ("lambda", "mu", "p", "q", "s")
 CSV_HEADER = "axis,value,lhs_abs,rhs,slack,formula_id"
 
 
-def _sweep_grid(cfg: RunConfig) -> list[float]:
+def _sweep_grid(cfg: argparse.Namespace) -> list[float]:
     if cfg.start is None or cfg.stop is None or cfg.step is None:
         raise CliError("--from, --to, and --step are required for sweep")
     if cfg.step <= 0:
@@ -253,7 +198,7 @@ def _sweep_grid(cfg: RunConfig) -> list[float]:
     return grid
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: argparse.Namespace) -> int:
     if cfg.axis not in _SWEEP_AXES:
         raise CliError(f"--axis must be one of {', '.join(_SWEEP_AXES)}")
     grid = _sweep_grid(cfg)
@@ -277,36 +222,30 @@ def cmd_sweep(cfg: RunConfig) -> int:
         rule, name, lm = _resolve_rule(cfg)
 
     rows = []
-    if cfg.axis == "s":
-        for v in grid:
-            if v == 0:
-                raise CliError("s = 0 is not a power function; exclude it from the grid")
-            scfg = RunConfig(command="bound", f=f"x^{repr(float(v))}",
-                             a=cfg.a, b=cfg.b, q=cfg.q, p=cfg.p, tol=cfg.tol)
-            ast, deriv, interval = _parse_function(scfg)
-            d = _endpoint_derivs(deriv, interval)
-            mean = integrate(as_function(ast), interval, cfg.tol).value / interval.width
-            lhs = float(lhs_value(rule, ast, interval, mean))
-            rhs, _, fid = _rhs_for(cfg, rule, d, interval, cfg.q, cfg.p, name, lm)
-            rows.append((v, abs(lhs), rhs, rhs - abs(lhs), fid))
-    else:
-        ast, deriv, interval = _parse_function(cfg)
+    if cfg.axis != "s":
+        ast, deriv, interval = _parse_function(cfg.f, cfg.a, cfg.b)
         d = _endpoint_derivs(deriv, interval)
         mean = integrate(as_function(ast), interval, cfg.tol).value / interval.width
-        for v in grid:
-            if cfg.axis == "lambda":
-                point_rule = RuleParams(v, cfg.mu if cfg.mu is not None else 1 - v)
-                q, p = cfg.q, cfg.p
-            elif cfg.axis == "mu":
-                point_rule = RuleParams(cfg.lam if cfg.lam is not None else 1 - v, v)
-                q, p = cfg.q, cfg.p
-            elif cfg.axis == "p":
-                point_rule, q, p = rule, cfg.q, v
-            else:
-                point_rule, q, p = rule, v, cfg.p
-            lhs = float(lhs_value(point_rule, ast, interval, mean))
-            rhs, _, fid = _rhs_for(cfg, point_rule, d, interval, q, p, name, lm)
-            rows.append((v, abs(lhs), rhs, rhs - abs(lhs), fid))
+    for v in grid:
+        point_rule, q, p = rule, cfg.q, cfg.p
+        if cfg.axis == "s":
+            if v == 0:
+                raise CliError("s = 0 is not a power function; exclude it from the grid")
+            ast, deriv, interval = _parse_function(f"x^{repr(float(v))}", cfg.a, cfg.b)
+            d = _endpoint_derivs(deriv, interval)
+            mean = integrate(as_function(ast), interval, cfg.tol).value / interval.width
+        elif cfg.axis == "lambda":
+            point_rule = RuleParams(v, cfg.mu if cfg.mu is not None else 1 - v)
+        elif cfg.axis == "mu":
+            point_rule = RuleParams(cfg.lam if cfg.lam is not None else 1 - v, v)
+        elif cfg.axis == "p":
+            p = v
+        else:
+            q = v
+        lhs = float(lhs_value(point_rule, ast, interval, mean))
+        rhs, p_used = bounds.bound(point_rule, d, interval, q, p)
+        rows.append((v, abs(lhs), rhs, rhs - abs(lhs),
+                     bounds.formula_id(q, p_used, name, lm)))
 
     if cfg.fmt == "csv":
         print(CSV_HEADER)
@@ -333,12 +272,14 @@ _PARTICULAR = {"4.2-particular": "4.2-p1", "4.3-particular": "4.3-p1",
                "4.5-particular": "4.5-p1"}
 
 
-def cmd_means(cfg: RunConfig) -> int:
+def cmd_means(cfg: argparse.Namespace) -> int:
     if cfg.theorem is None:
         raise CliError("--theorem is required")
-    theorem, q = cfg.theorem, cfg.q
+    theorem = cfg.theorem
     if theorem in _PARTICULAR:
-        theorem, q = _PARTICULAR[theorem], 1.0
+        if cfg.q != 1 or cfg.p is not None:
+            raise CliError(f"theorem {theorem} is a q = 1 form; do not pass --q or --p")
+        theorem = _PARTICULAR[theorem]
     if theorem not in means.MEANS_THEOREMS:
         raise CliError(f"unknown theorem {cfg.theorem!r}; expected one of "
                        f"{', '.join(list(means.MEANS_THEOREMS) + list(_PARTICULAR))}")
@@ -348,7 +289,7 @@ def cmd_means(cfg: RunConfig) -> int:
         raise CliError("--a and --b are required")
     gap = means.means_gap(theorem, cfg.m, cfg.ell, cfg.a, cfg.b, s=cfg.s)
     rhs = means.means_bound(theorem, cfg.m, cfg.ell, cfg.a, cfg.b,
-                            s=cfg.s, p=cfg.p, q=q)
+                            s=cfg.s, p=cfg.p, q=cfg.q)
     slack = rhs - abs(gap)
     payload = {
         "schema": SCHEMA,
@@ -363,13 +304,34 @@ def cmd_means(cfg: RunConfig) -> int:
     return 0 if slack >= 0 else 1
 
 
-def cmd_optimize(cfg: RunConfig) -> int:
+def _rule_mode(mode: str, q: float, p: Optional[float]) -> tuple[str, Optional[float]]:
+    """Resolve ``--mode`` of ``optimize --what rule`` to the reported mode and
+    the p at which ``bounds.optimize_rule`` minimizes the bound."""
+    if mode == "auto":
+        if q == 1:
+            mode = "q1"
+        elif p is not None:
+            mode = "general"
+        else:
+            mode = "pq"
+    if mode == "q1" and q != 1:
+        raise CliError(f"--mode q1 is the q = 1 bound; got --q {q}")
+    if mode == "general" and not q > 1:
+        raise CliError(f"--mode general needs --q > 1, got {q}")
+    if mode in ("p1", "pq") and p is not None:
+        raise CliError(f"--mode {mode} fixes p; do not pass --p")
+    return mode, {"q1": None, "p1": 1.0, "pq": q, "general": p}[mode]
+
+
+def cmd_optimize(cfg: argparse.Namespace) -> int:
     rule, name, lm = _resolve_rule(cfg, require=cfg.what == "p")
-    ast, deriv, interval = _parse_function(cfg)
+    ast, deriv, interval = _parse_function(cfg.f, cfg.a, cfg.b)
     d = _endpoint_derivs(deriv, interval)
     if cfg.what == "p":
         if not cfg.q > 1:
             raise CliError(f"optimizing p requires --q > 1, got {cfg.q}")
+        if cfg.p is not None:
+            raise CliError("--what p optimizes over p; do not pass --p")
         p_star, rhs_star = bounds.optimize_p(rule, cfg.q, d, interval)
         payload = {
             "schema": SCHEMA,
@@ -380,15 +342,8 @@ def cmd_optimize(cfg: RunConfig) -> int:
             "formula_id": bounds.formula_id(cfg.q, p_star, name, lm),
         }
     elif cfg.what == "rule":
-        mode = cfg.mode
-        if mode == "auto":
-            if cfg.q == 1:
-                mode = "q1"
-            elif cfg.p is not None:
-                mode = "general"
-            else:
-                mode = "pq"
-        rule_star, rhs_star = bounds.optimize_rule(cfg.q, mode, d, interval, p=cfg.p)
+        mode, p = _rule_mode(cfg.mode, cfg.q, cfg.p)
+        rule_star, rhs_star = bounds.optimize_rule(cfg.q, p, d, interval)
         payload = {
             "schema": SCHEMA,
             "config": _config_dict(cfg),
@@ -404,24 +359,55 @@ def cmd_optimize(cfg: RunConfig) -> int:
     return 0
 
 
-def _add_common(sp: argparse.ArgumentParser, with_rule: bool = True) -> None:
-    sp.add_argument("--f", help="function source, e.g. 'x^2' or 'ln(x)'")
-    sp.add_argument("--a", type=float, help="interval left endpoint")
-    sp.add_argument("--b", type=float, help="interval right endpoint")
-    if with_rule:
-        sp.add_argument("--rule", choices=sorted(NAMED_RULES),
-                        help="named rule (one rule spec form only)")
-        sp.add_argument("--lambda", dest="lam", type=float, help="rule weight lambda")
-        sp.add_argument("--mu", type=float, help="rule weight mu")
-        sp.add_argument("--m", type=float, help="rule family parameter m")
-        sp.add_argument("--ell", type=float, help="rule family parameter ell")
-    sp.add_argument("--q", type=float, default=1.0, help="convexity exponent q >= 1")
-    sp.add_argument("--p", type=float, help="Hoelder parameter 0 < p <= q "
-                    "(default: optimized when q > 1)")
-    sp.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    sp.add_argument("--tol", type=float, default=1e-11, help="integration tolerance")
-    sp.add_argument("--cert-samples", dest="cert_samples", type=int, default=4096)
-    sp.add_argument("--cert-tol", dest="cert_tol", type=float, default=1e-10)
+# Every option is defined once; each subcommand lists the flags it takes.
+_OPTIONS = {
+    "--f": {"help": "function source, e.g. 'x^2' or 'ln(x)'"},
+    "--a": {"type": float, "help": "interval left endpoint"},
+    "--b": {"type": float, "help": "interval right endpoint"},
+    "--rule": {"choices": sorted(NAMED_RULES),
+               "help": "named rule (one rule spec form only)"},
+    "--lambda": {"dest": "lam", "type": float, "help": "rule weight lambda"},
+    "--mu": {"type": float, "help": "rule weight mu"},
+    "--m": {"type": float, "help": "rule family parameter m"},
+    "--ell": {"type": float, "help": "rule family parameter ell"},
+    "--q": {"type": float, "default": 1.0, "help": "convexity exponent q >= 1"},
+    "--p": {"type": float, "help": "Hoelder parameter 0 < p <= q "
+            "(bound, sweep: optimized when q > 1 and omitted)"},
+    "--seed": {"type": int, "default": 0, "help": "RNG seed (default 0)"},
+    "--tol": {"type": float, "default": 1e-11, "help": "integration tolerance"},
+    "--cert-samples": {"dest": "cert_samples", "type": int, "default": 4096},
+    "--cert-tol": {"dest": "cert_tol", "type": float, "default": 1e-10},
+    "--trials": {"type": int, "default": 1000},
+    "--family": {"choices": campaign.FAMILIES, "default": "mixed"},
+    "--axis": {"choices": _SWEEP_AXES, "required": True},
+    "--from": {"dest": "start", "type": float, "required": True},
+    "--to": {"dest": "stop", "type": float, "required": True},
+    "--step": {"type": float, "required": True},
+    "--theorem": {"required": True,
+                  "help": "4.1 | 4.2-p1 | 4.2-pq | 4.2-particular | 4.3-p1 | "
+                          "4.3-pq | 4.3-particular | 4.4 | 4.5-p1 | 4.5-pq | "
+                          "4.5-particular"},
+    "--s": {"type": float},
+    "--what": {"choices": ("p", "rule"), "default": "p"},
+    "--mode": {"choices": ("auto", "q1", "p1", "pq", "general"), "default": "auto",
+               "help": "bound formula for --what rule"},
+}
+_INSTANCE = ("--f", "--a", "--b", "--rule", "--lambda", "--mu", "--m", "--ell",
+             "--q", "--p", "--seed", "--tol", "--cert-samples", "--cert-tol")
+# subcommand -> (help, flags, --format choices with the default first)
+_SUBCOMMANDS = {
+    "bound": ("evaluate one bound instance", _INSTANCE, ("json", "text")),
+    "verify": ("seeded randomized soundness campaign",
+               ("--trials", "--seed", "--family", "--tol", "--cert-samples",
+                "--cert-tol"), ("json", "text")),
+    "sweep": ("sweep one axis to CSV",
+              (*_INSTANCE, "--axis", "--from", "--to", "--step"), ("csv", "json")),
+    "means": ("check a special-means inequality",
+              ("--theorem", "--m", "--ell", "--s", "--a", "--b", "--q", "--p"),
+              ("json", "text")),
+    "optimize": ("minimize the bound over p or the rule",
+                 (*_INSTANCE, "--what", "--mode"), ("json", "text")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,49 +417,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "under convex-derivative hypotheses.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("bound", help="evaluate one bound instance")
-    _add_common(sp)
-    sp.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
-
-    sp = sub.add_parser("verify", help="seeded randomized soundness campaign")
-    sp.add_argument("--trials", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--family", choices=campaign.FAMILIES, default="mixed")
-    sp.add_argument("--tol", type=float, default=1e-11)
-    sp.add_argument("--cert-samples", dest="cert_samples", type=int, default=4096)
-    sp.add_argument("--cert-tol", dest="cert_tol", type=float, default=1e-10)
-    sp.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
-
-    sp = sub.add_parser("sweep", help="sweep one axis to CSV")
-    _add_common(sp)
-    sp.add_argument("--axis", choices=_SWEEP_AXES, required=True)
-    sp.add_argument("--from", dest="start", type=float, required=True)
-    sp.add_argument("--to", dest="stop", type=float, required=True)
-    sp.add_argument("--step", type=float, required=True)
-    sp.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-
-    sp = sub.add_parser("means", help="check a special-means inequality")
-    sp.add_argument("--theorem", required=True,
-                    help="4.1 | 4.2-p1 | 4.2-pq | 4.2-particular | 4.3-p1 | "
-                         "4.3-pq | 4.3-particular | 4.4 | 4.5-p1 | 4.5-pq | "
-                         "4.5-particular")
-    sp.add_argument("--m", type=float)
-    sp.add_argument("--ell", type=float)
-    sp.add_argument("--s", type=float)
-    sp.add_argument("--a", type=float)
-    sp.add_argument("--b", type=float)
-    sp.add_argument("--q", type=float, default=1.0)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
-
-    sp = sub.add_parser("optimize", help="minimize the bound over p or the rule")
-    _add_common(sp)
-    sp.add_argument("--what", choices=("p", "rule"), default="p")
-    sp.add_argument("--mode", choices=("auto", "q1", "p1", "pq", "general"),
-                    default="auto", help="bound formula for --what rule")
-    sp.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
-
+    for command, (help_text, flags, formats) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for flag in flags:
+            sp.add_argument(flag, **_OPTIONS[flag])
+        sp.add_argument("--format", dest="fmt", choices=formats, default=formats[0])
     return parser
 
 
@@ -487,10 +435,7 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    cfg = RunConfig(**{k: v for k, v in vars(ns).items() if k in fields})
+    cfg = build_parser().parse_args(argv)
     try:
         return _COMMANDS[cfg.command](cfg)
     except (CliError, ExprError, IntegrationError, campaign.GeneratorExhausted,

@@ -166,11 +166,7 @@ class _Parser:
             raise ParseError("unexpected end of input", self.pos)
         if ch in ("+", "-"):
             # A sign is legal only as part of a number literal.
-            start = self.pos
-            value = self._signed_number()
-            if value is None:  # pragma: no cover - _signed_number raises instead
-                raise ParseError("expected a number after sign", start)
-            return Const(value)
+            return Const(self._signed_number())
         if ch == "(":
             self.pos += 1
             node = self._expr()

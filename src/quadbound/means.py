@@ -172,17 +172,14 @@ def means_bound(theorem: str, m: float, ell: float, a: float, b: float,
             raise ValueError(f"theorem {theorem} requires p")
     elif q < 1:
         raise ValueError(f"theorem {theorem} requires q >= 1, got q={q}")
+    elif p is not None:
+        raise ValueError(f"theorem {theorem} fixes p by its form; do not pass p")
     if a == b:
         return 0.0
 
-    rule = rule_from_lm(LMRule(m, ell))
-    interval = Interval(a, b)
+    p = {"general": p, "p1": 1.0, "pq": q}[mode]
     d = _endpoint_derivs(family, s, a, b)
-    if mode == "general":
-        return bounds.bound_pq(rule, bounds.HolderParams(p, q), d, interval)
-    if mode == "p1":
-        return bounds.bound_p1(rule, q, d, interval)
-    return bounds.bound_p_eq_q(rule, q, d, interval)
+    return bounds.bound(rule_from_lm(LMRule(m, ell)), d, Interval(a, b), q, p)[0]
 
 
 def means_gap(theorem: str, m: float, ell: float, a: float, b: float,

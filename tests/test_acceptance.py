@@ -13,9 +13,7 @@ import display_fixtures as fx
 from quadbound.bounds import (
     DerivEndpoints,
     HolderParams,
-    bound_named,
-    bound_p1,
-    bound_p_eq_q,
+    bound,
     bound_pq,
     bound_q1,
     kernel_moments_closed,
@@ -36,6 +34,7 @@ from quadbound.rules import (
     identity_rhs_folded,
     lhs_value,
     lhs_value_folded,
+    named_rule,
     rule_from_lm,
     folded_params_for_rule,
 )
@@ -104,9 +103,9 @@ def test_criterion_3_specialization_grid():
         for mu in (0.5, 0.65, 0.85, 1.0):
             rule = RuleParams(lam, mu)
             for q in (1.0, 1.4, 2.2, 3.6):
-                check(bound_p1(rule, q, d, iv),
+                check(bound(rule, d, iv, q, 1.0)[0],
                       fx.rule_p1(lam, mu, q, d.da, d.db, w), ("p1", lam, mu, q))
-                check(bound_p_eq_q(rule, q, d, iv),
+                check(bound(rule, d, iv, q, q)[0],
                       fx.rule_pq(lam, mu, q, d.da, d.db, w), ("pq", lam, mu, q))
 
     # (m, ell) displays: general p, p = 1, p = q
@@ -121,27 +120,28 @@ def test_criterion_3_specialization_grid():
                       fx.lm_general(m, ell, p, q, d.da, d.db, w),
                       ("lm", m, ell, p, q))
         for q in (1.0, 1.4, 2.2, 3.6):
-            check(bound_p1(rule, q, d, iv),
+            check(bound(rule, d, iv, q, 1.0)[0],
                   fx.lm_p1(m, ell, q, d.da, d.db, w), ("lm-p1", m, ell, q))
-            check(bound_p_eq_q(rule, q, d, iv),
+            check(bound(rule, d, iv, q, q)[0],
                   fx.lm_pq(m, ell, q, d.da, d.db, w), ("lm-pq", m, ell, q))
 
     # the seven named rules: general p, p = q, p = 1 displays
     for name in NAMED_RULES:
+        rule = rule_from_lm(named_rule(name))
         for q in (1.3, 2.0, 3.1):
             for frac in (0.4, 1.0):
                 p = frac * q
-                check(bound_named(name, "general", d, iv, q=q, p=p),
+                check(bound(rule, d, iv, q, p)[0],
                       fx.NAMED_GENERAL[name](p, q, d.da, d.db, w),
                       ("named", name, p, q))
         for q in (1.0, 1.4, 2.2, 3.6):
-            check(bound_named(name, "p1", d, iv, q=q),
+            check(bound(rule, d, iv, q, 1.0)[0],
                   fx.NAMED_P1[name](q, d.da, d.db, w), ("named-p1", name, q))
             # avg-mid's p = q display is one of the two flagged misprints; it
             # asserts against the corrected transcription of the general value
             want = (fx.NAMED_PQ[name](q, d.da, d.db, w) if name in fx.NAMED_PQ
                     else fx.avgmid_pq_corrected(q, d.da, d.db, w))
-            check(bound_named(name, "pq", d, iv, q=q), want,
+            check(bound(rule, d, iv, q, q)[0], want,
                   ("named-pq", name, q))
 
     assert points >= 200
@@ -266,7 +266,7 @@ def test_criterion_7_optimizers():
         da, db = float(rng.uniform(0, 2)), float(rng.uniform(0, 2))
         width = float(rng.uniform(0.5, 2))
         brute = float(np.min(width * (ca * da + cb * db) / 24))
-        _, v_star = optimize_rule(1.0, "q1", DerivEndpoints(da, db),
+        _, v_star = optimize_rule(1.0, None, DerivEndpoints(da, db),
                                   Interval(0.0, width))
         err = abs(v_star - brute)
         worst_r = max(worst_r, err)
@@ -275,10 +275,10 @@ def test_criterion_7_optimizers():
     for q in (1.6, 2.5):
         d = DerivEndpoints(0.9, 1.4)
         iv = Interval(0.0, 1.0)
-        brute = min(bound_p_eq_q(RuleParams(l, u), q, d, iv)
+        brute = min(bound(RuleParams(l, u), d, iv, q, q)[0]
                     for l in np.linspace(0, 0.5, 161)
                     for u in np.linspace(0.5, 1.0, 161))
-        _, v_star = optimize_rule(q, "pq", d, iv)
+        _, v_star = optimize_rule(q, q, d, iv)
         err = abs(v_star - brute)
         worst_r = max(worst_r, err)
         assert v_star <= brute + 1e-9
@@ -298,7 +298,8 @@ def test_criterion_8_simpson_crosscheck():
         for da, db in ((0.7, 1.9), (1.0, 1.0), (0.0, 2.3), (2.4, 0.1)):
             for iv in (Interval(0.4, 2.1), Interval(-1.0, 1.0)):
                 w = iv.b - iv.a
-                got = bound_named("simpson", "p1", DerivEndpoints(da, db), iv, q=q)
+                got, _ = bound(rule_from_lm(named_rule("simpson")),
+                               DerivEndpoints(da, db), iv, q, 1.0)
                 want = fx.simpson_weighted_q(q, da, db, w)
                 err = fx.relerr(got, want)
                 worst = max(worst, err)

@@ -7,9 +7,7 @@ import display_fixtures as fx
 from quadbound.bounds import (
     DerivEndpoints,
     HolderParams,
-    bound_named,
-    bound_p1,
-    bound_p_eq_q,
+    bound,
     bound_pq,
     bound_q1,
     formula_id,
@@ -19,7 +17,7 @@ from quadbound.bounds import (
     q1_coefficients,
 )
 from quadbound.oracle import Interval, kernel_moment_numeric
-from quadbound.rules import LMRule, NAMED_RULES, RuleParams, rule_from_lm
+from quadbound.rules import LMRule, NAMED_RULES, RuleParams, named_rule, rule_from_lm
 
 
 IV = Interval(0.4, 2.1)
@@ -153,11 +151,11 @@ def test_bound_pq_reduces_to_p1_and_pq_displays():
             assert fx.relerr(got, want) <= 1e-12
 
 
-def test_bound_p1_collapses_to_q1_at_one():
+def test_bound_collapses_to_q1_at_one():
     for lam, mu in _grid_lam_mu():
         rule = RuleParams(lam, mu)
-        assert bound_p1(rule, 1.0, D, IV) == bound_q1(rule, D, IV)
-        assert bound_p_eq_q(rule, 1.0, D, IV) == bound_q1(rule, D, IV)
+        # at q = 1, p = 1 and p = q are the same request
+        assert bound(rule, D, IV, 1.0, 1.0) == (bound_q1(rule, D, IV), None)
         # the displays at q = 1 agree with the q = 1 bound too
         assert fx.relerr(fx.rule_p1(lam, mu, 1.0, D.da, D.db, W),
                          bound_q1(rule, D, IV)) <= 1e-12
@@ -165,9 +163,9 @@ def test_bound_p1_collapses_to_q1_at_one():
                          bound_q1(rule, D, IV)) <= 1e-12
 
 
-def test_bound_p1_rejects_q_below_one():
+def test_bound_rejects_q_below_one():
     with pytest.raises(ValueError):
-        bound_p1(RuleParams(0.5, 0.5), 0.9, D, IV)
+        bound(RuleParams(0.5, 0.5), D, IV, 0.9, 1.0)
 
 
 def test_bound_pq_reduces_to_lm_display():
@@ -200,32 +198,38 @@ def test_bound_pq_homogeneity():
 
 def test_named_dispatch_equals_displays():
     for name in NAMED_RULES:
+        rule = rule_from_lm(named_rule(name))
         for q in (1.3, 2.0, 3.5):
             for frac in (0.4, 1.0):
                 p = frac * q
-                got = bound_named(name, "general", D, IV, q=q, p=p)
+                got, _ = bound(rule, D, IV, q, p)
                 want = fx.NAMED_GENERAL[name](p, q, D.da, D.db, W)
                 assert fx.relerr(got, want) <= 1e-12, (name, p, q)
         for q in (1.0, 1.5, 2.5, 4.0):
-            got = bound_named(name, "p1", D, IV, q=q)
+            got, _ = bound(rule, D, IV, q, 1.0)
             want = fx.NAMED_P1[name](q, D.da, D.db, W)
             assert fx.relerr(got, want) <= 1e-12, (name, q)
-            got = bound_named(name, "pq", D, IV, q=q)
+            got, _ = bound(rule, D, IV, q, q)
             if name in fx.NAMED_PQ:
                 want = fx.NAMED_PQ[name](q, D.da, D.db, W)
             else:
                 want = fx.avgmid_pq_corrected(q, D.da, D.db, W)
             assert fx.relerr(got, want) <= 1e-12, (name, q)
-        got = bound_named(name, "q1", D, IV)
+        got, _ = bound(rule, D, IV)
         want = float(fx.NAMED_Q1_CONSTANTS[name]) * W * (D.da + D.db)
         assert fx.relerr(got, want) <= 1e-14
 
 
-def test_bound_named_validation():
+def test_bound_dispatch_validation():
+    rule = RuleParams(0.2, 0.7)
+    # q > 1 without p minimizes over p; q = 1 ignores p
+    p_star, v_star = optimize_p(rule, 2.0, D, IV)
+    assert bound(rule, D, IV, 2.0) == (v_star, p_star)
+    assert bound(rule, D, IV, 1.0, 0.3) == (bound_q1(rule, D, IV), None)
+    with pytest.raises(ValueError, match="p must satisfy"):
+        bound(rule, D, IV, 2.0, 3.0)
     with pytest.raises(ValueError, match="requires p"):
-        bound_named("simpson", "general", D, IV, q=2.0)
-    with pytest.raises(ValueError, match="mode"):
-        bound_named("simpson", "mystery", D, IV)
+        optimize_rule(2.0, None, D, IV)
 
 
 def test_formula_ids():
@@ -270,22 +274,22 @@ def test_optimize_p_against_dense_grid():
 def test_optimize_rule_symmetric_q1():
     # symmetric derivatives at q = 1: the optimum is (1/4, 3/4)
     d = DerivEndpoints(1.0, 1.0)
-    rule, value = optimize_rule(1.0, "q1", d, Interval(0, 1))
+    rule, value = optimize_rule(1.0, None, d, Interval(0, 1))
     assert abs(rule.lam - 0.25) <= 1e-5
     assert abs(rule.mu - 0.75) <= 1e-5
     assert abs(value - 1 / 8) <= 1e-9
 
 
 def test_optimize_rule_zero_derivatives():
-    _, value = optimize_rule(1.0, "q1", DerivEndpoints(0.0, 0.0), Interval(0, 1))
+    _, value = optimize_rule(1.0, None, DerivEndpoints(0.0, 0.0), Interval(0, 1))
     assert value == 0.0
 
 
 def test_optimize_rule_swap_symmetry():
     # swapping (da, db) mirrors the optimizer through (lam, mu) -> (1-mu, 1-lam)
     d = DerivEndpoints(0.5, 2.0)
-    r1, v1 = optimize_rule(1.0, "q1", d, Interval(0, 1))
-    r2, v2 = optimize_rule(1.0, "q1", DerivEndpoints(d.db, d.da), Interval(0, 1))
+    r1, v1 = optimize_rule(1.0, None, d, Interval(0, 1))
+    r2, v2 = optimize_rule(1.0, None, DerivEndpoints(d.db, d.da), Interval(0, 1))
     assert abs(v1 - v2) <= 1e-9
     assert abs(r2.lam - (1 - r1.mu)) <= 1e-4
     assert abs(r2.mu - (1 - r1.lam)) <= 1e-4
@@ -293,6 +297,6 @@ def test_optimize_rule_swap_symmetry():
 
 def test_simpson_weighted_crosscheck():
     for q in (1.0, 1.5, 2.0, 3.0, 5.0):
-        got = bound_named("simpson", "p1", D, IV, q=q)
+        got, _ = bound(rule_from_lm(named_rule("simpson")), D, IV, q, 1.0)
         want = fx.simpson_weighted_q(q, D.da, D.db, W)
         assert fx.relerr(got, want) <= 1e-12

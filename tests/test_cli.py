@@ -2,6 +2,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from quadbound.cli import main
+
 CLI = [sys.executable, "-m", "quadbound"]
 
 
@@ -205,3 +209,26 @@ def test_text_format():
     assert r.returncode == 0
     assert "lhs_abs:" in r.stdout
     assert "formula_id:" in r.stdout
+
+
+CUBE = ("--f", "x^3", "--a", "1", "--b", "2")
+MEANS = ("--m", "6", "--ell", "1", "--a", "1", "--b", "2")
+
+
+@pytest.mark.parametrize("argv", [
+    # the q = 1 formula is smaller here (0.9148 against 1.1658 for p = q)
+    # but is not a bound under a q > 1 hypothesis
+    ["optimize", *CUBE, "--what", "rule", "--mode", "q1", "--q", "2"],
+    ["optimize", *CUBE, "--rule", "simpson", "--q", "2", "--what", "p", "--p", "0.3"],
+    ["optimize", *CUBE, "--what", "rule", "--mode", "p1", "--q", "2", "--p", "0.7"],
+    ["optimize", *CUBE, "--what", "rule", "--mode", "pq", "--q", "2", "--p", "0.7"],
+    ["means", "--theorem", "4.2-p1", *MEANS, "--s", "2", "--p", "0.5"],
+    ["means", "--theorem", "4.5-pq", *MEANS, "--q", "2", "--p", "0.5"],
+    ["means", "--theorem", "4.3-particular", *MEANS, "--p", "0.5"],
+    ["means", "--theorem", "4.5-particular", *MEANS, "--q", "2"],
+], ids=lambda argv: " ".join(argv))
+def test_dropped_or_mismatched_exponent_rejected(argv, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err

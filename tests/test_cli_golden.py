@@ -1,0 +1,126 @@
+"""Golden CLI output: replay a fixed command list and compare stdout byte for
+byte, and the exit code, against ``cli_golden.json``.
+
+The fixture pins the CLI's observable output so that refactors behind it
+(bound dispatch, option handling) cannot change a single byte unnoticed.
+Re-record it only for an intended output change:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+
+import pytest
+
+from quadbound import cli
+
+FIXTURE = pathlib.Path(__file__).with_name("cli_golden.json")
+
+_CUBE = ["--f", "x^3", "--a", "1", "--b", "2"]
+_LN = ["--f", "ln(x)", "--a", "0.5", "--b", "2"]
+_QUARTIC = ["--f", "x^4-x", "--a", "-1", "--b", "1.5"]
+_RULE_FORMS = (
+    (*_CUBE, "--rule", "simpson"),
+    (*_LN, "--lambda", "0.2", "--mu", "0.7"),
+    (*_QUARTIC, "--m", "7", "--ell", "3"),
+)
+_QP = (("--q", "1"), ("--q", "2", "--p", "0.7"), ("--q", "2.5"))
+
+_MEANS = (
+    ("4.1", "--s", "3", "--q", "2", "--p", "0.5"),
+    ("4.2-p1", "--s", "2"), ("4.2-pq", "--s", "2", "--q", "2"),
+    ("4.2-particular", "--s", "2"),
+    ("4.3-p1",), ("4.3-pq", "--q", "1.5"), ("4.3-particular",),
+    ("4.4", "--q", "3", "--p", "1.2"),
+    ("4.5-p1", "--q", "2"), ("4.5-pq", "--q", "2"), ("4.5-particular",),
+)
+
+COMMANDS = (
+    # bound: three rule-spec forms x (q = 1, q > 1 with p, q > 1 without p)
+    *[["bound", *rule, *qp, "--format", fmt]
+      for rule in _RULE_FORMS for qp in _QP for fmt in ("json", "text")],
+    ["bound", *_CUBE, "--rule", "trapezoid", "--q", "1", "--p", "0.3"],
+    ["bound", "--f", "exp(0-x^2)", "--a", "0.2", "--b", "1.1", "--rule", "midpoint"],
+    ["bound", *_CUBE, "--rule", "simpson", "--q", "0.5"],
+    ["bound", *_CUBE, "--rule", "simpson", "--q", "2", "--p", "3"],
+    # optimize over p, and over the rule in every mode
+    ["optimize", *_CUBE, "--rule", "simpson", "--q", "2", "--what", "p"],
+    ["optimize", *_LN, "--m", "7", "--ell", "3", "--q", "3", "--format", "text"],
+    ["optimize", *_CUBE, "--what", "rule", "--q", "1"],
+    ["optimize", *_CUBE, "--what", "rule", "--q", "2"],
+    ["optimize", *_CUBE, "--what", "rule", "--q", "2", "--p", "0.7"],
+    ["optimize", *_CUBE, "--what", "rule", "--mode", "q1"],
+    ["optimize", *_CUBE, "--what", "rule", "--mode", "p1"],
+    ["optimize", *_LN, "--what", "rule", "--mode", "p1", "--q", "2"],
+    ["optimize", *_CUBE, "--what", "rule", "--mode", "pq", "--q", "2"],
+    ["optimize", *_LN, "--what", "rule", "--mode", "general", "--q", "2",
+     "--p", "0.7", "--format", "text"],
+    ["optimize", *_CUBE, "--what", "rule", "--mode", "general", "--q", "2"],
+    ["optimize", *_CUBE, "--what", "rule", "--mode", "general", "--q", "1",
+     "--p", "0.5"],
+    ["optimize", *_CUBE, "--what", "p", "--rule", "simpson", "--q", "1"],
+    # sweep every axis in csv and json
+    *[[*argv, "--format", fmt] for fmt in ("csv", "json") for argv in (
+        ["sweep", *_CUBE, "--axis", "lambda", "--from", "0", "--to", "0.5",
+         "--step", "0.1"],
+        ["sweep", *_LN, "--axis", "mu", "--lambda", "0.2", "--q", "2",
+         "--from", "0.5", "--to", "1", "--step", "0.125"],
+        ["sweep", *_CUBE, "--rule", "simpson", "--axis", "p", "--q", "2",
+         "--from", "0.2", "--to", "2", "--step", "0.3"],
+        ["sweep", *_QUARTIC, "--m", "7", "--ell", "3", "--axis", "q", "--p", "1",
+         "--from", "1", "--to", "3", "--step", "0.5"],
+        ["sweep", "--a", "1", "--b", "2", "--rule", "midpoint", "--axis", "s",
+         "--q", "1.5", "--p", "1", "--from", "-2", "--to", "-0.5", "--step", "0.5"],
+    )],
+    # every means theorem, including the q = 1 '-particular' forms
+    *[["means", "--theorem", theorem, "--m", "6", "--ell", "1", "--a", "1",
+       "--b", "2", *rest] for theorem, *rest in _MEANS],
+    ["means", "--theorem", "4.5-pq", "--m", "2", "--ell", "1", "--a", "1",
+     "--b", "3", "--q", "2", "--format", "text"],
+    # seeded campaigns
+    ["verify", "--trials", "300", "--seed", "0"],
+    ["verify", "--trials", "300", "--seed", "0", "--family", "concave-test"],
+)
+
+
+def run(argv):
+    """(exit code, stdout) of one in-process CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(FIXTURE.read_text())
+
+
+def test_fixture_covers_command_list(golden):
+    assert [case["argv"] for case in golden] == [list(c) for c in COMMANDS]
+
+
+@pytest.mark.parametrize("i", range(len(COMMANDS)),
+                         ids=[" ".join(c) for c in COMMANDS])
+def test_cli_output_matches_golden(i, golden):
+    code, stdout = run(golden[i]["argv"])
+    assert code == golden[i]["exit"]
+    assert stdout == golden[i]["stdout"]
+
+
+def _record():
+    cases = []
+    for argv in COMMANDS:
+        code, stdout = run(argv)
+        cases.append({"argv": list(argv), "exit": code, "stdout": stdout})
+    FIXTURE.write_text(json.dumps(cases, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    _record()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quadbound.bounds import DerivEndpoints, HolderParams, bound_p1, bound_p_eq_q, bound_pq
+from quadbound.bounds import DerivEndpoints, HolderParams, bound, bound_pq
 from quadbound.convexity import admissible_power
 from quadbound.expr import as_function, differentiate, evaluate, parse
 from quadbound.means import (
@@ -186,9 +186,9 @@ def test_means_bound_routes_through_dsl_functions():
         d = DerivEndpoints(abs(float(evaluate(deriv, a))),
                            abs(float(evaluate(deriv, b))))
         assert abs(means_bound("4.2-p1", m, ell, a, b, s=s, q=q)
-                   - bound_p1(rule, q, d, iv)) <= 1e-12
+                   - bound(rule, d, iv, q, 1.0)[0]) <= 1e-12
         assert abs(means_bound("4.2-pq", m, ell, a, b, s=s, q=q)
-                   - bound_p_eq_q(rule, q, d, iv)) <= 1e-12
+                   - bound(rule, d, iv, q, q)[0]) <= 1e-12
 
 
 def test_means_bound_admissibility_errors():
