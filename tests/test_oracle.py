@@ -94,6 +94,52 @@ def test_kernel_moment_closed_forms_low_exponent():
             assert abs(got - exact) <= 1e-11 * max(1.0, abs(exact))
 
 
+def _kink(t):
+    return np.abs(0.2 - t) ** 0.05 * t
+
+
+# Integrable endpoint singularities: (integrand, interval, exact value).
+_SINGULAR = (
+    (_kink, Interval(0.0, 0.2), 0.2**2.05 / 1.05 - 0.2**2.05 / 2.05),
+    (_kink, Interval(0.2, 0.5), 0.3**2.05 / 2.05 + 0.2 * 0.3**1.05 / 1.05),
+    (lambda x: x**-0.5, Interval(0.0, 1.0), 2.0),
+    (np.log, Interval(0.0, 1.0), -1.0),
+)
+
+
+def test_integrate_endpoint_singularity_within_budget():
+    # A panel touching t = 0.2 has a width-independent relative error; it must
+    # be bisected only until the summed error meets tol.
+    for f, iv, exact in _SINGULAR[:2]:
+        r = integrate(f, iv, 1e-12)
+        assert r.evaluations <= 5000
+        assert r.error_estimate <= 1e-12
+        assert abs(r.value - exact) <= 1e-12
+
+
+def test_integrate_singular_endpoint_value():
+    for f, iv, exact in _SINGULAR[2:]:
+        r = integrate(f, iv, 1e-12)
+        assert abs(r.value - exact) <= 1e-12
+        assert r.error_estimate <= 1e-12
+
+
+def test_integrate_matches_scipy_on_singular_integrands():
+    quad = pytest.importorskip("scipy.integrate").quad
+    for f, iv, _ in _SINGULAR:
+        ref, _ = quad(f, iv.a, iv.b, epsabs=1e-13, epsrel=1e-13, limit=200)
+        assert abs(integrate(f, iv, 1e-12).value - ref) <= 1e-10
+
+
+def test_kernel_moment_extreme_exponents():
+    for e in (1e-3, 6.5e-3, 0.03):
+        for side, start in (("left", 0.0), ("right", 0.5)):
+            for s in (0.0, 0.13, 0.5):
+                exact = (s ** (e + 1) + (0.5 - s) ** (e + 1)) / (e + 1)
+                got = kernel_moment_numeric(side, start + s, e)
+                assert abs(got - exact) <= 1e-11 * exact
+
+
 def test_integrate_deterministic():
     f = as_function(parse("exp(0-x^2)"))
     r1 = integrate(f, Interval(0, 3))
