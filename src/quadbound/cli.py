@@ -102,8 +102,7 @@ def _parse_function(source: Optional[str], a: Optional[float], b: Optional[float
     return ast, deriv, interval
 
 
-def _endpoint_derivs(deriv, interval: Interval) -> bounds.DerivEndpoints:
-    fp = as_function(deriv)
+def _endpoint_derivs(fp, interval: Interval) -> bounds.DerivEndpoints:
     try:
         return bounds.DerivEndpoints(abs(float(fp(float(interval.a)))),
                                      abs(float(fp(float(interval.b)))))
@@ -131,7 +130,7 @@ def cmd_bound(cfg: argparse.Namespace) -> int:
             f"rule (lam={rule.lam}, mu={rule.mu}) is not bound-admissible"
         )
     fp = as_function(deriv)
-    d = _endpoint_derivs(deriv, interval)
+    d = _endpoint_derivs(fp, interval)
     cert = certify_convex(lambda x: np.abs(fp(x)) ** cfg.q, interval,
                           samples=cfg.cert_samples, tol=cfg.cert_tol,
                           seed=cfg.seed, function_id=cfg.f, q=cfg.q)
@@ -224,7 +223,7 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     rows = []
     if cfg.axis != "s":
         ast, deriv, interval = _parse_function(cfg.f, cfg.a, cfg.b)
-        d = _endpoint_derivs(deriv, interval)
+        d = _endpoint_derivs(as_function(deriv), interval)
         mean = integrate(as_function(ast), interval, cfg.tol).value / interval.width
     for v in grid:
         point_rule, q, p = rule, cfg.q, cfg.p
@@ -232,7 +231,7 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
             if v == 0:
                 raise CliError("s = 0 is not a power function; exclude it from the grid")
             ast, deriv, interval = _parse_function(f"x^{repr(float(v))}", cfg.a, cfg.b)
-            d = _endpoint_derivs(deriv, interval)
+            d = _endpoint_derivs(as_function(deriv), interval)
             mean = integrate(as_function(ast), interval, cfg.tol).value / interval.width
         elif cfg.axis == "lambda":
             point_rule = RuleParams(v, cfg.mu if cfg.mu is not None else 1 - v)
@@ -326,7 +325,7 @@ def _rule_mode(mode: str, q: float, p: Optional[float]) -> tuple[str, Optional[f
 def cmd_optimize(cfg: argparse.Namespace) -> int:
     rule, name, lm = _resolve_rule(cfg, require=cfg.what == "p")
     ast, deriv, interval = _parse_function(cfg.f, cfg.a, cfg.b)
-    d = _endpoint_derivs(deriv, interval)
+    d = _endpoint_derivs(as_function(deriv), interval)
     if cfg.what == "p":
         if not cfg.q > 1:
             raise CliError(f"optimizing p requires --q > 1, got {cfg.q}")

@@ -41,11 +41,11 @@ class ConvexityCertificate:
     witness: Optional[tuple[float, float]] = None
 
 
-def _grid(interval: Interval, n: int) -> np.ndarray:
-    # Additive golden-ratio (Weyl) sequence: low discrepancy, deterministic.
-    k = np.arange(1, n + 1)
-    u = (k * ((math.sqrt(5.0) - 1) / 2)) % 1.0
-    return interval.a + (interval.b - interval.a) * np.sort(u)
+# Additive golden-ratio (Weyl) sequence on [0, 1): low discrepancy,
+# deterministic.  Every certificate scales the same grid and pairs it the same
+# way, so both are built once.
+_UNIT_GRID = np.sort((np.arange(1, _GRID_POINTS + 1) * ((math.sqrt(5.0) - 1) / 2)) % 1.0)
+_PAIRS = np.triu_indices(_GRID_POINTS, k=1)
 
 
 def _evaluate_nudged(g: Callable, pts: np.ndarray, toward: float) -> np.ndarray:
@@ -70,23 +70,29 @@ def certify_convex(g: Callable, interval: Interval, samples: int = DEFAULT_SAMPL
     """
     if samples < 64:
         raise ValueError(f"samples must be >= 64, got {samples}")
-    pts = _grid(interval, _GRID_POINTS)
-    ii, jj = np.triu_indices(_GRID_POINTS, k=1)
-    xs = pts[ii]
-    ys = pts[jj]
+    width = interval.b - interval.a
+    pts = interval.a + width * _UNIT_GRID
+    ii, jj = _PAIRS
 
     rng = np.random.default_rng(seed)
     u = rng.random(samples)
     gap = _MIN_PAIR_GAP + (1 - 2 * _MIN_PAIR_GAP) * rng.random(samples)
-    v = (u + gap) % 1.0
-    width = interval.b - interval.a
-    xs = np.concatenate([xs, interval.a + width * u])
-    ys = np.concatenate([ys, interval.a + width * v])
+    # (u + gap) mod 1 for u + gap in [0, 2); w - 1 is exact there (Sterbenz).
+    w = u + gap
+    v = np.where(w >= 1, w - 1, w)
+    rand_xs = interval.a + width * u
+    rand_ys = interval.a + width * v
+    xs = np.concatenate([pts[ii], rand_xs])
+    ys = np.concatenate([pts[jj], rand_ys])
 
-    mids = (xs + ys) / 2
+    # g is evaluated once per point: on the grid (indexed for its pairs), at
+    # the random x's, at the random y's, and at all midpoints.
     toward = float(interval.midpoint)
-    residuals = _evaluate_nudged(g, mids, toward) - (
-        _evaluate_nudged(g, xs, toward) + _evaluate_nudged(g, ys, toward)) / 2
+    g_mids = _evaluate_nudged(g, (xs + ys) / 2, toward)
+    g_pts = _evaluate_nudged(g, pts, toward)
+    g_xs = np.concatenate([g_pts[ii], _evaluate_nudged(g, rand_xs, toward)])
+    g_ys = np.concatenate([g_pts[jj], _evaluate_nudged(g, rand_ys, toward)])
+    residuals = g_mids - (g_xs + g_ys) / 2
     if not np.all(np.isfinite(residuals)):
         raise ValueError("g produced non-finite values during certification")
     worst = int(np.argmax(residuals))

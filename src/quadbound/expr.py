@@ -17,6 +17,7 @@ power) raise :class:`EvalDomainError` instead.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -205,61 +206,146 @@ def parse(source: str) -> ExprNode:
     return _Parser(source).parse()
 
 
-def _is_integral(e: float) -> bool:
-    return float(e).is_integer()
+# -- compiling: one tree walk for evaluation and domain checking --------------
+
+@dataclass(frozen=True)
+class DomainViolation:
+    node_source: str
+    reason: str
 
 
-def evaluate(node: ExprNode, x):
-    """Evaluate ``node`` at ``x`` (a float or numpy array).
+@dataclass(frozen=True)
+class DomainReport:
+    ok: bool
+    violations: tuple[DomainViolation, ...]
 
-    Raises :class:`EvalDomainError` on any domain violation instead of
-    propagating NaN/complex values.
+
+# rule -> (EvalDomainError message, domain_check reason)
+_RULES = {
+    "divide": ("division by zero", "denominator vanishes on the interval"),
+    # domain_check only: a sign change between adjacent grid points is a zero
+    # the grid may have stepped over.
+    "cross": ("", "denominator changes sign on the interval (zero crossing)"),
+    "pole": ("zero base with negative exponent",
+             "base vanishes on the interval with a negative exponent"),
+    "zero": ("zero base with negative exponent", "zero base with a negative exponent"),
+    "root": ("negative base with non-integer exponent",
+             "negative base with a non-integer exponent"),
+    "ln": ("ln of a non-positive value",
+           "argument of ln is not strictly positive on the interval"),
+}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _violated(found, node: ExprNode, bad, rule: str) -> bool:
+    """Report a violation of ``rule`` if ``bad`` holds anywhere: evaluation
+    (``found`` None) raises; domain_check appends to its list ``found``, and
+    the sub-expression evaluates to None."""
+    if not np.any(bad):
+        return False
+    message, reason = _RULES[rule]
+    if found is None:
+        raise EvalDomainError(message)
+    found.append(DomainViolation(to_source(node), reason))
+    return True
+
+
+def _crosses_zero(found, node: ExprNode, v, rule: str) -> bool:
+    return found is not None and _violated(found, node, v[:-1] * v[1:] < 0, rule)
+
+
+def _kernel(node: ExprNode, found):
+    """The operation of an interior node on its operands' values."""
+    if isinstance(node, BinOp):
+        if node.op in _ARITHMETIC:
+            return _ARITHMETIC[node.op]
+        return lambda lv, rv: (None if _violated(found, node, rv == 0, "divide")
+                               or _crosses_zero(found, node, rv, "cross") else lv / rv)
+    if isinstance(node, Pow):
+        e = node.exponent
+        integral = float(e).is_integer()
+
+        def power(base):
+            if not integral and _violated(found, node, base < 0, "root"):
+                return None
+            if e < 0 and (_violated(found, node, base == 0, "pole" if integral else "zero")
+                          or integral and _crosses_zero(found, node, base, "pole")):
+                return None
+            return base ** e
+        return power
+    if node.fn == "ln":
+        return lambda v: None if _violated(found, node, v <= 0, "ln") else np.log(v)
+    return np.exp if node.fn == "exp" else np.abs
+
+
+def _fold(node: ExprNode, fn):
+    """Evaluate a sub-expression without x once, at a number and at an array:
+    the two can differ in the last bit (numpy's array power is not C pow).
+    If either fails it stays as it is, and fails when called."""
+    if isinstance(node, Const):
+        v = node.value
+        return lambda x: v
+    try:
+        scalar, array = fn(0.0), fn(np.zeros(1))[0]
+    except (EvalDomainError, OverflowError):
+        return fn
+    return lambda x: array if isinstance(x, np.ndarray) else scalar
+
+
+def _compile(node: ExprNode, found=None):
+    """Compile ``node`` to ``(fn, constant)``: ``fn(x)`` evaluates it at a
+    number or an array; ``constant`` says that it does not depend on x.
+
+    A sub-expression without x is computed with each literal as an array of
+    x's shape when x is an array, and is folded once where it meets x;
+    domain_check (``found`` a list) folds nothing.
     """
     if isinstance(node, Const):
-        if isinstance(x, np.ndarray):
-            return np.full(x.shape, node.value)
-        return node.value
+        v = node.value
+        return (lambda x: np.full(x.shape, v) if isinstance(x, np.ndarray) else v), True
     if isinstance(node, Var):
-        return x
+        return (lambda x: x), False
+    if not isinstance(node, (BinOp, Pow, Call)):
+        raise TypeError(f"not an expression node: {node!r}")
+    kernel = _kernel(node, found)
+    if found is not None:
+        unguarded = kernel
+
+        def kernel(*values):
+            return None if any(v is None for v in values) else unguarded(*values)
     if isinstance(node, BinOp):
-        lv = evaluate(node.left, x)
-        rv = evaluate(node.right, x)
-        if node.op == "+":
-            return lv + rv
-        if node.op == "-":
-            return lv - rv
-        if node.op == "*":
-            return lv * rv
-        if np.any(rv == 0):
-            raise EvalDomainError("division by zero")
-        return lv / rv
-    if isinstance(node, Pow):
-        base = evaluate(node.base, x)
-        e = node.exponent
-        if _is_integral(e):
-            if e < 0 and np.any(base == 0):
-                raise EvalDomainError("zero base with negative exponent")
-        else:
-            if np.any(base < 0):
-                raise EvalDomainError("negative base with non-integer exponent")
-            if e < 0 and np.any(base == 0):
-                raise EvalDomainError("zero base with negative exponent")
-        return base ** e
-    if isinstance(node, Call):
-        v = evaluate(node.arg, x)
-        if node.fn == "ln":
-            if np.any(v <= 0):
-                raise EvalDomainError("ln of a non-positive value")
-            return np.log(v)
-        if node.fn == "exp":
-            return np.exp(v)
-        return np.abs(v)
-    raise TypeError(f"not an expression node: {node!r}")
+        (lf, lc), (rf, rc) = _compile(node.left, found), _compile(node.right, found)
+        if lc != rc and found is None:
+            lf, rf = (_fold(node.left, lf), rf) if lc else (lf, _fold(node.right, rf))
+        return (lambda x: kernel(lf(x), rf(x))), lc and rc
+    f, constant = _compile(node.base if isinstance(node, Pow) else node.arg, found)
+    return (lambda x: kernel(f(x))), constant
 
 
 def as_function(node: ExprNode):
-    """Return ``node`` as a plain callable of x (vectorized over arrays)."""
-    return lambda x: evaluate(node, x)
+    """Compile ``node`` once into a callable of x (a float or a float64
+    array) that raises :class:`EvalDomainError` on a domain violation."""
+    return _compile(node)[0]
+
+
+def evaluate(node: ExprNode, x):
+    """Evaluate ``node`` at ``x`` (a float or numpy array); see as_function."""
+    return _compile(node)[0](x)
+
+
+def domain_check(node: ExprNode, interval, samples: int = 1025) -> DomainReport:
+    """Check that ``node`` is evaluable everywhere on ``interval``.
+
+    Uses a dense grid: a sub-expression is flagged if a risky operation (ln,
+    division, fractional power) sees a bad argument at any grid point, or if
+    a denominator changes sign between adjacent points (a zero crossing that
+    the grid may have stepped over).
+    """
+    xs = np.linspace(float(interval.a), float(interval.b), samples)
+    found: list[DomainViolation] = []
+    with np.errstate(over="ignore"):
+        _compile(node, found)[0](xs)
+    return DomainReport(not found, tuple(found))
 
 
 # -- differentiation ----------------------------------------------------------
@@ -384,90 +470,3 @@ def _fmt(node: ExprNode, parent_prec: int) -> str:
 def to_source(node: ExprNode) -> str:
     """Print ``node`` back to parseable source (parse∘to_source is identity)."""
     return _fmt(node, _PREC_ADD)
-
-
-# -- static domain checking ---------------------------------------------------
-
-@dataclass(frozen=True)
-class DomainViolation:
-    node_source: str
-    reason: str
-
-
-@dataclass(frozen=True)
-class DomainReport:
-    ok: bool
-    violations: tuple[DomainViolation, ...]
-
-
-def domain_check(node: ExprNode, interval, samples: int = 1025) -> DomainReport:
-    """Check that ``node`` is evaluable everywhere on ``interval``.
-
-    Uses a dense grid: a sub-expression is flagged if a risky operation (ln,
-    division, fractional power) sees a bad argument at any grid point, or if
-    a denominator changes sign between adjacent points (a zero crossing that
-    the grid may have stepped over).
-    """
-    xs = np.linspace(float(interval.a), float(interval.b), samples)
-    violations: list[DomainViolation] = []
-
-    def flag(n: ExprNode, reason: str) -> None:
-        violations.append(DomainViolation(to_source(n), reason))
-
-    def rec(n: ExprNode):
-        if isinstance(n, Const):
-            return np.full(xs.shape, n.value)
-        if isinstance(n, Var):
-            return xs
-        if isinstance(n, BinOp):
-            lv, rv = rec(n.left), rec(n.right)
-            if lv is None or rv is None:
-                return None
-            if n.op == "+":
-                return lv + rv
-            if n.op == "-":
-                return lv - rv
-            if n.op == "*":
-                return lv * rv
-            if np.any(rv == 0):
-                flag(n, "denominator vanishes on the interval")
-                return None
-            if np.any(rv[:-1] * rv[1:] < 0):
-                flag(n, "denominator changes sign on the interval (zero crossing)")
-                return None
-            return lv / rv
-        if isinstance(n, Pow):
-            bv = rec(n.base)
-            if bv is None:
-                return None
-            e = n.exponent
-            if _is_integral(e):
-                if e < 0 and (np.any(bv == 0) or np.any(bv[:-1] * bv[1:] < 0)):
-                    flag(n, "base vanishes on the interval with a negative exponent")
-                    return None
-            else:
-                if np.any(bv < 0):
-                    flag(n, "negative base with a non-integer exponent")
-                    return None
-                if e < 0 and np.any(bv == 0):
-                    flag(n, "zero base with a negative exponent")
-                    return None
-            with np.errstate(over="ignore"):
-                return bv ** e
-        if isinstance(n, Call):
-            av = rec(n.arg)
-            if av is None:
-                return None
-            if n.fn == "ln":
-                if np.any(av <= 0):
-                    flag(n, "argument of ln is not strictly positive on the interval")
-                    return None
-                return np.log(av)
-            if n.fn == "exp":
-                with np.errstate(over="ignore"):
-                    return np.exp(av)
-            return np.abs(av)
-        raise TypeError(f"not an expression node: {n!r}")
-
-    rec(node)
-    return DomainReport(not violations, tuple(violations))

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from quadbound.convexity import admissible_power, certify_convex
-from quadbound.expr import as_function, differentiate, parse
+from quadbound.expr import EvalDomainError, as_function, differentiate, parse
 from quadbound.oracle import Interval
 
 
@@ -101,3 +103,99 @@ def test_certificate_agrees_with_power_predicate():
         assert cert.valid, (s, q, a, b, cert.max_violation)
         accepted += 1
     assert accepted > 200
+
+
+# -- reference: the certificate before it evaluated each point once ----------
+# A verbatim copy (grid and pairs rebuilt per call, g evaluated on the
+# midpoints, all x's and all y's), which the certificate must reproduce.
+
+def _reference_grid(interval, n):
+    k = np.arange(1, n + 1)
+    u = (k * ((math.sqrt(5.0) - 1) / 2)) % 1.0
+    return interval.a + (interval.b - interval.a) * np.sort(u)
+
+
+def _reference_evaluate_nudged(g, pts, toward):
+    try:
+        return np.asarray(g(pts), dtype=float)
+    except EvalDomainError:
+        return np.asarray(g(np.nextafter(pts, toward)), dtype=float)
+
+
+def _reference_certify_convex(g, interval, samples=4096, tol=1e-10, seed=0):
+    pts = _reference_grid(interval, 64)
+    ii, jj = np.triu_indices(64, k=1)
+    xs = pts[ii]
+    ys = pts[jj]
+
+    rng = np.random.default_rng(seed)
+    u = rng.random(samples)
+    gap = 1e-3 + (1 - 2 * 1e-3) * rng.random(samples)
+    v = (u + gap) % 1.0
+    width = interval.b - interval.a
+    xs = np.concatenate([xs, interval.a + width * u])
+    ys = np.concatenate([ys, interval.a + width * v])
+
+    mids = (xs + ys) / 2
+    toward = float(interval.midpoint)
+    residuals = _reference_evaluate_nudged(g, mids, toward) - (
+        _reference_evaluate_nudged(g, xs, toward) + _reference_evaluate_nudged(g, ys, toward)) / 2
+    if not np.all(np.isfinite(residuals)):
+        raise ValueError("g produced non-finite values during certification")
+    worst = int(np.argmax(residuals))
+    max_violation = float(residuals[worst])
+    valid = max_violation <= tol
+    return (len(xs), valid, max_violation,
+            None if valid else (float(xs[worst]), float(ys[worst])))
+
+
+def _derivative_power(source, q):
+    fp = as_function(differentiate(parse(source)))
+    return lambda x: np.abs(fp(x)) ** q
+
+
+@pytest.mark.parametrize("source, a, b", [
+    ("0.3+1.2*x-0.7*x^2+1.9*x^3-1.1*x^4", -1.2, 0.9),
+    ("1.5-0.4*x+0.8*x^2", -2.5, -0.5),
+    ("0-1.3*x^3+x", 0.2, 1.7),
+    ("x^-1.5", 0.4, 2.3),
+    ("x^2.5", 0.3, 1.4),
+    ("ln(x)", 0.6, 3.1),
+    ("exp(0-x^2)", 0.2, 1.1),
+    ("exp(0.3*x)", -1.0, 2.0),
+    ("abs(x-0.3)^3", -1.0, 1.0),
+])
+@pytest.mark.parametrize("q", [1.0, 2.7])
+@pytest.mark.parametrize("seed", [0, 11, 2**62 + 5])
+def test_certificate_equals_reference(source, a, b, q, seed):
+    g = _derivative_power(source, q)
+    cert = certify_convex(g, Interval(a, b), seed=seed)
+    got = (cert.samples, cert.valid, cert.max_violation, cert.witness)
+    assert got == _reference_certify_convex(g, Interval(a, b), seed=seed)
+
+
+@pytest.mark.parametrize("k", range(64))
+def test_kink_on_a_grid_point_keeps_the_verdict(k):
+    # g fails exactly at grid point k, so the call holding it is retried one
+    # ulp inward.  That call is now the grid alone, where it used to be all
+    # x's or all y's: the retried points differ by design.  A retried point
+    # moves by one ulp (<= 2.3e-16 on this interval), which moves g by at
+    # most max |g'| (< 70) times that, so a residual moves by < 4e-14.
+    from quadbound.convexity import _UNIT_GRID
+
+    interval = Interval(-0.8, 1.3)
+    kink = float(interval.a + (interval.b - interval.a) * _UNIT_GRID[k])
+    g = _derivative_power(f"abs(x-{kink!r})^3", 1.5)
+    with pytest.raises(EvalDomainError):
+        g(np.array([kink]))
+    for seed in (0, 3):
+        try:
+            samples, valid, max_violation, _ = _reference_certify_convex(g, interval, seed=seed)
+        except EvalDomainError:
+            # a midpoint one ulp off the kink is retried onto it: both fail
+            with pytest.raises(EvalDomainError):
+                certify_convex(g, interval, seed=seed)
+            continue
+        cert = certify_convex(g, interval, seed=seed)
+        assert (cert.samples, cert.valid) == (samples, valid)
+        assert abs(cert.max_violation - max_violation) < 4e-14

@@ -9,6 +9,8 @@ from quadbound.expr import (
     BinOp,
     Call,
     Const,
+    DomainReport,
+    DomainViolation,
     EvalDomainError,
     ParseError,
     Pow,
@@ -221,3 +223,170 @@ def test_to_source_examples():
     assert to_source(parse("x^2")) == "x^2.0"
     assert to_source(parse("ln(x+1)")) == "ln(x+1.0)"
     assert math.isclose(evaluate(parse(to_source(parse("2*x^3-x"))), 2.0), 14.0)
+
+
+# -- reference: the tree walks that the compile pass replaced ----------------
+# Verbatim copies of the evaluator and the domain checker before expressions
+# were compiled once; compiled closures must reproduce them bit for bit.
+
+def _reference_evaluate(node, x):
+    if isinstance(node, Const):
+        if isinstance(x, np.ndarray):
+            return np.full(x.shape, node.value)
+        return node.value
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, BinOp):
+        lv = _reference_evaluate(node.left, x)
+        rv = _reference_evaluate(node.right, x)
+        if node.op == "+":
+            return lv + rv
+        if node.op == "-":
+            return lv - rv
+        if node.op == "*":
+            return lv * rv
+        if np.any(rv == 0):
+            raise EvalDomainError("division by zero")
+        return lv / rv
+    if isinstance(node, Pow):
+        base = _reference_evaluate(node.base, x)
+        e = node.exponent
+        if float(e).is_integer():
+            if e < 0 and np.any(base == 0):
+                raise EvalDomainError("zero base with negative exponent")
+        else:
+            if np.any(base < 0):
+                raise EvalDomainError("negative base with non-integer exponent")
+            if e < 0 and np.any(base == 0):
+                raise EvalDomainError("zero base with negative exponent")
+        return base ** e
+    if isinstance(node, Call):
+        v = _reference_evaluate(node.arg, x)
+        if node.fn == "ln":
+            if np.any(v <= 0):
+                raise EvalDomainError("ln of a non-positive value")
+            return np.log(v)
+        if node.fn == "exp":
+            return np.exp(v)
+        return np.abs(v)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _reference_domain_check(node, interval, samples=1025):
+    xs = np.linspace(float(interval.a), float(interval.b), samples)
+    violations = []
+
+    def flag(n, reason):
+        violations.append(DomainViolation(to_source(n), reason))
+
+    def rec(n):
+        if isinstance(n, Const):
+            return np.full(xs.shape, n.value)
+        if isinstance(n, Var):
+            return xs
+        if isinstance(n, BinOp):
+            lv, rv = rec(n.left), rec(n.right)
+            if lv is None or rv is None:
+                return None
+            if n.op == "+":
+                return lv + rv
+            if n.op == "-":
+                return lv - rv
+            if n.op == "*":
+                return lv * rv
+            if np.any(rv == 0):
+                flag(n, "denominator vanishes on the interval")
+                return None
+            if np.any(rv[:-1] * rv[1:] < 0):
+                flag(n, "denominator changes sign on the interval (zero crossing)")
+                return None
+            return lv / rv
+        if isinstance(n, Pow):
+            bv = rec(n.base)
+            if bv is None:
+                return None
+            e = n.exponent
+            if float(e).is_integer():
+                if e < 0 and (np.any(bv == 0) or np.any(bv[:-1] * bv[1:] < 0)):
+                    flag(n, "base vanishes on the interval with a negative exponent")
+                    return None
+            else:
+                if np.any(bv < 0):
+                    flag(n, "negative base with a non-integer exponent")
+                    return None
+                if e < 0 and np.any(bv == 0):
+                    flag(n, "zero base with a negative exponent")
+                    return None
+            with np.errstate(over="ignore"):
+                return bv ** e
+        if isinstance(n, Call):
+            av = rec(n.arg)
+            if av is None:
+                return None
+            if n.fn == "ln":
+                if np.any(av <= 0):
+                    flag(n, "argument of ln is not strictly positive on the interval")
+                    return None
+                return np.log(av)
+            if n.fn == "exp":
+                with np.errstate(over="ignore"):
+                    return np.exp(av)
+            return np.abs(av)
+        raise TypeError(f"not an expression node: {n!r}")
+
+    rec(node)
+    return DomainReport(not violations, tuple(violations))
+
+
+def _outcome(evaluator, node, x):
+    """The exception raised (type and message), or the value's type, dtype,
+    shape and bytes."""
+    with np.errstate(all="ignore"):
+        try:
+            v = evaluator(node, x)
+        except (EvalDomainError, OverflowError) as exc:
+            return type(exc), str(exc)
+    return type(v), np.asarray(v).dtype, np.shape(v), np.asarray(v).tobytes()
+
+
+_coords = st.floats(-4, 4, allow_nan=False)
+_points = st.one_of(_coords, st.lists(_coords, min_size=1, max_size=6).map(np.array))
+
+
+@given(_exprs, _points)
+@settings(max_examples=500, deadline=None)
+def test_compiled_evaluation_equals_reference(ast, x):
+    # Literals, and so sub-expressions without x, are folded into constants;
+    # at an array they must be computed as arrays (numpy's array power is not
+    # C pow), and failures must still be raised only when evaluated.
+    for node in (ast, differentiate(ast)):
+        assert _outcome(evaluate, node, x) == _outcome(_reference_evaluate, node, x)
+        assert (_outcome(lambda n, v: as_function(n)(v), node, x)
+                == _outcome(_reference_evaluate, node, x))
+
+
+@pytest.mark.parametrize("source", [
+    "3.3^3*x", "x/0.7^-0.5", "(0.7^2.5)^3+x", "7.1^-1.5", "x/2",  # pow: C != numpy
+    "x+1/(2-2)", "x*ln(0-1)", "x+(1e200)^2", "x-exp(800)",  # failures stay lazy
+])
+@pytest.mark.parametrize("x", [1.7, np.linspace(-1.0, 2.0, 5)])
+def test_constant_subexpressions_equal_reference(source, x):
+    for node in (parse(source), differentiate(parse(source))):
+        with np.errstate(all="ignore"):
+            as_function(node)  # compiling raises nothing; evaluating may
+        assert _outcome(evaluate, node, x) == _outcome(_reference_evaluate, node, x)
+
+
+@given(_exprs, st.sampled_from([(-2.0, 2.0), (0.5, 3.0), (-3.0, -0.25)]))
+@settings(max_examples=300, deadline=None)
+def test_domain_check_equals_reference(ast, ab):
+    interval = Interval(*ab)
+    with np.errstate(all="ignore"):
+        assert domain_check(ast, interval, 65) == _reference_domain_check(ast, interval, 65)
+
+
+def test_domain_check_reports_each_failing_branch():
+    report = domain_check(parse("ln(x)+1/(x-0.5)^0.5+1/ln(x)"), Interval(-1, 2))
+    assert [v.node_source for v in report.violations] == ["ln(x)", "(x-0.5)^0.5", "ln(x)"]
+    assert report == _reference_domain_check(parse("ln(x)+1/(x-0.5)^0.5+1/ln(x)"),
+                                             Interval(-1, 2))
