@@ -33,10 +33,16 @@ __all__ = [
     "kernel_moments_closed",
     "bound_pq",
     "bound",
+    "FORMS",
+    "form",
+    "form_p",
     "formula_id",
     "optimize_p",
     "optimize_rule",
 ]
+
+_P_GRID_POINTS = 64  # log-spaced p values tried before the golden refinement
+_RULE_TOL = 1.25e-7  # golden-section tolerance on each rule weight
 
 
 @dataclass(frozen=True)
@@ -171,32 +177,41 @@ def bound(rule: RuleParams, d: DerivEndpoints, interval: Interval,
     return bound_pq(rule, HolderParams(p, q), d, interval), p
 
 
+# The four (q, p) forms every bound takes.
+FORMS = ("q1", "p1", "pq", "general")
+
+
+def form(q: float, p: Optional[float]) -> str:
+    """The form of the bound at (q, p): q = 1, p = 1, p = q, or general p."""
+    if q == 1:
+        return "q1"
+    if p == 1:
+        return "p1"
+    if p == q:
+        return "pq"
+    return "general"
+
+
+def form_p(kind: str, q: float, p: Optional[float] = None) -> Optional[float]:
+    """The p at which a bound of form ``kind`` is taken: None for q1, the
+    given p (possibly None) for general."""
+    return {"q1": None, "p1": 1.0, "pq": q, "general": p}[kind]
+
+
+# form -> formula id when the rule is given by (lam, mu), by (m, ell), by name
+_FORMULA_IDS = {
+    "q1": ("thm3.1", "thm3.1", "cor3.7-{}"),
+    "p1": ("cor3.1-p1", "cor3.3-p1", "cor3.6-{}"),
+    "pq": ("cor3.1-pq", "cor3.3-pq", "cor3.5-{}"),
+    "general": ("thm3.2", "cor3.2", "cor3.4-{}"),
+}
+
+
 def formula_id(q: float, p: Optional[float], name: Optional[str] = None,
                lm: Optional[LMRule] = None) -> str:
     """Identifier of the theorem/corollary a bound instance was produced by."""
-    if name is not None:
-        if q == 1:
-            return f"cor3.7-{name}"
-        if p == 1:
-            return f"cor3.6-{name}"
-        if p == q:
-            return f"cor3.5-{name}"
-        return f"cor3.4-{name}"
-    if lm is not None:
-        if q == 1:
-            return "thm3.1"
-        if p == 1:
-            return "cor3.3-p1"
-        if p == q:
-            return "cor3.3-pq"
-        return "cor3.2"
-    if q == 1:
-        return "thm3.1"
-    if p == 1:
-        return "cor3.1-p1"
-    if p == q:
-        return "cor3.1-pq"
-    return "thm3.2"
+    given = 2 if name is not None else 1 if lm is not None else 0
+    return _FORMULA_IDS[form(q, p)][given].format(name)
 
 
 def _golden_min(f, lo: float, hi: float, tol: float, max_iter: int = 200):
@@ -220,8 +235,8 @@ def _golden_min(f, lo: float, hi: float, tol: float, max_iter: int = 200):
     return x, f(x)
 
 
-def optimize_p(rule: RuleParams, q: float, d: DerivEndpoints, interval: Interval,
-               grid_points: int = 64) -> tuple[float, float]:
+def optimize_p(rule: RuleParams, q: float, d: DerivEndpoints,
+               interval: Interval) -> tuple[float, float]:
     """Minimize ``bound_pq`` over p in (0, q].
 
     Brackets the minimum on a log-spaced grid (p = 1 and p = q are always
@@ -233,8 +248,8 @@ def optimize_p(rule: RuleParams, q: float, d: DerivEndpoints, interval: Interval
     def f(p):
         return bound_pq(rule, HolderParams(p, q), d, interval)
 
-    grid = sorted({q * 10 ** (-6 * (1 - i / (grid_points - 1)))
-                   for i in range(grid_points)} | {1.0, q})
+    n = _P_GRID_POINTS
+    grid = sorted({q * 10 ** (-6 * (1 - i / (n - 1))) for i in range(n)} | {1.0, q})
     values = [f(p) for p in grid]
     i = min(range(len(grid)), key=values.__getitem__)
     lo = grid[i - 1] if i > 0 else grid[i]
@@ -245,30 +260,23 @@ def optimize_p(rule: RuleParams, q: float, d: DerivEndpoints, interval: Interval
     return p_star, v_star
 
 
-def optimize_rule(q: float, p: Optional[float], d: DerivEndpoints, interval: Interval,
-                  param_tol: float = 1e-6) -> tuple[RuleParams, float]:
-    """Minimize ``bound`` at fixed (q, p) over the rule weights by coordinate
-    descent on (lam, mu) over [0, 1/2] x [1/2, 1] from a 3x3 grid of starts.
-    Returns the best local optimum found (no global certificate)."""
+def optimize_rule(q: float, p: Optional[float], d: DerivEndpoints,
+                  interval: Interval) -> tuple[RuleParams, float]:
+    """Minimize ``bound`` at fixed (q, p) over the rule weights.
+
+    Both bounds are a left-half term in lam plus a right-half term in mu, so
+    the minimum over [0, 1/2] x [1/2, 1] is found by golden-section search
+    one half at a time: mu at lam = 0, lam at that mu, then mu at that lam.
+    In exact arithmetic the first mu search is redundant; running the lam
+    search at the minimizing mu fixes its rounding.
+    """
     if q > 1 and p is None:
         raise ValueError(f"optimizing the rule at q = {q} > 1 requires p")
 
     def f(lam, mu):
         return bound(RuleParams(lam, mu), d, interval, q, p)[0]
 
-    best: Optional[tuple[float, float, float]] = None
-    for lam0 in (0.0, 0.25, 0.5):
-        for mu0 in (0.5, 0.75, 1.0):
-            lam, mu = lam0, mu0
-            for _ in range(100):
-                new_lam, _ = _golden_min(lambda t: f(t, mu), 0.0, 0.5, tol=param_tol / 8)
-                new_mu, _ = _golden_min(lambda t: f(new_lam, t), 0.5, 1.0, tol=param_tol / 8)
-                moved = abs(new_lam - lam) + abs(new_mu - mu)
-                lam, mu = new_lam, new_mu
-                if moved < param_tol:
-                    break
-            value = f(lam, mu)
-            if best is None or value < best[2]:
-                best = (lam, mu, value)
-    assert best is not None
-    return RuleParams(best[0], best[1]), best[2]
+    mu, _ = _golden_min(lambda t: f(0.0, t), 0.5, 1.0, tol=_RULE_TOL)
+    lam, _ = _golden_min(lambda t: f(t, mu), 0.0, 0.5, tol=_RULE_TOL)
+    mu, value = _golden_min(lambda t: f(lam, t), 0.5, 1.0, tol=_RULE_TOL)
+    return RuleParams(lam, mu), value

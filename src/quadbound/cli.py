@@ -9,9 +9,11 @@ Subcommands::
     optimize  minimize the bound over p or over the rule weights
 
 Exit codes: 0 success (slack >= 0, certificate valid / no violations),
-2 certificate invalid (bound not asserted), 1 anything else.  Output is
-byte-identical for identical configuration and seed; the ``timings`` block
-therefore reports deterministic work counters, not wall-clock times.
+2 certificate invalid (bound not asserted) or a usage error from argparse
+(unknown option, missing required option, bad choice), 1 anything else.
+Output is byte-identical for identical configuration and seed; the
+``timings`` block therefore reports deterministic work counters, not
+wall-clock times.
 """
 
 from __future__ import annotations
@@ -38,43 +40,29 @@ class CliError(Exception):
     pass
 
 
-# The config echo of each command: the options it reports, in report order.
-_CONFIG_KEYS = {
-    "bound": ("command", "f", "a", "b", "rule", "lam", "mu", "m", "ell", "q",
-              "p", "seed", "fmt", "tol", "cert_samples", "cert_tol"),
-    "sweep": ("command", "f", "a", "b", "rule", "lam", "mu", "m", "ell", "q",
-              "p", "axis", "start", "stop", "step", "fmt", "tol"),
-    "means": ("command", "a", "b", "m", "ell", "q", "p", "fmt", "theorem", "s"),
-    "optimize": ("command", "f", "a", "b", "rule", "lam", "mu", "m", "ell",
-                 "q", "p", "fmt", "tol", "what", "mode"),
-}
-
-
 def _config_dict(cfg: argparse.Namespace) -> dict:
+    flags = (*_SUBCOMMANDS[cfg.command][2], "--format")
+    keys = [_OPTIONS[flag].get("dest", flag[2:]) for flag in _OPTIONS if flag in flags]
     values = vars(cfg)
-    return {k: values[k] for k in _CONFIG_KEYS[cfg.command] if values[k] is not None}
+    return {k: values[k] for k in ("command", *keys) if values[k] is not None}
 
 
 def _resolve_rule(cfg: argparse.Namespace, require: bool = True,
                   ) -> tuple[Optional[RuleParams], Optional[str], Optional[LMRule]]:
     """Enforce that exactly one rule spec form was provided."""
-    forms = []
-    if cfg.rule is not None:
-        forms.append("named")
-    if cfg.lam is not None or cfg.mu is not None:
-        forms.append("lambda/mu")
-    if cfg.m is not None or cfg.ell is not None:
-        forms.append("m/ell")
+    given = {"named": cfg.rule is not None,
+             "lambda/mu": cfg.lam is not None or cfg.mu is not None,
+             "m/ell": cfg.m is not None or cfg.ell is not None}
+    forms = [form for form, present in given.items() if present]
     if len(forms) > 1:
         raise CliError(f"give exactly one rule spec form, got {' and '.join(forms)}")
     if not forms:
         if require:
             raise CliError("a rule spec is required: --rule, --lambda/--mu, or --m/--ell")
         return None, None, None
-    if cfg.rule is not None:
-        lm = named_rule(cfg.rule)
-        return rule_from_lm(lm), cfg.rule, None
-    if cfg.lam is not None or cfg.mu is not None:
+    if given["named"]:
+        return rule_from_lm(named_rule(cfg.rule)), cfg.rule, None
+    if given["lambda/mu"]:
         if cfg.lam is None or cfg.mu is None:
             raise CliError("--lambda and --mu must be given together")
         return RuleParams(cfg.lam, cfg.mu), None, None
@@ -113,22 +101,15 @@ def _endpoint_derivs(fp, interval: Interval) -> bounds.DerivEndpoints:
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2))
-    elif fmt == "text":
-        for key, value in payload.items():
-            if key in ("schema", "config"):
-                continue
+        return
+    for key, value in payload.items():
+        if key not in ("schema", "config"):
             print(f"{key}: {value}")
-    else:
-        raise CliError(f"unsupported format {fmt!r} for this command")
 
 
 def cmd_bound(cfg: argparse.Namespace) -> int:
     rule, name, lm = _resolve_rule(cfg)
     ast, deriv, interval = _parse_function(cfg.f, cfg.a, cfg.b)
-    if not rule.bound_admissible:
-        raise CliError(
-            f"rule (lam={rule.lam}, mu={rule.mu}) is not bound-admissible"
-        )
     fp = as_function(deriv)
     d = _endpoint_derivs(fp, interval)
     cert = certify_convex(lambda x: np.abs(fp(x)) ** cfg.q, interval,
@@ -165,10 +146,6 @@ def cmd_bound(cfg: argparse.Namespace) -> int:
 
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
-    if cfg.trials < 1:
-        raise CliError(f"--trials must be >= 1, got {cfg.trials}")
-    if cfg.family not in campaign.FAMILIES:
-        raise CliError(f"--family must be one of {', '.join(campaign.FAMILIES)}")
     summary = campaign.run_verify(cfg.trials, seed=cfg.seed, family=cfg.family,
                                   tol=cfg.tol, cert_samples=cfg.cert_samples,
                                   cert_tol=cfg.cert_tol)
@@ -181,8 +158,6 @@ CSV_HEADER = "axis,value,lhs_abs,rhs,slack,formula_id"
 
 
 def _sweep_grid(cfg: argparse.Namespace) -> list[float]:
-    if cfg.start is None or cfg.stop is None or cfg.step is None:
-        raise CliError("--from, --to, and --step are required for sweep")
     if cfg.step <= 0:
         raise CliError(f"--step must be positive, got {cfg.step}")
     grid = []
@@ -198,8 +173,6 @@ def _sweep_grid(cfg: argparse.Namespace) -> list[float]:
 
 
 def cmd_sweep(cfg: argparse.Namespace) -> int:
-    if cfg.axis not in _SWEEP_AXES:
-        raise CliError(f"--axis must be one of {', '.join(_SWEEP_AXES)}")
     grid = _sweep_grid(cfg)
 
     if cfg.axis == "s":
@@ -215,8 +188,7 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
         swept_given = cfg.lam if cfg.axis == "lambda" else cfg.mu
         if swept_given is not None:
             raise CliError(f"--{cfg.axis} cannot be fixed while sweeping it")
-        name, lm = None, None
-        rule = None
+        rule, name, lm = None, None, None
     else:
         rule, name, lm = _resolve_rule(cfg)
 
@@ -251,7 +223,7 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
         for v, lhs_abs, rhs, slack, fid in rows:
             print(f"{cfg.axis},{repr(float(v))},{repr(float(lhs_abs))},"
                   f"{repr(float(rhs))},{repr(float(slack))},{fid}")
-    elif cfg.fmt == "json":
+    else:
         payload = {
             "schema": SCHEMA,
             "config": _config_dict(cfg),
@@ -262,8 +234,6 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
             ],
         }
         print(json.dumps(payload, indent=2))
-    else:
-        raise CliError(f"unsupported format {cfg.fmt!r} for sweep")
     return 0
 
 
@@ -272,8 +242,6 @@ _PARTICULAR = {"4.2-particular": "4.2-p1", "4.3-particular": "4.3-p1",
 
 
 def cmd_means(cfg: argparse.Namespace) -> int:
-    if cfg.theorem is None:
-        raise CliError("--theorem is required")
     theorem = cfg.theorem
     if theorem in _PARTICULAR:
         if cfg.q != 1 or cfg.p is not None:
@@ -319,46 +287,36 @@ def _rule_mode(mode: str, q: float, p: Optional[float]) -> tuple[str, Optional[f
         raise CliError(f"--mode general needs --q > 1, got {q}")
     if mode in ("p1", "pq") and p is not None:
         raise CliError(f"--mode {mode} fixes p; do not pass --p")
-    return mode, {"q1": None, "p1": 1.0, "pq": q, "general": p}[mode]
+    return mode, bounds.form_p(mode, q, p)
 
 
 def cmd_optimize(cfg: argparse.Namespace) -> int:
     rule, name, lm = _resolve_rule(cfg, require=cfg.what == "p")
     ast, deriv, interval = _parse_function(cfg.f, cfg.a, cfg.b)
     d = _endpoint_derivs(as_function(deriv), interval)
+    payload = {"schema": SCHEMA, "config": _config_dict(cfg), "what": cfg.what}
     if cfg.what == "p":
         if not cfg.q > 1:
             raise CliError(f"optimizing p requires --q > 1, got {cfg.q}")
         if cfg.p is not None:
             raise CliError("--what p optimizes over p; do not pass --p")
         p_star, rhs_star = bounds.optimize_p(rule, cfg.q, d, interval)
-        payload = {
-            "schema": SCHEMA,
-            "config": _config_dict(cfg),
-            "what": "p",
-            "p_star": float(p_star),
-            "rhs_star": float(rhs_star),
-            "formula_id": bounds.formula_id(cfg.q, p_star, name, lm),
-        }
-    elif cfg.what == "rule":
+        payload["p_star"] = float(p_star)
+        payload["rhs_star"] = float(rhs_star)
+        payload["formula_id"] = bounds.formula_id(cfg.q, p_star, name, lm)
+    else:
         mode, p = _rule_mode(cfg.mode, cfg.q, cfg.p)
         rule_star, rhs_star = bounds.optimize_rule(cfg.q, p, d, interval)
-        payload = {
-            "schema": SCHEMA,
-            "config": _config_dict(cfg),
-            "what": "rule",
-            "mode": mode,
-            "lambda_star": float(rule_star.lam),
-            "mu_star": float(rule_star.mu),
-            "rhs_star": float(rhs_star),
-        }
-    else:
-        raise CliError(f"--what must be 'p' or 'rule', got {cfg.what!r}")
+        payload["mode"] = mode
+        payload["lambda_star"] = float(rule_star.lam)
+        payload["mu_star"] = float(rule_star.mu)
+        payload["rhs_star"] = float(rhs_star)
     _emit(payload, cfg.fmt)
     return 0
 
 
-# Every option is defined once; each subcommand lists the flags it takes.
+# Every option is defined once; each subcommand lists the flags it takes.  A
+# command's config echo follows this order.
 _OPTIONS = {
     "--f": {"help": "function source, e.g. 'x^2' or 'ln(x)'"},
     "--a": {"type": float, "help": "interval left endpoint"},
@@ -373,38 +331,40 @@ _OPTIONS = {
     "--p": {"type": float, "help": "Hoelder parameter 0 < p <= q "
             "(bound, sweep: optimized when q > 1 and omitted)"},
     "--seed": {"type": int, "default": 0, "help": "RNG seed (default 0)"},
-    "--tol": {"type": float, "default": 1e-11, "help": "integration tolerance"},
-    "--cert-samples": {"dest": "cert_samples", "type": int, "default": 4096},
-    "--cert-tol": {"dest": "cert_tol", "type": float, "default": 1e-10},
-    "--trials": {"type": int, "default": 1000},
-    "--family": {"choices": campaign.FAMILIES, "default": "mixed"},
     "--axis": {"choices": _SWEEP_AXES, "required": True},
     "--from": {"dest": "start", "type": float, "required": True},
     "--to": {"dest": "stop", "type": float, "required": True},
     "--step": {"type": float, "required": True},
+    "--format": {"dest": "fmt"},
+    "--tol": {"type": float, "default": 1e-11, "help": "integration tolerance"},
+    "--cert-samples": {"dest": "cert_samples", "type": int, "default": 4096},
+    "--cert-tol": {"dest": "cert_tol", "type": float, "default": 1e-10},
     "--theorem": {"required": True,
                   "help": "4.1 | 4.2-p1 | 4.2-pq | 4.2-particular | 4.3-p1 | "
                           "4.3-pq | 4.3-particular | 4.4 | 4.5-p1 | 4.5-pq | "
                           "4.5-particular"},
     "--s": {"type": float},
     "--what": {"choices": ("p", "rule"), "default": "p"},
-    "--mode": {"choices": ("auto", "q1", "p1", "pq", "general"), "default": "auto",
+    "--mode": {"choices": ("auto", *bounds.FORMS), "default": "auto",
                "help": "bound formula for --what rule"},
+    "--trials": {"type": int, "default": 1000},
+    "--family": {"choices": campaign.FAMILIES, "default": "mixed"},
 }
 _INSTANCE = ("--f", "--a", "--b", "--rule", "--lambda", "--mu", "--m", "--ell",
-             "--q", "--p", "--seed", "--tol", "--cert-samples", "--cert-tol")
-# subcommand -> (help, flags, --format choices with the default first)
+             "--q", "--p", "--tol")
+_CERTIFICATE = ("--seed", "--cert-samples", "--cert-tol")
+# subcommand -> (handler, help, flags, --format choices with the default first)
 _SUBCOMMANDS = {
-    "bound": ("evaluate one bound instance", _INSTANCE, ("json", "text")),
-    "verify": ("seeded randomized soundness campaign",
-               ("--trials", "--seed", "--family", "--tol", "--cert-samples",
-                "--cert-tol"), ("json", "text")),
-    "sweep": ("sweep one axis to CSV",
+    "bound": (cmd_bound, "evaluate one bound instance", (*_INSTANCE, *_CERTIFICATE),
+              ("json", "text")),
+    "verify": (cmd_verify, "seeded randomized soundness campaign",
+               ("--trials", "--family", "--tol", *_CERTIFICATE), ("json", "text")),
+    "sweep": (cmd_sweep, "sweep one axis to CSV",
               (*_INSTANCE, "--axis", "--from", "--to", "--step"), ("csv", "json")),
-    "means": ("check a special-means inequality",
+    "means": (cmd_means, "check a special-means inequality",
               ("--theorem", "--m", "--ell", "--s", "--a", "--b", "--q", "--p"),
               ("json", "text")),
-    "optimize": ("minimize the bound over p or the rule",
+    "optimize": (cmd_optimize, "minimize the bound over p or the rule",
                  (*_INSTANCE, "--what", "--mode"), ("json", "text")),
 }
 
@@ -416,27 +376,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "under convex-derivative hypotheses.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, flags, formats) in _SUBCOMMANDS.items():
+    for command, (_, help_text, flags, formats) in _SUBCOMMANDS.items():
         sp = sub.add_parser(command, help=help_text)
         for flag in flags:
             sp.add_argument(flag, **_OPTIONS[flag])
-        sp.add_argument("--format", dest="fmt", choices=formats, default=formats[0])
+        sp.add_argument("--format", **_OPTIONS["--format"], choices=formats,
+                        default=formats[0])
     return parser
-
-
-_COMMANDS = {
-    "bound": cmd_bound,
-    "verify": cmd_verify,
-    "sweep": cmd_sweep,
-    "means": cmd_means,
-    "optimize": cmd_optimize,
-}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     cfg = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _SUBCOMMANDS[cfg.command][0](cfg)
     except (CliError, ExprError, IntegrationError, campaign.GeneratorExhausted,
             ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

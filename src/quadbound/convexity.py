@@ -49,13 +49,21 @@ _PAIRS = np.triu_indices(_GRID_POINTS, k=1)
 
 
 def _evaluate_nudged(g: Callable, pts: np.ndarray, toward: float) -> np.ndarray:
-    # Derivative-of-abs kinks are defined away from a measure-zero set; an
-    # exact hit is retried one ulp toward the interval interior.  Genuine
+    # Derivative-of-abs kinks are defined away from a measure-zero set; a
+    # point that hits one exactly is retried one ulp toward the interval
+    # interior.  Only the failing points move: the Weyl grid is additive, so
+    # a neighbour one ulp beside a kink would be moved onto it.  Genuine
     # domain failures fail again and propagate.
     try:
         return np.asarray(g(pts), dtype=float)
     except EvalDomainError:
-        return np.asarray(g(np.nextafter(pts, toward)), dtype=float)
+        pts = np.array(pts, dtype=float)
+        for i in range(pts.size):
+            try:
+                g(pts[i:i + 1])
+            except EvalDomainError:
+                pts[i] = np.nextafter(pts[i], toward)
+        return np.asarray(g(pts), dtype=float)
 
 
 def certify_convex(g: Callable, interval: Interval, samples: int = DEFAULT_SAMPLES,

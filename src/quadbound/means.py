@@ -118,7 +118,7 @@ def means_gap_log(m: float, ell: float, a: float, b: float) -> float:
     return combo - _log_identric(a, b)
 
 
-# theorem id -> (gap family, bound mode, needs q > 1)
+# theorem id -> (gap family, bound form (see bounds.FORMS), needs q > 1)
 MEANS_THEOREMS = {
     "4.1": ("power", "general", True),
     "4.2-p1": ("power", "p1", False),
@@ -129,6 +129,15 @@ MEANS_THEOREMS = {
     "4.5-p1": ("log", "p1", False),
     "4.5-pq": ("log", "pq", False),
 }
+
+
+def _theorem(theorem: str) -> tuple[str, str, bool]:
+    try:
+        return MEANS_THEOREMS[theorem]
+    except KeyError:
+        raise ValueError(
+            f"unknown theorem {theorem!r}; expected one of {', '.join(MEANS_THEOREMS)}"
+        )
 
 
 def _endpoint_derivs(family: str, s: Optional[float], a: float, b: float,
@@ -149,12 +158,7 @@ def means_bound(theorem: str, m: float, ell: float, a: float, b: float,
     if a > b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
     _check_lm(m, ell)
-    try:
-        family, mode, needs_q_gt_1 = MEANS_THEOREMS[theorem]
-    except KeyError:
-        raise ValueError(
-            f"unknown theorem {theorem!r}; expected one of {', '.join(MEANS_THEOREMS)}"
-        )
+    family, mode, needs_q_gt_1 = _theorem(theorem)
     if family == "harmonic":
         s = -1.0
     if family == "power":
@@ -177,20 +181,15 @@ def means_bound(theorem: str, m: float, ell: float, a: float, b: float,
     if a == b:
         return 0.0
 
-    p = {"general": p, "p1": 1.0, "pq": q}[mode]
     d = _endpoint_derivs(family, s, a, b)
-    return bounds.bound(rule_from_lm(LMRule(m, ell)), d, Interval(a, b), q, p)[0]
+    return bounds.bound(rule_from_lm(LMRule(m, ell)), d, Interval(a, b), q,
+                        bounds.form_p(mode, q, p))[0]
 
 
 def means_gap(theorem: str, m: float, ell: float, a: float, b: float,
               s: Optional[float] = None) -> float:
     """The signed gap matching ``means_bound`` for the given theorem."""
-    try:
-        family, _, _ = MEANS_THEOREMS[theorem]
-    except KeyError:
-        raise ValueError(
-            f"unknown theorem {theorem!r}; expected one of {', '.join(MEANS_THEOREMS)}"
-        )
+    family = _theorem(theorem)[0]
     if family == "power":
         if s is None:
             raise ValueError(f"theorem {theorem} requires s")

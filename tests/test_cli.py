@@ -257,3 +257,42 @@ def test_sharp_midpoint_instance_is_not_a_violation(capsys):
     assert payload["lhs_abs"] == pytest.approx(0.825, rel=1e-14)
     assert payload["rhs"] == pytest.approx(0.825, rel=1e-14)
     assert code != 1
+
+
+SWEEP = ["sweep", *CUBE, "--axis", "lambda", "--from", "0", "--to", "0.5", "--step", "0.25"]
+OPTIMIZE = ["optimize", *CUBE, "--what", "rule", "--q", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    # sweep and optimize read no certificate options, so they take none
+    *[[*command, flag, value] for command in (SWEEP, OPTIMIZE)
+      for flag, value in (("--seed", "3"), ("--cert-samples", "128"),
+                          ("--cert-tol", "1e-9"))],
+    # bad choices and missing required options
+    ["sweep", *CUBE, "--axis", "r", "--from", "0", "--to", "1", "--step", "0.5"],
+    ["sweep", *CUBE, "--axis", "p", "--to", "1", "--step", "0.5"],
+    ["sweep", *CUBE, "--axis", "p", "--from", "0", "--to", "1", "--step", "0.5",
+     "--format", "text"],
+    ["verify", "--trials", "3", "--family", "cubic"],
+    ["optimize", *CUBE, "--what", "lambda"],
+    ["optimize", *CUBE, "--what", "rule", "--format", "csv"],
+    ["bound", *CUBE, "--rule", "simpson", "--format", "csv"],
+    ["means", *MEANS],
+], ids=lambda argv: " ".join(argv))
+def test_usage_errors_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err
+
+
+def test_kink_on_a_certificate_grid_point(capsys):
+    # |f'|^1.5 = 3^1.5 |x - c|^3 is convex; c sits on a certificate grid
+    # point, and a midpoint one ulp beside it must not be moved onto it
+    code = main(["bound", "--f", "abs(x+0.42128623625220707)^3", "--a", "-0.8",
+                 "--b", "1.3", "--rule", "midpoint", "--q", "1.5", "--p", "1"])
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["certificate"]["valid"] is True
+    assert code == 0

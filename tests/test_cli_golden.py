@@ -22,6 +22,7 @@ FIXTURE = pathlib.Path(__file__).with_name("cli_golden.json")
 _CUBE = ["--f", "x^3", "--a", "1", "--b", "2"]
 _LN = ["--f", "ln(x)", "--a", "0.5", "--b", "2"]
 _QUARTIC = ["--f", "x^4-x", "--a", "-1", "--b", "1.5"]
+_GAUSS = ["--f", "exp(0-x^2)", "--a", "0.2", "--b", "1.1"]
 _RULE_FORMS = (
     (*_CUBE, "--rule", "simpson"),
     (*_LN, "--lambda", "0.2", "--mu", "0.7"),
@@ -62,6 +63,26 @@ COMMANDS = (
     ["optimize", *_CUBE, "--what", "rule", "--mode", "general", "--q", "1",
      "--p", "0.5"],
     ["optimize", *_CUBE, "--what", "p", "--rule", "simpson", "--q", "1"],
+    # optimize --what rule across forms, q values and functions
+    ["optimize", *_GAUSS, "--what", "rule", "--mode", "q1"],
+    ["optimize", *_QUARTIC, "--what", "rule", "--q", "1", "--format", "text"],
+    ["optimize", *_CUBE, "--what", "rule", "--mode", "p1", "--q", "1.3"],
+    ["optimize", *_LN, "--what", "rule", "--mode", "pq", "--q", "4",
+     "--format", "text"],
+    ["optimize", *_QUARTIC, "--what", "rule", "--mode", "general", "--q", "2.5",
+     "--p", "0.4"],
+    ["optimize", *_GAUSS, "--what", "rule", "--mode", "pq", "--q", "1.3"],
+    ["optimize", *_QUARTIC, "--what", "rule", "--mode", "p1", "--q", "4",
+     "--format", "text"],
+    ["optimize", *_LN, "--what", "rule", "--q", "2.5"],
+    ["optimize", *_GAUSS, "--what", "rule", "--q", "4", "--p", "2.5",
+     "--format", "text"],
+    ["optimize", *_CUBE, "--what", "rule", "--mode", "general", "--q", "1.3",
+     "--p", "1.3"],
+    ["optimize", *_LN, "--what", "rule", "--mode", "general", "--q", "4",
+     "--p", "0.05", "--format", "text"],
+    ["optimize", "--f", "x^2", "--a", "-1", "--b", "1", "--what", "rule",
+     "--mode", "pq", "--q", "2.5"],
     # sweep every axis in csv and json
     *[[*argv, "--format", fmt] for fmt in ("csv", "json") for argv in (
         ["sweep", *_CUBE, "--axis", "lambda", "--from", "0", "--to", "0.5",

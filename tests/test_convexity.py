@@ -69,6 +69,12 @@ def test_exact_kink_hits_are_nudged_one_ulp():
     # a genuine domain failure still fails after the nudge
     with pytest.raises(EvalDomainError):
         _evaluate_nudged(as_function(parse("ln(x)")), np.array([-0.5, 0.5]), 0.7)
+    # only the failing point moves: a neighbour one ulp beyond the kink
+    # would otherwise be moved onto it
+    kinked = as_function(differentiate(parse("abs(x-0.3)")))
+    beside = np.nextafter(0.3, 1.0)
+    got = _evaluate_nudged(lambda x: np.abs(kinked(x)), np.array([beside, 0.3]), 0.0)
+    assert np.all(got == 1.0)
     # end to end: the certificate of a V-shaped derivative magnitude passes
     cert = certify_convex(g, Interval(-1.0, 1.0), seed=5)
     assert cert.valid
@@ -176,11 +182,12 @@ def test_certificate_equals_reference(source, a, b, q, seed):
 
 @pytest.mark.parametrize("k", range(64))
 def test_kink_on_a_grid_point_keeps_the_verdict(k):
-    # g fails exactly at grid point k, so the call holding it is retried one
-    # ulp inward.  That call is now the grid alone, where it used to be all
-    # x's or all y's: the retried points differ by design.  A retried point
-    # moves by one ulp (<= 2.3e-16 on this interval), which moves g by at
-    # most max |g'| (< 70) times that, so a residual moves by < 4e-14.
+    # g fails exactly at grid point k, so that point is retried one ulp
+    # inward.  The reference retried the whole call holding it (all x's or
+    # all y's), the certificate retries only the failing point: a retried
+    # point moves by one ulp (<= 2.3e-16 on this interval), which moves g by
+    # at most max |g'| (< 70) times that, so a residual moves by < 4e-14.
+    # g = 3^1.5 |x - kink|^3 is convex, so every certificate is valid.
     from quadbound.convexity import _UNIT_GRID
 
     interval = Interval(-0.8, 1.3)
@@ -189,13 +196,12 @@ def test_kink_on_a_grid_point_keeps_the_verdict(k):
     with pytest.raises(EvalDomainError):
         g(np.array([kink]))
     for seed in (0, 3):
+        cert = certify_convex(g, interval, seed=seed)
+        assert cert.valid
         try:
             samples, valid, max_violation, _ = _reference_certify_convex(g, interval, seed=seed)
         except EvalDomainError:
-            # a midpoint one ulp off the kink is retried onto it: both fail
-            with pytest.raises(EvalDomainError):
-                certify_convex(g, interval, seed=seed)
+            # the reference moved a midpoint one ulp beside the kink onto it
             continue
-        cert = certify_convex(g, interval, seed=seed)
         assert (cert.samples, cert.valid) == (samples, valid)
         assert abs(cert.max_violation - max_violation) < 4e-14
