@@ -6,6 +6,9 @@ The fixture pins the CLI's observable output so that refactors behind it
 Re-record it only for an intended output change:
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+It prints the argv of every recorded entry whose exit code or stdout
+changed, so an intended change shows as exactly its entries.
 """
 
 import contextlib
@@ -83,6 +86,10 @@ COMMANDS = (
      "--p", "0.05", "--format", "text"],
     ["optimize", "--f", "x^2", "--a", "-1", "--b", "1", "--what", "rule",
      "--mode", "pq", "--q", "2.5"],
+    # --mode auto names the form that bounds.form gives (q, p)
+    ["optimize", *_CUBE, "--what", "rule", "--q", "2", "--p", "1"],
+    ["optimize", *_CUBE, "--what", "rule", "--q", "2", "--p", "2"],
+    ["optimize", *_CUBE, "--what", "rule", "--q", "1", "--p", "0.5"],
     # sweep every axis in csv and json
     *[[*argv, "--format", fmt] for fmt in ("csv", "json") for argv in (
         ["sweep", *_CUBE, "--axis", "lambda", "--from", "0", "--to", "0.5",
@@ -136,10 +143,19 @@ def test_cli_output_matches_golden(i, golden):
 
 
 def _record():
+    """Re-record the fixture, and print the argv of every entry it already
+    held whose exit code or stdout changed."""
+    old = {}
+    if FIXTURE.exists():
+        old = {tuple(case["argv"]): case for case in json.loads(FIXTURE.read_text())}
     cases = []
     for argv in COMMANDS:
         code, stdout = run(argv)
-        cases.append({"argv": list(argv), "exit": code, "stdout": stdout})
+        case = {"argv": list(argv), "exit": code, "stdout": stdout}
+        before = old.get(tuple(argv))
+        if before is not None and before != case:
+            print("changed:", " ".join(argv))
+        cases.append(case)
     FIXTURE.write_text(json.dumps(cases, indent=1) + "\n")
 
 
