@@ -29,9 +29,7 @@ from .rules import (
     NAMED_RULES,
     RuleParams,
     identity_rhs_half,
-    identity_rhs_folded,
     lhs_value,
-    lhs_value_folded,
     rule_from_lm,
 )
 

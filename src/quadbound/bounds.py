@@ -193,9 +193,22 @@ def form(q: float, p: Optional[float]) -> str:
 
 
 def form_p(kind: str, q: float, p: Optional[float] = None) -> Optional[float]:
-    """The p at which a bound of form ``kind`` is taken: None for q1, the
-    given p (possibly None) for general."""
-    return {"q1": None, "p1": 1.0, "pq": q, "general": p}[kind]
+    """The p at which a bound of form ``kind`` is taken at q, and the one
+    check of which (q, p) each form takes: q1 needs q = 1, p1 and pq need
+    q >= 1, and the three fix p, so take none; general needs q > 1 and a p."""
+    if kind == "general":
+        if not q > 1:
+            raise ValueError(f"the general form requires q > 1, got q={q}")
+        if p is None:
+            raise ValueError("the general form requires p")
+        return p
+    if kind == "q1" and q != 1:
+        raise ValueError(f"the q1 form requires q = 1, got q={q}")
+    if not q >= 1:
+        raise ValueError(f"the {kind} form requires q >= 1, got q={q}")
+    if p is not None:
+        raise ValueError(f"the {kind} form fixes p; do not pass p")
+    return {"q1": None, "p1": 1.0, "pq": q}[kind]
 
 
 # form -> formula id when the rule is given by (lam, mu), by (m, ell), by name

@@ -36,6 +36,8 @@ __all__ = ["FunctionDraw", "draw_function", "run_verify", "GeneratorExhausted"]
 
 FAMILIES = ("mixed", "poly", "power", "log", "concave-test")
 SLACK_FLOOR = 1e-9
+Q_LOW = 1.05
+Q_HIGH = 3.0
 _MAX_RESAMPLES = 500
 
 
@@ -127,8 +129,7 @@ def draw_function(rng: np.random.Generator, family: str, q: float) -> FunctionDr
 
 def run_verify(trials: int, seed: int = 0, family: str = "mixed",
                tol: float = 1e-11, cert_samples: int = 4096,
-               cert_tol: float = 1e-10, q_low: float = 1.05,
-               q_high: float = 3.0) -> dict:
+               cert_tol: float = 1e-10) -> dict:
     """Run a seeded campaign of ``trials`` random instances and check every
     certified bound path.  Returns a JSON-ready summary (deterministic for a
     fixed configuration)."""
@@ -144,7 +145,7 @@ def run_verify(trials: int, seed: int = 0, family: str = "mixed",
     violations: list[dict] = []
 
     for trial in range(trials):
-        q = float(rng.uniform(q_low, q_high))
+        q = float(rng.uniform(Q_LOW, Q_HIGH))
         p = float(q * rng.uniform(0.01, 1.0))
         lam = float(rng.uniform(0.0, 0.5))
         mu = float(rng.uniform(0.5, 1.0))
@@ -215,8 +216,8 @@ def run_verify(trials: int, seed: int = 0, family: str = "mixed",
             "tol": tol,
             "cert_samples": cert_samples,
             "cert_tol": cert_tol,
-            "q_low": q_low,
-            "q_high": q_high,
+            "q_low": Q_LOW,
+            "q_high": Q_HIGH,
         },
         "instances": trials,
         "families": {k: family_counts[k] for k in sorted(family_counts)},

@@ -244,12 +244,8 @@ _PARTICULAR = {"4.2-particular": "4.2-p1", "4.3-particular": "4.3-p1",
 def cmd_means(cfg: argparse.Namespace) -> int:
     theorem = cfg.theorem
     if theorem in _PARTICULAR:
-        if cfg.q != 1 or cfg.p is not None:
-            raise CliError(f"theorem {theorem} is a q = 1 form; do not pass --q or --p")
+        bounds.form_p("q1", cfg.q, cfg.p)
         theorem = _PARTICULAR[theorem]
-    if theorem not in means.MEANS_THEOREMS:
-        raise CliError(f"unknown theorem {cfg.theorem!r}; expected one of "
-                       f"{', '.join(list(means.MEANS_THEOREMS) + list(_PARTICULAR))}")
     if cfg.m is None or cfg.ell is None:
         raise CliError("--m and --ell are required for means")
     if cfg.a is None or cfg.b is None:
@@ -273,20 +269,11 @@ def cmd_means(cfg: argparse.Namespace) -> int:
 
 def _rule_mode(mode: str, q: float, p: Optional[float]) -> tuple[str, Optional[float]]:
     """Resolve ``--mode`` of ``optimize --what rule`` to the reported mode and
-    the p at which ``bounds.optimize_rule`` minimizes the bound."""
+    the p at which ``bounds.optimize_rule`` minimizes the bound.  Auto is the
+    form of (q, p), taking p = q when p is omitted."""
     if mode == "auto":
-        if q == 1:
-            mode = "q1"
-        elif p is not None:
-            mode = "general"
-        else:
-            mode = "pq"
-    if mode == "q1" and q != 1:
-        raise CliError(f"--mode q1 is the q = 1 bound; got --q {q}")
-    if mode == "general" and not q > 1:
-        raise CliError(f"--mode general needs --q > 1, got {q}")
-    if mode in ("p1", "pq") and p is not None:
-        raise CliError(f"--mode {mode} fixes p; do not pass --p")
+        mode = bounds.form(q, q if p is None else p)
+        p = p if mode == "general" else None
     return mode, bounds.form_p(mode, q, p)
 
 
@@ -296,8 +283,6 @@ def cmd_optimize(cfg: argparse.Namespace) -> int:
     d = _endpoint_derivs(as_function(deriv), interval)
     payload = {"schema": SCHEMA, "config": _config_dict(cfg), "what": cfg.what}
     if cfg.what == "p":
-        if not cfg.q > 1:
-            raise CliError(f"optimizing p requires --q > 1, got {cfg.q}")
         if cfg.p is not None:
             raise CliError("--what p optimizes over p; do not pass --p")
         p_star, rhs_star = bounds.optimize_p(rule, cfg.q, d, interval)
@@ -340,9 +325,7 @@ _OPTIONS = {
     "--cert-samples": {"dest": "cert_samples", "type": int, "default": 4096},
     "--cert-tol": {"dest": "cert_tol", "type": float, "default": 1e-10},
     "--theorem": {"required": True,
-                  "help": "4.1 | 4.2-p1 | 4.2-pq | 4.2-particular | 4.3-p1 | "
-                          "4.3-pq | 4.3-particular | 4.4 | 4.5-p1 | 4.5-pq | "
-                          "4.5-particular"},
+                  "choices": sorted((*means.MEANS_THEOREMS, *_PARTICULAR))},
     "--s": {"type": float},
     "--what": {"choices": ("p", "rule"), "default": "p"},
     "--mode": {"choices": ("auto", *bounds.FORMS), "default": "auto",

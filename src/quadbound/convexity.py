@@ -52,18 +52,16 @@ def _evaluate_nudged(g: Callable, pts: np.ndarray, toward: float) -> np.ndarray:
     # Derivative-of-abs kinks are defined away from a measure-zero set; a
     # point that hits one exactly is retried one ulp toward the interval
     # interior.  Only the failing points move: the Weyl grid is additive, so
-    # a neighbour one ulp beside a kink would be moved onto it.  Genuine
-    # domain failures fail again and propagate.
+    # a neighbour one ulp beside a kink would be moved onto it.  A failing
+    # call is halved until each failing point is alone.  Genuine domain
+    # failures fail again and propagate.
     try:
         return np.asarray(g(pts), dtype=float)
     except EvalDomainError:
-        pts = np.array(pts, dtype=float)
-        for i in range(pts.size):
-            try:
-                g(pts[i:i + 1])
-            except EvalDomainError:
-                pts[i] = np.nextafter(pts[i], toward)
-        return np.asarray(g(pts), dtype=float)
+        if pts.size == 1:
+            return np.asarray(g(np.nextafter(pts, toward)), dtype=float)
+        return np.concatenate([_evaluate_nudged(g, half, toward)
+                               for half in np.array_split(pts, 2)])
 
 
 def certify_convex(g: Callable, interval: Interval, samples: int = DEFAULT_SAMPLES,

@@ -94,7 +94,7 @@ def compute_mean(kind: str, a: float, b: float, s: Optional[float] = None) -> fl
 
 
 def _check_lm(m: float, ell: float) -> None:
-    if not (m > 0 and m >= 2 * ell >= 0):
+    if not LMRule(m, ell).bound_admissible:
         raise ValueError(f"need m > 0 and m >= 2*ell >= 0, got m={m}, ell={ell}")
 
 
@@ -118,20 +118,20 @@ def means_gap_log(m: float, ell: float, a: float, b: float) -> float:
     return combo - _log_identric(a, b)
 
 
-# theorem id -> (gap family, bound form (see bounds.FORMS), needs q > 1)
+# theorem id -> (gap family, bound form (see bounds.FORMS))
 MEANS_THEOREMS = {
-    "4.1": ("power", "general", True),
-    "4.2-p1": ("power", "p1", False),
-    "4.2-pq": ("power", "pq", False),
-    "4.3-p1": ("harmonic", "p1", False),
-    "4.3-pq": ("harmonic", "pq", False),
-    "4.4": ("log", "general", True),
-    "4.5-p1": ("log", "p1", False),
-    "4.5-pq": ("log", "pq", False),
+    "4.1": ("power", "general"),
+    "4.2-p1": ("power", "p1"),
+    "4.2-pq": ("power", "pq"),
+    "4.3-p1": ("harmonic", "p1"),
+    "4.3-pq": ("harmonic", "pq"),
+    "4.4": ("log", "general"),
+    "4.5-p1": ("log", "p1"),
+    "4.5-pq": ("log", "pq"),
 }
 
 
-def _theorem(theorem: str) -> tuple[str, str, bool]:
+def _theorem(theorem: str) -> tuple[str, str]:
     try:
         return MEANS_THEOREMS[theorem]
     except KeyError:
@@ -158,7 +158,7 @@ def means_bound(theorem: str, m: float, ell: float, a: float, b: float,
     if a > b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
     _check_lm(m, ell)
-    family, mode, needs_q_gt_1 = _theorem(theorem)
+    family, mode = _theorem(theorem)
     if family == "harmonic":
         s = -1.0
     if family == "power":
@@ -169,21 +169,12 @@ def means_bound(theorem: str, m: float, ell: float, a: float, b: float,
                 f"(s={s}, q={q}) inadmissible: |s x^(s-1)|^q is convex only for "
                 "s > 1 with (s-1)q >= 1, or s < 1 with s != 0"
             )
-    if needs_q_gt_1:
-        if not q > 1:
-            raise ValueError(f"theorem {theorem} requires q > 1, got q={q}")
-        if p is None:
-            raise ValueError(f"theorem {theorem} requires p")
-    elif q < 1:
-        raise ValueError(f"theorem {theorem} requires q >= 1, got q={q}")
-    elif p is not None:
-        raise ValueError(f"theorem {theorem} fixes p by its form; do not pass p")
+    p = bounds.form_p(mode, q, p)
     if a == b:
         return 0.0
 
     d = _endpoint_derivs(family, s, a, b)
-    return bounds.bound(rule_from_lm(LMRule(m, ell)), d, Interval(a, b), q,
-                        bounds.form_p(mode, q, p))[0]
+    return bounds.bound(rule_from_lm(LMRule(m, ell)), d, Interval(a, b), q, p)[0]
 
 
 def means_gap(theorem: str, m: float, ell: float, a: float, b: float,

@@ -6,9 +6,8 @@ A rule Q(lam, mu) approximates the mean integral of f over [a, b] by
 
 and ``lhs_value`` returns the signed deficit Q - mean integral.  The deficit
 equals two half-interval integrals of (weight - t) f'(ta + (1-t)b) --
-``identity_rhs_half`` -- and, in a second parametrization, a single-interval
-integral ``identity_rhs_folded``; both right-hand sides are computed numerically
-so each identity is a testable equality.
+``identity_rhs_half``, computed numerically so the identity is a testable
+equality.
 
 Note the substitution orientation: t = 0 maps to b and t = 1 to a.  This is
 deliberate; do not "fix" it.
@@ -28,11 +27,7 @@ __all__ = [
     "named_rule",
     "rule_from_lm",
     "lhs_value",
-    "lhs_value_folded",
     "identity_rhs_half",
-    "identity_rhs_folded",
-    "rule_for_folded",
-    "folded_params_for_rule",
 ]
 
 
@@ -114,39 +109,3 @@ def identity_rhs_half(rule: RuleParams, fprime: ExprNode, interval: Interval,
     li = integrate(left, Interval(0.0, 0.5), tol)
     ri = integrate(right, Interval(0.5, 1.0), tol)
     return (b - a) * (li.value + ri.value)
-
-
-def lhs_value_folded(lam: float, mu: float, f: ExprNode, interval: Interval,
-                 mean_integral: float) -> float:
-    """Deficit in the second parametrization:
-    (lam f(a) + mu f(b))/2 + ((2-lam-mu)/2) f(mid) - mean_integral."""
-    fa = evaluate(f, float(interval.a))
-    fb = evaluate(f, float(interval.b))
-    fm = evaluate(f, float(interval.midpoint))
-    return (lam * fa + mu * fb) / 2 + (2 - lam - mu) / 2 * fm - mean_integral
-
-
-def identity_rhs_folded(lam: float, mu: float, fprime: ExprNode, interval: Interval,
-                    tol: float = DEFAULT_TOL) -> float:
-    """Single-interval identity right-hand side matching ``lhs_value_folded``."""
-    a, b = float(interval.a), float(interval.b)
-    mid = (a + b) / 2
-    fp = as_function(fprime)
-
-    def integrand(t):
-        return ((1 - lam - t) * fp(t * a + (1 - t) * mid)
-                + (mu - t) * fp(t * mid + (1 - t) * b))
-
-    r = integrate(integrand, Interval(0.0, 1.0), tol)
-    return (b - a) / 4 * r.value
-
-
-def rule_for_folded(lam: float, mu: float) -> RuleParams:
-    """The half-interval rule whose deficit equals the (lam, mu) deficit of
-    the second parametrization (substitute lam -> mu/2, mu -> 1 - lam/2)."""
-    return RuleParams(mu / 2, 1 - lam / 2)
-
-
-def folded_params_for_rule(rule: RuleParams) -> tuple[float, float]:
-    """Inverse of :func:`rule_for_folded`."""
-    return 2 * (1 - rule.mu), 2 * rule.lam

@@ -10,6 +10,11 @@ from fractions import Fraction
 import numpy as np
 
 import display_fixtures as fx
+from folded_fixtures import (
+    folded_params_for_rule,
+    identity_rhs_folded,
+    lhs_value_folded,
+)
 from quadbound.bounds import (
     DerivEndpoints,
     HolderParams,
@@ -31,12 +36,9 @@ from quadbound.rules import (
     NAMED_RULES,
     RuleParams,
     identity_rhs_half,
-    identity_rhs_folded,
     lhs_value,
-    lhs_value_folded,
     named_rule,
     rule_from_lm,
-    folded_params_for_rule,
 )
 
 
@@ -187,7 +189,8 @@ def test_criterion_5_soundness_campaign_5000():
 
 
 def _admissible_means_draw(rng, theorem):
-    family, _, needs_p = MEANS_THEOREMS[theorem]
+    family, form = MEANS_THEOREMS[theorem]
+    needs_p = form == "general"
     while True:
         m = float(rng.uniform(0.5, 6))
         ell = float(rng.uniform(0, m / 2))

@@ -222,6 +222,7 @@ MEANS = ("--m", "6", "--ell", "1", "--a", "1", "--b", "2")
     ["optimize", *CUBE, "--rule", "simpson", "--q", "2", "--what", "p", "--p", "0.3"],
     ["optimize", *CUBE, "--what", "rule", "--mode", "p1", "--q", "2", "--p", "0.7"],
     ["optimize", *CUBE, "--what", "rule", "--mode", "pq", "--q", "2", "--p", "0.7"],
+    ["optimize", *CUBE, "--what", "rule", "--mode", "q1", "--p", "0.5"],
     ["means", "--theorem", "4.2-p1", *MEANS, "--s", "2", "--p", "0.5"],
     ["means", "--theorem", "4.5-pq", *MEANS, "--q", "2", "--p", "0.5"],
     ["means", "--theorem", "4.3-particular", *MEANS, "--p", "0.5"],
@@ -278,6 +279,7 @@ OPTIMIZE = ["optimize", *CUBE, "--what", "rule", "--q", "1"]
     ["optimize", *CUBE, "--what", "rule", "--format", "csv"],
     ["bound", *CUBE, "--rule", "simpson", "--format", "csv"],
     ["means", *MEANS],
+    ["means", "--theorem", "4.9", *MEANS],
 ], ids=lambda argv: " ".join(argv))
 def test_usage_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:

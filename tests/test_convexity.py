@@ -187,7 +187,9 @@ def test_kink_on_a_grid_point_keeps_the_verdict(k):
     # all y's), the certificate retries only the failing point: a retried
     # point moves by one ulp (<= 2.3e-16 on this interval), which moves g by
     # at most max |g'| (< 70) times that, so a residual moves by < 4e-14.
-    # g = 3^1.5 |x - kink|^3 is convex, so every certificate is valid.
+    # g = 3^1.5 |x - kink|^3 is convex, so every certificate is valid.  A
+    # failing call is halved until each failing point is alone, so the kink
+    # costs O(log n) calls of g per failing point, not a call per point.
     from quadbound.convexity import _UNIT_GRID
 
     interval = Interval(-0.8, 1.3)
@@ -195,9 +197,17 @@ def test_kink_on_a_grid_point_keeps_the_verdict(k):
     g = _derivative_power(f"abs(x-{kink!r})^3", 1.5)
     with pytest.raises(EvalDomainError):
         g(np.array([kink]))
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return g(x)
+
     for seed in (0, 3):
-        cert = certify_convex(g, interval, seed=seed)
+        calls.clear()
+        cert = certify_convex(counted, interval, seed=seed)
         assert cert.valid
+        assert len(calls) <= 200, (seed, len(calls))
         try:
             samples, valid, max_violation, _ = _reference_certify_convex(g, interval, seed=seed)
         except EvalDomainError:

@@ -216,7 +216,7 @@ def test_means_soundness_sampled():
             ell = float(rng.uniform(0, m / 2))
             a = float(rng.uniform(0.2, 4))
             b = a + float(rng.uniform(0.1, 4))
-            needs_p = MEANS_THEOREMS[theorem][2]
+            needs_p = MEANS_THEOREMS[theorem][1] == "general"
             q = float(rng.uniform(1.05, 4)) if needs_p else float(rng.uniform(1, 4))
             p = q * float(rng.uniform(0.05, 1.0)) if needs_p else None
             s = None

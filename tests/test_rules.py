@@ -5,6 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from folded_fixtures import (
+    folded_params_for_rule,
+    identity_rhs_folded,
+    lhs_value_folded,
+    rule_for_folded,
+)
 from quadbound.campaign import draw_function
 from quadbound.expr import differentiate, parse, as_function
 from quadbound.oracle import Interval, average_value
@@ -13,13 +19,9 @@ from quadbound.rules import (
     NAMED_RULES,
     RuleParams,
     identity_rhs_half,
-    identity_rhs_folded,
     lhs_value,
-    lhs_value_folded,
     named_rule,
-    rule_for_folded,
     rule_from_lm,
-    folded_params_for_rule,
 )
 
 
