@@ -19,7 +19,9 @@ wall-clock times.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from typing import Optional
 
@@ -158,7 +160,9 @@ CSV_HEADER = "axis,value,lhs_abs,rhs,slack,formula_id"
 
 
 def _sweep_grid(cfg: argparse.Namespace) -> list[float]:
-    if cfg.step <= 0:
+    if not (math.isfinite(cfg.start) and math.isfinite(cfg.stop)):
+        raise CliError(f"--from and --to must be finite, got {cfg.start} and {cfg.stop}")
+    if not cfg.step > 0:
         raise CliError(f"--step must be positive, got {cfg.step}")
     grid = []
     v = cfg.start
@@ -352,6 +356,9 @@ _SUBCOMMANDS = {
 }
 
 
+# Built on the first call and reused: parse_args keeps no state in the parser,
+# and building it lazily keeps the cost out of ``import quadbound.cli``.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadbound",

@@ -36,8 +36,8 @@ MEAN_KINDS = ("A", "G", "H", "L", "I", "Ls")
 
 
 def _check_positive(a: float, b: float) -> None:
-    if a <= 0 or b <= 0:
-        raise ValueError(f"means are defined for positive numbers, got a={a}, b={b}")
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise ValueError(f"means are defined for finite positive numbers, got a={a}, b={b}")
 
 
 def _log_identric(a: float, b: float) -> float:

@@ -44,8 +44,8 @@ class Interval:
     b: float
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise ValueError(f"interval requires a < b, got [{self.a}, {self.b}]")
+        if not -math.inf < self.a < self.b < math.inf:
+            raise ValueError(f"interval requires finite a < b, got [{self.a}, {self.b}]")
 
     @property
     def width(self):

@@ -1,16 +1,19 @@
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+from quadbound import cli
 from quadbound.cli import main
 
 CLI = [sys.executable, "-m", "quadbound"]
 
 
-def run_cli(*args):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True)
+def run_cli(*args, timeout=None):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True,
+                          timeout=timeout)
 
 
 def test_bound_trapezoid_example():
@@ -298,3 +301,79 @@ def test_kink_on_a_certificate_grid_point(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["certificate"]["valid"] is True
     assert code == 0
+
+
+# The parser is built on the first main() call and reused for the process.
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_import_does_not_build_parser():
+    code = ("import quadbound, quadbound.cli; "
+            "print(quadbound.cli.build_parser.cache_info().currsize)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "0\n"
+
+
+def _call(argv, capsys):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def test_reused_parser_leaks_nothing_between_calls(capsys):
+    golden = {tuple(case["argv"]): case for case in json.loads(
+        pathlib.Path(__file__).with_name("cli_golden.json").read_text())}
+    cli.build_parser.cache_clear()
+    # a usage error and --help exit through argparse on the parser that the
+    # later calls reuse
+    assert _call(["sweep", *CUBE, "--axis", "r", "--from", "0", "--to", "1",
+                  "--step", "0.5"], capsys) == (2, "")
+    assert _call(["--help"], capsys) == (0, cli.build_parser.__wrapped__().format_help())
+    # each subcommand keeps its own defaults: csv for sweep, json for bound
+    sweep = ["sweep", *CUBE, "--axis", "lambda", "--from", "0", "--to", "0.5",
+             "--step", "0.1"]
+    bound = ["bound", *CUBE, "--rule", "simpson", "--q", "1"]
+    means = ["means", "--theorem", "4.2-p1", "--m", "6", "--ell", "1", "--a", "1",
+             "--b", "2", "--s", "2"]
+    for argv, key in ((sweep, (*sweep, "--format", "csv")),
+                      (bound, (*bound, "--format", "json")),
+                      (means, tuple(means))):
+        assert _call(argv, capsys) == (golden[key]["exit"], golden[key]["stdout"])
+    assert cli.build_parser.cache_info().misses == 1
+
+
+# Non-finite grid bounds, a NaN step and an infinite interval endpoint are
+# input errors.  An unchecked unbounded sweep loops forever, so each call has
+# a timeout that fails the test instead of hanging it; the loop's list grows
+# by ~55 MB/s, so the timeout also bounds its memory.
+
+SWEEP_P = ["sweep", "--f", "x^2", "--a", "0", "--b", "1", "--axis", "p", "--q", "2"]
+TO_INF = ("--a", "0", "--b", "inf")
+
+
+@pytest.mark.parametrize("argv", [
+    [*SWEEP_P, "--from", "0.5", "--to", "inf", "--step", "0.5"],
+    [*SWEEP_P, "--from=-inf", "--to", "1", "--step", "0.5"],
+    ["sweep", "--f", "x^2", "--a", "0", "--b", "1", "--axis", "lambda",
+     "--from", "0", "--to", "0.5", "--step", "nan"],
+    ["bound", "--f", "x^2", *TO_INF, "--rule", "simpson", "--q", "1"],
+    ["optimize", "--f", "x^2", *TO_INF, "--what", "p", "--rule", "simpson", "--q", "2"],
+    ["optimize", "--f", "x^2", *TO_INF, "--what", "rule", "--q", "2"],
+    ["sweep", "--f", "x^2", *TO_INF, "--axis", "lambda", "--from", "0",
+     "--to", "0.5", "--step", "0.25"],
+    ["means", "--theorem", "4.2-p1", "--m", "6", "--ell", "1", "--s", "2",
+     "--a", "1", "--b", "inf"],
+    ["means", "--theorem", "4.3-p1", "--m", "6", "--ell", "1", "--a", "1",
+     "--b", "inf"],
+], ids=lambda argv: " ".join(argv))
+def test_non_finite_input_exit_1(argv):
+    r = run_cli(*argv, timeout=5)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
+    assert "RuntimeWarning" not in r.stderr

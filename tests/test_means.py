@@ -33,6 +33,17 @@ def test_means_reject_nonpositive():
         compute_mean("G", 1, 0)
 
 
+@pytest.mark.parametrize("theorem", ["4.2-p1", "4.3-p1", "4.5-p1"])
+@pytest.mark.parametrize("a, b", [(1.0, math.inf), (math.nan, 2.0)])
+def test_means_reject_non_finite_and_name_the_given_values(theorem, a, b):
+    # checked before any mean is taken, so the harmonic family names the
+    # given b and not b**-1 = 0
+    with pytest.raises(ValueError, match=f"got a={a}, b={b}"):
+        means_gap(theorem, 6, 1, a, b, s=2)
+    with pytest.raises(ValueError, match=f"got a={a}, b={b}"):
+        means_bound(theorem, 6, 1, a, b, s=2)
+
+
 def test_all_means_collapse_at_equal_arguments():
     for kind in ("A", "G", "H", "L", "I"):
         assert compute_mean(kind, 1.7, 1.7) == 1.7

@@ -19,6 +19,13 @@ def test_interval_requires_a_lt_b():
         Interval(2.0, 1.0)
 
 
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 1.0),
+                                  (-math.inf, math.inf), (0.0, math.nan)])
+def test_interval_requires_finite_endpoints(a, b):
+    with pytest.raises(ValueError, match="interval requires"):
+        Interval(a, b)
+
+
 def test_integrate_x_squared():
     r = integrate(as_function(parse("x^2")), Interval(1, 2), tol=1e-12)
     assert abs(r.value - 7 / 3) <= 1e-12
