@@ -44,11 +44,27 @@ def test_parse_precedence_and_signs():
     assert evaluate(parse("2 - 3"), 0.0) == -1.0
 
 
-@pytest.mark.parametrize("source", ["", "   ", "x +", "(x", "2**3", "-x"])
-def test_parse_syntax_errors_carry_offset(source):
+@pytest.mark.parametrize("source, message, offset", [
+    ("", "empty expression", 0),
+    ("   ", "empty expression", 0),
+    ("-x", "expected a number", 1),
+    ("x^- (2)", "expected a number", 4),
+    ("x^(2)", "exponent must be a numeric literal", 2),
+    ("x^", "exponent must be a numeric literal", 2),
+    ("x +", "unexpected end of input", 3),
+    ("(x", "expected ')'", 2),
+    ("abs(x 2", "expected ')'", 6),
+    ("ln x", "expected '(' after 'ln'", 3),
+    ("2*sin(x)", "unknown identifier 'sin'", 2),
+    ("2**3", "unexpected character '*'", 2),
+    ("x 25", "unexpected input '2'", 2),
+    ("(x))", "unexpected input ')'", 3),
+])
+def test_parse_syntax_errors_carry_offset(source, message, offset):
     with pytest.raises(ParseError) as exc_info:
         parse(source)
-    assert isinstance(exc_info.value.offset, int)
+    assert str(exc_info.value) == f"{message} (at offset {offset})"
+    assert exc_info.value.offset == offset
 
 
 def test_parse_unknown_identifier():
