@@ -94,116 +94,84 @@ ExprNode = Union[Const, Var, BinOp, Pow, Call]
 
 _FUNCTIONS = ("ln", "exp", "abs")
 
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-
-
-class _Parser:
-    def __init__(self, source: str):
-        self.src = source
-        self.pos = 0
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        self._skip_ws()
-        return self.src[self.pos] if self.pos < len(self.src) else ""
-
-    def _number(self) -> float:
-        self._skip_ws()
-        m = _NUMBER_RE.match(self.src, self.pos)
-        if m is None:
-            raise ParseError("expected a number", self.pos)
-        self.pos = m.end()
-        return float(m.group())
-
-    def _signed_number(self) -> float:
-        sign = 1.0
-        ch = self._peek()
-        if ch in "+-":
-            self.pos += 1
-            if ch == "-":
-                sign = -1.0
-        return sign * self._number()
-
-    def parse(self) -> ExprNode:
-        node = self._expr()
-        self._skip_ws()
-        if self.pos != len(self.src):
-            raise ParseError(f"unexpected input {self.src[self.pos]!r}", self.pos)
-        return node
-
-    def _expr(self) -> ExprNode:
-        node = self._term()
-        while self._peek() in ("+", "-"):
-            op = self.src[self.pos]
-            self.pos += 1
-            node = BinOp(op, node, self._term())
-        return node
-
-    def _term(self) -> ExprNode:
-        node = self._factor()
-        while self._peek() in ("*", "/"):
-            op = self.src[self.pos]
-            self.pos += 1
-            node = BinOp(op, node, self._factor())
-        return node
-
-    def _factor(self) -> ExprNode:
-        node = self._atom()
-        if self._peek() == "^":
-            self.pos += 1
-            ch = self._peek()
-            if ch not in ("+", "-") and _NUMBER_RE.match(self.src, self.pos) is None:
-                raise ParseError("exponent must be a numeric literal", self.pos)
-            node = Pow(node, self._signed_number())
-        return node
-
-    def _atom(self) -> ExprNode:
-        ch = self._peek()
-        if ch == "":
-            raise ParseError("unexpected end of input", self.pos)
-        if ch in ("+", "-"):
-            # A sign is legal only as part of a number literal.
-            return Const(self._signed_number())
-        if ch == "(":
-            self.pos += 1
-            node = self._expr()
-            if self._peek() != ")":
-                raise ParseError("expected ')'", self.pos)
-            self.pos += 1
-            return node
-        m = _NUMBER_RE.match(self.src, self.pos)
-        if m is not None:
-            self.pos = m.end()
-            return Const(float(m.group()))
-        m = _NAME_RE.match(self.src, self.pos)
-        if m is not None:
-            name = m.group()
-            if name == "x":
-                self.pos = m.end()
-                return Var()
-            if name in _FUNCTIONS:
-                self.pos = m.end()
-                if self._peek() != "(":
-                    raise ParseError(f"expected '(' after {name!r}", self.pos)
-                self.pos += 1
-                arg = self._expr()
-                if self._peek() != ")":
-                    raise ParseError("expected ')'", self.pos)
-                self.pos += 1
-                return Call(name, arg)
-            raise ParseError(f"unknown identifier {name!r}", self.pos)
-        raise ParseError(f"unexpected character {ch!r}", self.pos)
+# A token is a number literal, a name, or any other single character but
+# whitespace; finditer skips the whitespace between tokens.  A sign is a
+# token of its own.
+_TOKEN_RE = re.compile(r"(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+                       r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<char>\S)")
+_SIGNS, _ADD_OPS, _MUL_OPS = ("+", "-"), ("+", "-"), ("*", "/")
 
 
 def parse(source: str) -> ExprNode:
-    """Parse a source string into an AST."""
+    """Parse a source string into an AST.  A :class:`ParseError` gives the
+    offset of the token at which parsing stopped."""
     if not source or not source.strip():
         raise ParseError("empty expression", 0)
-    return _Parser(source).parse()
+    # (kind, text, offset) of each token, last first: tokens[-1] is the next
+    # one and pop() takes it.  The end token is taken only to raise.
+    tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN_RE.finditer(source)]
+    tokens.append(("end", "", len(source)))
+    tokens.reverse()
+
+    def expect(char: str, message: str) -> None:
+        offset = tokens[-1][2]
+        if tokens.pop()[1] != char:
+            raise ParseError(message, offset)
+
+    def number() -> float:
+        sign = tokens.pop()[1] if tokens[-1][1] in _SIGNS else "+"
+        kind, text, offset = tokens.pop()
+        if kind != "number":
+            raise ParseError("expected a number", offset)
+        return -float(text) if sign == "-" else float(text)
+
+    def binary(ops=_ADD_OPS) -> ExprNode:
+        # An expr joins terms by + and -; a term joins factors by * and /.
+        # Both associate to the left.  Each operand is parsed inline, so a
+        # parenthesis nests four calls deep: expr, term, factor, atom.
+        node = factor() if ops is _MUL_OPS else binary(_MUL_OPS)
+        while tokens[-1][1] in ops:
+            op = tokens.pop()[1]
+            node = BinOp(op, node, factor() if ops is _MUL_OPS else binary(_MUL_OPS))
+        return node
+
+    def factor() -> ExprNode:
+        node = atom()
+        if tokens[-1][1] == "^":
+            tokens.pop()
+            kind, text, offset = tokens[-1]
+            if kind != "number" and text not in _SIGNS:
+                raise ParseError("exponent must be a numeric literal", offset)
+            node = Pow(node, number())
+        return node
+
+    def atom() -> ExprNode:
+        kind, text, offset = tokens[-1]
+        if kind == "number" or text in _SIGNS:
+            # A sign is read only as part of a number literal.
+            return Const(number())
+        if kind == "end":
+            raise ParseError("unexpected end of input", offset)
+        tokens.pop()
+        if text == "x":
+            return Var()
+        if text == "(":
+            node = binary()
+        elif text in _FUNCTIONS:
+            expect("(", f"expected '(' after {text!r}")
+            node = Call(text, binary())
+        elif kind == "name":
+            raise ParseError(f"unknown identifier {text!r}", offset)
+        else:
+            raise ParseError(f"unexpected character {text!r}", offset)
+        expect(")", "expected ')'")
+        return node
+
+    node = binary()
+    kind, _, offset = tokens[-1]
+    if kind != "end":
+        raise ParseError(f"unexpected input {source[offset]!r}", offset)
+    return node
 
 
 # -- compiling: one tree walk for evaluation and domain checking --------------
