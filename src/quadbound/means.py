@@ -118,7 +118,8 @@ def means_gap_log(m: float, ell: float, a: float, b: float) -> float:
     return combo - _log_identric(a, b)
 
 
-# theorem id -> (gap family, bound form (see bounds.FORMS))
+# theorem id -> (gap family, bound form (see bounds.FORMS)).  Each gap is
+# that of f(x) = x**s, at s = -1 for the harmonic family, or of f(x) = ln x.
 MEANS_THEOREMS = {
     "4.1": ("power", "general"),
     "4.2-p1": ("power", "p1"),
@@ -131,23 +132,18 @@ MEANS_THEOREMS = {
 }
 
 
-def _theorem(theorem: str) -> tuple[str, str]:
+def _theorem(theorem: str, s: Optional[float]) -> tuple[Optional[float], str]:
+    """The exponent s of f(x) = x**s (None for f(x) = ln x) and the bound
+    form of ``theorem``."""
     try:
-        return MEANS_THEOREMS[theorem]
+        family, form = MEANS_THEOREMS[theorem]
     except KeyError:
         raise ValueError(
             f"unknown theorem {theorem!r}; expected one of {', '.join(MEANS_THEOREMS)}"
         )
-
-
-def _endpoint_derivs(family: str, s: Optional[float], a: float, b: float,
-                     ) -> bounds.DerivEndpoints:
-    if family == "power":
-        assert s is not None
-        return bounds.DerivEndpoints(abs(s) * a ** (s - 1), abs(s) * b ** (s - 1))
-    if family == "harmonic":
-        return bounds.DerivEndpoints(a**-2, b**-2)
-    return bounds.DerivEndpoints(1 / a, 1 / b)
+    if family == "power" and s is None:
+        raise ValueError(f"theorem {theorem} requires s")
+    return {"power": s, "harmonic": -1.0, "log": None}[family], form
 
 
 def means_bound(theorem: str, m: float, ell: float, a: float, b: float,
@@ -158,33 +154,27 @@ def means_bound(theorem: str, m: float, ell: float, a: float, b: float,
     if a > b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
     _check_lm(m, ell)
-    family, mode = _theorem(theorem)
-    if family == "harmonic":
-        s = -1.0
-    if family == "power":
-        if s is None:
-            raise ValueError(f"theorem {theorem} requires s")
-        if not admissible_power(s, max(q, 1.0)):
-            raise ValueError(
-                f"(s={s}, q={q}) inadmissible: |s x^(s-1)|^q is convex only for "
-                "s > 1 with (s-1)q >= 1, or s < 1 with s != 0"
-            )
+    s, mode = _theorem(theorem, s)
+    if s is not None and not admissible_power(s, max(q, 1.0)):
+        raise ValueError(
+            f"(s={s}, q={q}) inadmissible: |s x^(s-1)|^q is convex only for "
+            "s > 1 with (s-1)q >= 1, or s < 1 with s != 0"
+        )
     p = bounds.form_p(mode, q, p)
     if a == b:
         return 0.0
 
-    d = _endpoint_derivs(family, s, a, b)
+    if s is None:
+        d = bounds.DerivEndpoints(1 / a, 1 / b)
+    else:
+        d = bounds.DerivEndpoints(abs(s) * a ** (s - 1), abs(s) * b ** (s - 1))
     return bounds.bound(rule_from_lm(LMRule(m, ell)), d, Interval(a, b), q, p)[0]
 
 
 def means_gap(theorem: str, m: float, ell: float, a: float, b: float,
               s: Optional[float] = None) -> float:
     """The signed gap matching ``means_bound`` for the given theorem."""
-    family = _theorem(theorem)[0]
-    if family == "power":
-        if s is None:
-            raise ValueError(f"theorem {theorem} requires s")
-        return means_gap_power(m, ell, s, a, b)
-    if family == "harmonic":
-        return means_gap_power(m, ell, -1.0, a, b)
-    return means_gap_log(m, ell, a, b)
+    s = _theorem(theorem, s)[0]
+    if s is None:
+        return means_gap_log(m, ell, a, b)
+    return means_gap_power(m, ell, s, a, b)
