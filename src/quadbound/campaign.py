@@ -165,11 +165,9 @@ def run_verify(trials: int, seed: int = 0, family: str = "mixed",
         lhs_abs = abs(lhs)
 
         cert1 = certify_convex(lambda x: np.abs(fp(x)), draw.interval,
-                               samples=cert_samples, tol=cert_tol,
-                               seed=cert_seed_1, function_id=draw.source, q=1.0)
+                               samples=cert_samples, tol=cert_tol, seed=cert_seed_1)
         certq = certify_convex(lambda x: np.abs(fp(x)) ** q, draw.interval,
-                               samples=cert_samples, tol=cert_tol,
-                               seed=cert_seed_q, function_id=draw.source, q=q)
+                               samples=cert_samples, tol=cert_tol, seed=cert_seed_q)
 
         # (q, p) of each bound path: q = 1 needs |f'| convex, the rest |f'|^q.
         exponents: list[tuple[float, Optional[float]]] = []

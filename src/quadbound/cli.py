@@ -115,8 +115,7 @@ def cmd_bound(cfg: argparse.Namespace) -> int:
     fp = as_function(deriv)
     d = _endpoint_derivs(fp, interval)
     cert = certify_convex(lambda x: np.abs(fp(x)) ** cfg.q, interval,
-                          samples=cfg.cert_samples, tol=cfg.cert_tol,
-                          seed=cfg.seed, function_id=cfg.f, q=cfg.q)
+                          samples=cfg.cert_samples, tol=cfg.cert_tol, seed=cfg.seed)
     quad = integrate(as_function(ast), interval, cfg.tol)
     mean = quad.value / (interval.b - interval.a)
     lhs = float(lhs_value(rule, ast, interval, mean))

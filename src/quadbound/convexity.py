@@ -32,9 +32,6 @@ _MIN_PAIR_GAP = 1e-3
 
 @dataclass(frozen=True)
 class ConvexityCertificate:
-    function_id: str
-    q: float
-    interval: Interval
     samples: int
     max_violation: float
     valid: bool
@@ -65,9 +62,7 @@ def _evaluate_nudged(g: Callable, pts: np.ndarray, toward: float) -> np.ndarray:
 
 
 def certify_convex(g: Callable, interval: Interval, samples: int = DEFAULT_SAMPLES,
-                   tol: float = DEFAULT_TOL, seed: int = 0,
-                   function_id: str = "", q: float = float("nan"),
-                   ) -> ConvexityCertificate:
+                   tol: float = DEFAULT_TOL, seed: int = 0) -> ConvexityCertificate:
     """Certify that ``g`` is (midpoint) convex on ``interval`` by sampling.
 
     ``g`` must be vectorized over numpy arrays and defined on [a, b] except
@@ -105,9 +100,6 @@ def certify_convex(g: Callable, interval: Interval, samples: int = DEFAULT_SAMPL
     max_violation = float(residuals[worst])
     valid = max_violation <= tol
     return ConvexityCertificate(
-        function_id=function_id,
-        q=q,
-        interval=interval,
         samples=len(xs),
         max_violation=max_violation,
         valid=valid,

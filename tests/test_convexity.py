@@ -9,7 +9,7 @@ from quadbound.oracle import Interval
 
 
 def test_certify_linear_is_convex():
-    cert = certify_convex(lambda x: np.abs(2 * x), Interval(1, 2), function_id="x^2", q=1.0)
+    cert = certify_convex(lambda x: np.abs(2 * x), Interval(1, 2))
     assert cert.valid
     assert cert.max_violation <= 1e-10
     assert cert.witness is None
@@ -17,7 +17,7 @@ def test_certify_linear_is_convex():
 
 def test_certify_inverse_square_is_convex():
     # |d/dx ln x|^2 = x^(-2) on a positive interval
-    cert = certify_convex(lambda x: np.abs(1 / x) ** 2, Interval(1, 2), q=2.0)
+    cert = certify_convex(lambda x: np.abs(1 / x) ** 2, Interval(1, 2))
     assert cert.valid
 
 
