@@ -49,19 +49,23 @@ def _config_dict(cfg: argparse.Namespace) -> dict:
     return {k: values[k] for k in ("command", *keys) if values[k] is not None}
 
 
-def _resolve_rule(cfg: argparse.Namespace, require: bool = True,
+def _resolve_rule(cfg: argparse.Namespace, optimized: bool = False,
                   ) -> tuple[Optional[RuleParams], Optional[str], Optional[LMRule]]:
-    """Enforce that exactly one rule spec form was provided."""
+    """Enforce that exactly one rule spec form was provided, or none when the
+    rule is ``optimized``."""
     given = {"named": cfg.rule is not None,
              "lambda/mu": cfg.lam is not None or cfg.mu is not None,
              "m/ell": cfg.m is not None or cfg.ell is not None}
     forms = [form for form, present in given.items() if present]
+    if optimized:
+        if forms:
+            raise CliError("--what rule optimizes over the rule; do not pass "
+                           "--rule, --lambda/--mu or --m/--ell")
+        return None, None, None
     if len(forms) > 1:
         raise CliError(f"give exactly one rule spec form, got {' and '.join(forms)}")
     if not forms:
-        if require:
-            raise CliError("a rule spec is required: --rule, --lambda/--mu, or --m/--ell")
-        return None, None, None
+        raise CliError("a rule spec is required: --rule, --lambda/--mu, or --m/--ell")
     if given["named"]:
         return rule_from_lm(named_rule(cfg.rule)), cfg.rule, None
     if given["lambda/mu"]:
@@ -281,7 +285,7 @@ def _rule_mode(mode: str, q: float, p: Optional[float]) -> tuple[str, Optional[f
 
 
 def cmd_optimize(cfg: argparse.Namespace) -> int:
-    rule, name, lm = _resolve_rule(cfg, require=cfg.what == "p")
+    rule, name, lm = _resolve_rule(cfg, optimized=cfg.what == "rule")
     ast, deriv, interval = _parse_function(cfg.f, cfg.a, cfg.b)
     d = _endpoint_derivs(as_function(deriv), interval)
     payload = {"schema": SCHEMA, "config": _config_dict(cfg), "what": cfg.what}

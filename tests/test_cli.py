@@ -226,6 +226,10 @@ MEANS = ("--m", "6", "--ell", "1", "--a", "1", "--b", "2")
     ["optimize", *CUBE, "--what", "rule", "--mode", "p1", "--q", "2", "--p", "0.7"],
     ["optimize", *CUBE, "--what", "rule", "--mode", "pq", "--q", "2", "--p", "0.7"],
     ["optimize", *CUBE, "--what", "rule", "--mode", "q1", "--p", "0.5"],
+    # --what rule optimizes over the rule, so it takes no rule spec
+    ["optimize", *CUBE, "--what", "rule", "--rule", "simpson", "--q", "2"],
+    ["optimize", *CUBE, "--what", "rule", "--lambda", "0.2", "--mu", "0.7"],
+    ["optimize", *CUBE, "--what", "rule", "--m", "7", "--ell", "3"],
     ["means", "--theorem", "4.2-p1", *MEANS, "--s", "2", "--p", "0.5"],
     ["means", "--theorem", "4.5-pq", *MEANS, "--q", "2", "--p", "0.5"],
     ["means", "--theorem", "4.3-particular", *MEANS, "--p", "0.5"],
