@@ -22,6 +22,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from typing import Optional
 
@@ -359,6 +360,13 @@ _SUBCOMMANDS = {
 }
 
 
+# argparse reads an argument that starts with '-' as a value only if it
+# matches the parser's negative-number pattern.  Its own pattern takes -1 and
+# -.5 but not -1e-3 or -inf, which it would read as option names.
+_NEGATIVE_NUMBER = re.compile(
+    r"-(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
+
+
 # Built on the first call and reused: parse_args keeps no state in the parser,
 # and building it lazily keeps the cost out of ``import quadbound.cli``.
 @functools.cache
@@ -368,9 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certified error bounds for three-point quadrature rules "
                     "under convex-derivative hypotheses.",
     )
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text, flags, formats) in _SUBCOMMANDS.items():
         sp = sub.add_parser(command, help=help_text)
+        sp._negative_number_matcher = _NEGATIVE_NUMBER
         for flag in flags:
             sp.add_argument(flag, **_OPTIONS[flag])
         sp.add_argument("--format", **_OPTIONS["--format"], choices=formats,

@@ -381,3 +381,26 @@ def test_non_finite_input_exit_1(argv):
     assert r.stdout == ""
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
     assert "RuntimeWarning" not in r.stderr
+
+
+SIMPSON_X2 = ["bound", "--f", "x^2", "--b", "1", "--rule", "simpson"]
+
+
+@pytest.mark.parametrize("argv, option, value, code", [
+    (SIMPSON_X2, "--a", "-1e-3", 0),
+    (SIMPSON_X2, "--a", "-inf", 1),
+    ([*SWEEP_P, "--to", "1", "--step", "0.5"], "--from", "-inf", 1),
+    (["means", "--theorem", "4.2-p1", *MEANS], "--s", "-5e-1", 0),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_negative_number_value_spellings_agree(argv, option, value, code, capsys):
+    # "--a -1e-3" and "--a=-1e-3" agree only if argparse takes -1e-3 for a
+    # value and not for an option name
+    outcomes = []
+    for spelling in ([option, value], [f"{option}={value}"]):
+        try:
+            exit_code = main([*argv, *spelling])
+        except SystemExit as exc:
+            exit_code = exc.code
+        outcomes.append((exit_code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == code
