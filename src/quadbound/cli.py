@@ -79,11 +79,11 @@ def _resolve_rule(cfg: argparse.Namespace, optimized: bool = False,
     return rule_from_lm(lm), None, lm
 
 
-def _parse_function(source: Optional[str], a: Optional[float], b: Optional[float]):
+def _instance(source: Optional[str], a: float, b: float):
+    """Parse f, check its domain on [a, b] and evaluate |f'| at the ends:
+    (ast, interval, f', endpoint derivatives)."""
     if source is None:
         raise CliError("--f is required")
-    if a is None or b is None:
-        raise CliError("--a and --b are required")
     ast = parse(source)
     interval = Interval(a, b)
     report = domain_check(ast, interval)
@@ -93,16 +93,12 @@ def _parse_function(source: Optional[str], a: Optional[float], b: Optional[float
     # f' needs only the endpoints and the certificate samples (an interior
     # abs kink is fine: |f'| convex covers V-shaped derivatives), so it is
     # checked where it is used rather than over the whole interval.
-    deriv = differentiate(ast)
-    return ast, deriv, interval
-
-
-def _endpoint_derivs(fp, interval: Interval) -> bounds.DerivEndpoints:
+    fp = as_function(differentiate(ast))
     try:
-        return bounds.DerivEndpoints(abs(float(fp(float(interval.a)))),
-                                     abs(float(fp(float(interval.b)))))
+        d = bounds.DerivEndpoints(abs(float(fp(a))), abs(float(fp(b))))
     except ExprError as exc:
         raise CliError(f"f' is not evaluable at the interval endpoints: {exc}")
+    return ast, interval, fp, d
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -116,9 +112,7 @@ def _emit(payload: dict, fmt: str) -> None:
 
 def cmd_bound(cfg: argparse.Namespace) -> int:
     rule, name, lm = _resolve_rule(cfg)
-    ast, deriv, interval = _parse_function(cfg.f, cfg.a, cfg.b)
-    fp = as_function(deriv)
-    d = _endpoint_derivs(fp, interval)
+    ast, interval, fp, d = _instance(cfg.f, cfg.a, cfg.b)
     cert = certify_convex(lambda x: np.abs(fp(x)) ** cfg.q, interval,
                           samples=cfg.cert_samples, tol=cfg.cert_tol, seed=cfg.seed)
     quad = integrate(as_function(ast), interval, cfg.tol)
@@ -160,7 +154,6 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 
 
 _SWEEP_AXES = ("lambda", "mu", "p", "q", "s")
-CSV_HEADER = "axis,value,lhs_abs,rhs,slack,formula_id"
 
 
 def _sweep_grid(cfg: argparse.Namespace) -> list[float]:
@@ -182,66 +175,51 @@ def _sweep_grid(cfg: argparse.Namespace) -> list[float]:
 
 def cmd_sweep(cfg: argparse.Namespace) -> int:
     grid = _sweep_grid(cfg)
-
     if cfg.axis == "s":
         if cfg.f is not None:
             raise CliError("axis 's' sweeps f = x^s; do not pass --f")
-        if cfg.a is None or cfg.b is None or cfg.a <= 0:
-            raise CliError("axis 's' needs a positive interval: --a > 0 and --b")
-        rule, name, lm = _resolve_rule(cfg)
-    elif cfg.axis in ("lambda", "mu"):
+        if cfg.a <= 0:
+            raise CliError("axis 's' needs a positive interval: --a > 0")
+    if cfg.axis in ("lambda", "mu"):
         if cfg.rule is not None or cfg.m is not None or cfg.ell is not None:
             raise CliError(f"axis {cfg.axis!r} sweeps the rule weights; "
                            "give at most the complementary --lambda/--mu")
-        swept_given = cfg.lam if cfg.axis == "lambda" else cfg.mu
-        if swept_given is not None:
+        if (cfg.lam if cfg.axis == "lambda" else cfg.mu) is not None:
             raise CliError(f"--{cfg.axis} cannot be fixed while sweeping it")
         rule, name, lm = None, None, None
     else:
         rule, name, lm = _resolve_rule(cfg)
 
     rows = []
-    if cfg.axis != "s":
-        ast, deriv, interval = _parse_function(cfg.f, cfg.a, cfg.b)
-        d = _endpoint_derivs(as_function(deriv), interval)
-        mean = integrate(as_function(ast), interval, cfg.tol).value / interval.width
     for v in grid:
-        point_rule, q, p = rule, cfg.q, cfg.p
-        if cfg.axis == "s":
-            if v == 0:
+        # f is fixed on every axis but s, where it is x^v
+        if not rows or cfg.axis == "s":
+            if cfg.axis == "s" and v == 0:
                 raise CliError("s = 0 is not a power function; exclude it from the grid")
-            ast, deriv, interval = _parse_function(f"x^{repr(float(v))}", cfg.a, cfg.b)
-            d = _endpoint_derivs(as_function(deriv), interval)
+            source = f"x^{v!r}" if cfg.axis == "s" else cfg.f
+            ast, interval, _, d = _instance(source, cfg.a, cfg.b)
             mean = integrate(as_function(ast), interval, cfg.tol).value / interval.width
-        elif cfg.axis == "lambda":
+        point_rule, q, p = rule, cfg.q, cfg.p
+        if cfg.axis == "lambda":
             point_rule = RuleParams(v, cfg.mu if cfg.mu is not None else 1 - v)
         elif cfg.axis == "mu":
             point_rule = RuleParams(cfg.lam if cfg.lam is not None else 1 - v, v)
         elif cfg.axis == "p":
             p = v
-        else:
+        elif cfg.axis == "q":
             q = v
-        lhs = float(lhs_value(point_rule, ast, interval, mean))
+        lhs_abs = abs(float(lhs_value(point_rule, ast, interval, mean)))
         rhs, p_used = bounds.bound(point_rule, d, interval, q, p)
-        rows.append((v, abs(lhs), rhs, rhs - abs(lhs),
-                     bounds.formula_id(q, p_used, name, lm)))
+        rows.append({"axis": cfg.axis, "value": v, "lhs_abs": lhs_abs, "rhs": float(rhs),
+                     "slack": float(rhs) - lhs_abs,
+                     "formula_id": bounds.formula_id(q, p_used, name, lm)})
 
     if cfg.fmt == "csv":
-        print(CSV_HEADER)
-        for v, lhs_abs, rhs, slack, fid in rows:
-            print(f"{cfg.axis},{repr(float(v))},{repr(float(lhs_abs))},"
-                  f"{repr(float(rhs))},{repr(float(slack))},{fid}")
+        print(",".join(rows[0]))
+        for row in rows:
+            print(",".join(map(str, row.values())))
     else:
-        payload = {
-            "schema": SCHEMA,
-            "config": _config_dict(cfg),
-            "rows": [
-                {"axis": cfg.axis, "value": float(v), "lhs_abs": float(la),
-                 "rhs": float(r), "slack": float(sl), "formula_id": fid}
-                for v, la, r, sl, fid in rows
-            ],
-        }
-        print(json.dumps(payload, indent=2))
+        _emit({"schema": SCHEMA, "config": _config_dict(cfg), "rows": rows}, cfg.fmt)
     return 0
 
 
@@ -256,8 +234,8 @@ def cmd_means(cfg: argparse.Namespace) -> int:
         theorem = _PARTICULAR[theorem]
     if cfg.m is None or cfg.ell is None:
         raise CliError("--m and --ell are required for means")
-    if cfg.a is None or cfg.b is None:
-        raise CliError("--a and --b are required")
+    if cfg.s is not None and means.MEANS_THEOREMS[theorem][0] != "power":
+        raise CliError(f"theorem {cfg.theorem} is not about x^s; do not pass --s")
     gap = means.means_gap(theorem, cfg.m, cfg.ell, cfg.a, cfg.b, s=cfg.s)
     rhs = means.means_bound(theorem, cfg.m, cfg.ell, cfg.a, cfg.b,
                             s=cfg.s, p=cfg.p, q=cfg.q)
@@ -287,8 +265,7 @@ def _rule_mode(mode: str, q: float, p: Optional[float]) -> tuple[str, Optional[f
 
 def cmd_optimize(cfg: argparse.Namespace) -> int:
     rule, name, lm = _resolve_rule(cfg, optimized=cfg.what == "rule")
-    ast, deriv, interval = _parse_function(cfg.f, cfg.a, cfg.b)
-    d = _endpoint_derivs(as_function(deriv), interval)
+    _, interval, _, d = _instance(cfg.f, cfg.a, cfg.b)
     payload = {"schema": SCHEMA, "config": _config_dict(cfg), "what": cfg.what}
     if cfg.what == "p":
         if cfg.p is not None:
@@ -312,8 +289,8 @@ def cmd_optimize(cfg: argparse.Namespace) -> int:
 # command's config echo follows this order.
 _OPTIONS = {
     "--f": {"help": "function source, e.g. 'x^2' or 'ln(x)'"},
-    "--a": {"type": float, "help": "interval left endpoint"},
-    "--b": {"type": float, "help": "interval right endpoint"},
+    "--a": {"type": float, "required": True, "help": "interval left endpoint"},
+    "--b": {"type": float, "required": True, "help": "interval right endpoint"},
     "--rule": {"choices": sorted(NAMED_RULES),
                "help": "named rule (one rule spec form only)"},
     "--lambda": {"dest": "lam", "type": float, "help": "rule weight lambda"},
@@ -362,9 +339,9 @@ _SUBCOMMANDS = {
 
 # argparse reads an argument that starts with '-' as a value only if it
 # matches the parser's negative-number pattern.  Its own pattern takes -1 and
-# -.5 but not -1e-3 or -inf, which it would read as option names.
-_NEGATIVE_NUMBER = re.compile(
-    r"-(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
+# -.5 but not -1e-3, -inf or the source -2*x+x^2, which it would read as
+# option names.  No option name starts with a digit, '.digit', inf or nan.
+_NEGATIVE_NUMBER = re.compile(r"-(?:\.?\d|inf|nan)", re.IGNORECASE)
 
 
 # Built on the first call and reused: parse_args keeps no state in the parser,

@@ -234,6 +234,12 @@ MEANS = ("--m", "6", "--ell", "1", "--a", "1", "--b", "2")
     ["means", "--theorem", "4.5-pq", *MEANS, "--q", "2", "--p", "0.5"],
     ["means", "--theorem", "4.3-particular", *MEANS, "--p", "0.5"],
     ["means", "--theorem", "4.5-particular", *MEANS, "--q", "2"],
+    # only the power theorems are about x^s, so the others take no --s
+    ["means", "--theorem", "4.5-p1", *MEANS, "--s", "3"],
+    ["means", "--theorem", "4.5-particular", *MEANS, "--s", "3"],
+    ["means", "--theorem", "4.3-pq", *MEANS, "--q", "2", "--s", "3"],
+    ["means", "--theorem", "4.3-particular", *MEANS, "--s", "-1"],
+    ["means", "--theorem", "4.4", *MEANS, "--q", "2", "--p", "1.5", "--s", "3"],
 ], ids=lambda argv: " ".join(argv))
 def test_dropped_or_mismatched_exponent_rejected(argv, capsys):
     assert main(argv) == 1
@@ -287,6 +293,8 @@ OPTIMIZE = ["optimize", *CUBE, "--what", "rule", "--q", "1"]
     ["bound", *CUBE, "--rule", "simpson", "--format", "csv"],
     ["means", *MEANS],
     ["means", "--theorem", "4.9", *MEANS],
+    ["bound", "--f", "x^3", "--b", "2", "--rule", "simpson"],
+    ["means", "--theorem", "4.2-p1", "--m", "6", "--ell", "1", "--a", "1", "--s", "2"],
 ], ids=lambda argv: " ".join(argv))
 def test_usage_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -391,6 +399,7 @@ SIMPSON_X2 = ["bound", "--f", "x^2", "--b", "1", "--rule", "simpson"]
     (SIMPSON_X2, "--a", "-inf", 1),
     ([*SWEEP_P, "--to", "1", "--step", "0.5"], "--from", "-inf", 1),
     (["means", "--theorem", "4.2-p1", *MEANS], "--s", "-5e-1", 0),
+    (["bound", "--a", "1", "--b", "2", "--rule", "simpson"], "--f", "-2*x+x^2", 0),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_negative_number_value_spellings_agree(argv, option, value, code, capsys):
     # "--a -1e-3" and "--a=-1e-3" agree only if argparse takes -1e-3 for a
@@ -404,3 +413,24 @@ def test_negative_number_value_spellings_agree(argv, option, value, code, capsys
         outcomes.append((exit_code, *capsys.readouterr()))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == code
+
+
+
+@pytest.mark.parametrize("axis, fixed", [
+    ("lambda", []), ("mu", ["--lambda", "0.25"]), ("p", ["--rule", "simpson", "--q", "2"]),
+    ("q", ["--rule", "simpson", "--p", "1"]), ("s", ["--rule", "simpson"]),
+])
+def test_sweep_builds_the_instance_once_unless_it_sweeps_s(axis, fixed, monkeypatch, capsys):
+    # f does not depend on the swept value, except on the s axis, where f = x^s
+    grid = {"lambda": ("0", "0.375"), "mu": ("0.5", "0.875"), "p": ("0.5", "0.875"),
+            "q": ("1", "1.375"), "s": ("-2", "-1.625")}[axis]
+    calls = []
+    parse = cli.parse
+    monkeypatch.setattr(cli, "parse", lambda source: calls.append(source) or parse(source))
+    f = [] if axis == "s" else ["--f", "x^3"]
+    code = main(["sweep", *f, "--a", "1", "--b", "2", *fixed, "--axis", axis,
+                 "--from", grid[0], "--to", grid[1], "--step", "0.125"])
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5
+    assert calls == (["x^-2.0", "x^-1.875", "x^-1.75", "x^-1.625"] if axis == "s"
+                     else ["x^3"])
