@@ -48,6 +48,8 @@ COMMANDS = (
       for rule in _RULE_FORMS for qp in _QP for fmt in ("json", "text")],
     ["bound", *_CUBE, "--rule", "trapezoid", "--q", "1", "--p", "0.3"],
     ["bound", "--f", "exp(0-x^2)", "--a", "0.2", "--b", "1.1", "--rule", "midpoint"],
+    ["bound", "--f", "exp(0-x^2)", "--a", "0.2", "--b", "1.1", "--rule", "midpoint",
+     "--format", "text"],
     ["bound", *_CUBE, "--rule", "simpson", "--q", "0.5"],
     ["bound", *_CUBE, "--rule", "simpson", "--q", "2", "--p", "3"],
     # optimize over p, and over the rule in every mode
@@ -111,6 +113,7 @@ COMMANDS = (
     # seeded campaigns
     ["verify", "--trials", "300", "--seed", "0"],
     ["verify", "--trials", "300", "--seed", "0", "--family", "concave-test"],
+    ["verify", "--trials", "20", "--seed", "0", "--format", "text"],
 )
 
 
