@@ -26,15 +26,14 @@ from typing import Optional
 
 import numpy as np
 
-from . import bounds
-from .convexity import certify_convex
+from . import bounds, convexity, oracle
+from .convexity import admissible_power, certify_convex
 from .expr import ExprNode, as_function, differentiate, evaluate, parse
 from .oracle import Interval, average_value
 from .rules import RuleParams, lhs_value
 
 __all__ = ["FunctionDraw", "draw_function", "run_verify", "GeneratorExhausted"]
 
-FAMILIES = ("mixed", "poly", "power", "log", "concave-test")
 SLACK_FLOOR = 1e-9
 Q_LOW = 1.05
 Q_HIGH = 3.0
@@ -74,7 +73,7 @@ def _poly_source(coeffs) -> str:
     return "".join(terms)
 
 
-def _draw_poly(rng: np.random.Generator) -> tuple[str, Interval]:
+def _draw_poly(rng: np.random.Generator, q: float) -> tuple[str, Interval]:
     degree = int(rng.integers(1, 5))
     coeffs = rng.uniform(-2, 2, degree + 1)
     a = rng.uniform(-2.5, 0.5)
@@ -83,8 +82,6 @@ def _draw_poly(rng: np.random.Generator) -> tuple[str, Interval]:
 
 
 def _draw_power(rng: np.random.Generator, q: float) -> tuple[str, Interval]:
-    from .convexity import admissible_power
-
     for _ in range(_MAX_RESAMPLES):
         s = rng.uniform(-2, 3)
         if s == 0 or not admissible_power(s, q):
@@ -97,39 +94,39 @@ def _draw_power(rng: np.random.Generator, q: float) -> tuple[str, Interval]:
     )
 
 
-def _draw_log(rng: np.random.Generator) -> tuple[str, Interval]:
+def _draw_log(rng: np.random.Generator, q: float) -> tuple[str, Interval]:
     a = rng.uniform(0.3, 2.0)
     b = a + rng.uniform(0.3, 1.5)
     return "ln(x)", Interval(a, b)
 
 
-def _draw_concave(rng: np.random.Generator) -> tuple[str, Interval]:
+def _draw_concave(rng: np.random.Generator, q: float) -> tuple[str, Interval]:
     # |d/dx exp(-x^2)| = 2x exp(-x^2) is concave on (0, sqrt(3/2)).
     a = rng.uniform(0.15, 0.5)
     b = a + rng.uniform(0.3, 0.7)
     return "exp(0-x^2)", Interval(a, b)
 
 
+# family -> drawer of (source, interval); each takes (rng, q), only power uses q
+_DRAWS = {"poly": _draw_poly, "power": _draw_power, "log": _draw_log,
+          "concave-test": _draw_concave}
+FAMILIES = ("mixed", *_DRAWS)
+
+
 def draw_function(rng: np.random.Generator, family: str, q: float) -> FunctionDraw:
     if family == "mixed":
         family = str(rng.choice(["poly", "power", "log"], p=[0.5, 0.3, 0.2]))
-    if family == "poly":
-        source, iv = _draw_poly(rng)
-    elif family == "power":
-        source, iv = _draw_power(rng, q)
-    elif family == "log":
-        source, iv = _draw_log(rng)
-    elif family == "concave-test":
-        source, iv = _draw_concave(rng)
-    else:
+    if family not in _DRAWS:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+    source, iv = _DRAWS[family](rng, q)
     ast = parse(source)
     return FunctionDraw(family, source, ast, differentiate(ast), iv)
 
 
 def run_verify(trials: int, seed: int = 0, family: str = "mixed",
-               tol: float = 1e-11, cert_samples: int = 4096,
-               cert_tol: float = 1e-10) -> dict:
+               tol: float = oracle.DEFAULT_TOL,
+               cert_samples: int = convexity.DEFAULT_SAMPLES,
+               cert_tol: float = convexity.DEFAULT_TOL) -> dict:
     """Run a seeded campaign of ``trials`` random instances and check every
     certified bound path.  Returns a JSON-ready summary (deterministic for a
     fixed configuration)."""

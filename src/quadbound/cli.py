@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import bounds, campaign, means
+from . import bounds, campaign, convexity, means, oracle
 from .convexity import certify_convex
 from .expr import ExprError, as_function, differentiate, domain_check, parse
 from .oracle import Interval, IntegrationError, integrate
@@ -37,10 +37,6 @@ from .rules import LMRule, NAMED_RULES, RuleParams, lhs_value, named_rule, rule_
 __all__ = ["main"]
 
 SCHEMA = 1
-
-
-class CliError(Exception):
-    pass
 
 
 def _config_dict(cfg: argparse.Namespace) -> dict:
@@ -60,21 +56,21 @@ def _resolve_rule(cfg: argparse.Namespace, optimized: bool = False,
     forms = [form for form, present in given.items() if present]
     if optimized:
         if forms:
-            raise CliError("--what rule optimizes over the rule; do not pass "
-                           "--rule, --lambda/--mu or --m/--ell")
+            raise ValueError("--what rule optimizes over the rule; do not pass "
+                             "--rule, --lambda/--mu or --m/--ell")
         return None, None, None
     if len(forms) > 1:
-        raise CliError(f"give exactly one rule spec form, got {' and '.join(forms)}")
+        raise ValueError(f"give exactly one rule spec form, got {' and '.join(forms)}")
     if not forms:
-        raise CliError("a rule spec is required: --rule, --lambda/--mu, or --m/--ell")
+        raise ValueError("a rule spec is required: --rule, --lambda/--mu, or --m/--ell")
     if given["named"]:
         return rule_from_lm(named_rule(cfg.rule)), cfg.rule, None
     if given["lambda/mu"]:
         if cfg.lam is None or cfg.mu is None:
-            raise CliError("--lambda and --mu must be given together")
+            raise ValueError("--lambda and --mu must be given together")
         return RuleParams(cfg.lam, cfg.mu), None, None
     if cfg.m is None or cfg.ell is None:
-        raise CliError("--m and --ell must be given together")
+        raise ValueError("--m and --ell must be given together")
     lm = LMRule(cfg.m, cfg.ell)
     return rule_from_lm(lm), None, lm
 
@@ -83,13 +79,13 @@ def _instance(source: Optional[str], a: float, b: float):
     """Parse f, check its domain on [a, b] and evaluate |f'| at the ends:
     (ast, interval, f', endpoint derivatives)."""
     if source is None:
-        raise CliError("--f is required")
+        raise ValueError("--f is required")
     ast = parse(source)
     interval = Interval(a, b)
     report = domain_check(ast, interval)
     if not report.ok:
         msgs = "; ".join(f"{v.node_source}: {v.reason}" for v in report.violations)
-        raise CliError(f"domain error for f on [{a}, {b}]: {msgs}")
+        raise ValueError(f"domain error for f on [{a}, {b}]: {msgs}")
     # f' needs only the endpoints and the certificate samples (an interior
     # abs kink is fine: |f'| convex covers V-shaped derivatives), so it is
     # checked where it is used rather than over the whole interval.
@@ -97,20 +93,29 @@ def _instance(source: Optional[str], a: float, b: float):
     try:
         d = bounds.DerivEndpoints(abs(float(fp(a))), abs(float(fp(b))))
     except ExprError as exc:
-        raise CliError(f"f' is not evaluable at the interval endpoints: {exc}")
+        raise ValueError(f"f' is not evaluable at the interval endpoints: {exc}")
     return ast, interval, fp, d
 
 
-def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-        return
-    for key, value in payload.items():
-        if key not in ("schema", "config"):
-            print(f"{key}: {value}")
+def _emit(cfg: argparse.Namespace, fields: dict) -> None:
+    """Write a command's report: JSON under the schema and config echo (a
+    report that brings its own, as verify's does, keeps it), ``key: value``
+    text lines, or the CSV of its rows."""
+    if cfg.fmt == "json":
+        print(json.dumps({"schema": SCHEMA, "config": _config_dict(cfg), **fields},
+                         indent=2))
+    elif cfg.fmt == "csv":
+        print(",".join(fields["rows"][0]))
+        for row in fields["rows"]:
+            print(",".join(map(str, row.values())))
+    else:
+        for key, value in fields.items():
+            if key not in ("schema", "config"):
+                print(f"{key}: {value}")
 
 
-def cmd_bound(cfg: argparse.Namespace) -> int:
+# Each command returns its report fields and exit code; main writes the report.
+def cmd_bound(cfg: argparse.Namespace) -> tuple[dict, int]:
     rule, name, lm = _resolve_rule(cfg)
     ast, interval, fp, d = _instance(cfg.f, cfg.a, cfg.b)
     cert = certify_convex(lambda x: np.abs(fp(x)) ** cfg.q, interval,
@@ -120,9 +125,7 @@ def cmd_bound(cfg: argparse.Namespace) -> int:
     lhs = float(lhs_value(rule, ast, interval, mean))
     rhs, p = bounds.bound(rule, d, interval, cfg.q, cfg.p)
     slack = rhs - abs(lhs)
-    payload = {
-        "schema": SCHEMA,
-        "config": _config_dict(cfg),
+    fields = {
         "lhs": lhs,
         "lhs_abs": abs(lhs),
         "rhs": rhs,
@@ -139,18 +142,16 @@ def cmd_bound(cfg: argparse.Namespace) -> int:
             "certificate_evaluations": 3 * cert.samples,
         },
     }
-    _emit(payload, cfg.fmt)
     if not cert.valid:
-        return 2
-    return 0 if slack >= 0 else 1
+        return fields, 2
+    return fields, 0 if slack >= 0 else 1
 
 
-def cmd_verify(cfg: argparse.Namespace) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> tuple[dict, int]:
     summary = campaign.run_verify(cfg.trials, seed=cfg.seed, family=cfg.family,
                                   tol=cfg.tol, cert_samples=cfg.cert_samples,
                                   cert_tol=cfg.cert_tol)
-    _emit(summary, cfg.fmt)
-    return 0 if not summary["violations"] else 1
+    return summary, 0 if not summary["violations"] else 1
 
 
 _SWEEP_AXES = ("lambda", "mu", "p", "q", "s")
@@ -158,9 +159,9 @@ _SWEEP_AXES = ("lambda", "mu", "p", "q", "s")
 
 def _sweep_grid(cfg: argparse.Namespace) -> list[float]:
     if not (math.isfinite(cfg.start) and math.isfinite(cfg.stop)):
-        raise CliError(f"--from and --to must be finite, got {cfg.start} and {cfg.stop}")
+        raise ValueError(f"--from and --to must be finite, got {cfg.start} and {cfg.stop}")
     if not cfg.step > 0:
-        raise CliError(f"--step must be positive, got {cfg.step}")
+        raise ValueError(f"--step must be positive, got {cfg.step}")
     grid = []
     v = cfg.start
     k = 0
@@ -169,33 +170,35 @@ def _sweep_grid(cfg: argparse.Namespace) -> list[float]:
         k += 1
         v = cfg.start + k * cfg.step
     if not grid:
-        raise CliError(f"empty sweep grid: from={cfg.start}, to={cfg.stop}, step={cfg.step}")
+        raise ValueError(f"empty sweep grid: from={cfg.start}, to={cfg.stop}, step={cfg.step}")
     return grid
 
 
-def cmd_sweep(cfg: argparse.Namespace) -> int:
+def cmd_sweep(cfg: argparse.Namespace) -> tuple[dict, int]:
     grid = _sweep_grid(cfg)
     if cfg.axis == "s":
         if cfg.f is not None:
-            raise CliError("axis 's' sweeps f = x^s; do not pass --f")
+            raise ValueError("axis 's' sweeps f = x^s; do not pass --f")
         if cfg.a <= 0:
-            raise CliError("axis 's' needs a positive interval: --a > 0")
+            raise ValueError("axis 's' needs a positive interval: --a > 0")
     if cfg.axis in ("lambda", "mu"):
         if cfg.rule is not None or cfg.m is not None or cfg.ell is not None:
-            raise CliError(f"axis {cfg.axis!r} sweeps the rule weights; "
-                           "give at most the complementary --lambda/--mu")
-        if (cfg.lam if cfg.axis == "lambda" else cfg.mu) is not None:
-            raise CliError(f"--{cfg.axis} cannot be fixed while sweeping it")
+            raise ValueError(f"axis {cfg.axis!r} sweeps the rule weights; "
+                             "give at most the complementary --lambda/--mu")
         rule, name, lm = None, None, None
     else:
         rule, name, lm = _resolve_rule(cfg)
+    if {"lambda": cfg.lam, "mu": cfg.mu, "p": cfg.p}.get(cfg.axis) is not None:
+        raise ValueError(f"--{cfg.axis} cannot be fixed while sweeping it")
+    if cfg.axis == "p" and cfg.q == 1:
+        raise ValueError("axis 'p' needs --q > 1: the q = 1 bound does not involve p")
 
     rows = []
     for v in grid:
         # f is fixed on every axis but s, where it is x^v
         if not rows or cfg.axis == "s":
             if cfg.axis == "s" and v == 0:
-                raise CliError("s = 0 is not a power function; exclude it from the grid")
+                raise ValueError("s = 0 is not a power function; exclude it from the grid")
             source = f"x^{v!r}" if cfg.axis == "s" else cfg.f
             ast, interval, _, d = _instance(source, cfg.a, cfg.b)
             mean = integrate(as_function(ast), interval, cfg.tol).value / interval.width
@@ -213,44 +216,34 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
         rows.append({"axis": cfg.axis, "value": v, "lhs_abs": lhs_abs, "rhs": float(rhs),
                      "slack": float(rhs) - lhs_abs,
                      "formula_id": bounds.formula_id(q, p_used, name, lm)})
-
-    if cfg.fmt == "csv":
-        print(",".join(rows[0]))
-        for row in rows:
-            print(",".join(map(str, row.values())))
-    else:
-        _emit({"schema": SCHEMA, "config": _config_dict(cfg), "rows": rows}, cfg.fmt)
-    return 0
+    return {"rows": rows}, 0
 
 
 _PARTICULAR = {"4.2-particular": "4.2-p1", "4.3-particular": "4.3-p1",
                "4.5-particular": "4.5-p1"}
 
 
-def cmd_means(cfg: argparse.Namespace) -> int:
+def cmd_means(cfg: argparse.Namespace) -> tuple[dict, int]:
     theorem = cfg.theorem
     if theorem in _PARTICULAR:
         bounds.form_p("q1", cfg.q, cfg.p)
         theorem = _PARTICULAR[theorem]
     if cfg.m is None or cfg.ell is None:
-        raise CliError("--m and --ell are required for means")
+        raise ValueError("--m and --ell are required for means")
     if cfg.s is not None and means.MEANS_THEOREMS[theorem][0] != "power":
-        raise CliError(f"theorem {cfg.theorem} is not about x^s; do not pass --s")
+        raise ValueError(f"theorem {cfg.theorem} is not about x^s; do not pass --s")
     gap = means.means_gap(theorem, cfg.m, cfg.ell, cfg.a, cfg.b, s=cfg.s)
     rhs = means.means_bound(theorem, cfg.m, cfg.ell, cfg.a, cfg.b,
                             s=cfg.s, p=cfg.p, q=cfg.q)
     slack = rhs - abs(gap)
-    payload = {
-        "schema": SCHEMA,
-        "config": _config_dict(cfg),
+    fields = {
         "gap": float(gap),
         "gap_abs": abs(float(gap)),
         "rhs": float(rhs),
         "slack": float(slack),
         "formula_id": f"thm{theorem}",
     }
-    _emit(payload, cfg.fmt)
-    return 0 if slack >= 0 else 1
+    return fields, 0 if slack >= 0 else 1
 
 
 def _rule_mode(mode: str, q: float, p: Optional[float]) -> tuple[str, Optional[float]]:
@@ -263,26 +256,25 @@ def _rule_mode(mode: str, q: float, p: Optional[float]) -> tuple[str, Optional[f
     return mode, bounds.form_p(mode, q, p)
 
 
-def cmd_optimize(cfg: argparse.Namespace) -> int:
+def cmd_optimize(cfg: argparse.Namespace) -> tuple[dict, int]:
     rule, name, lm = _resolve_rule(cfg, optimized=cfg.what == "rule")
     _, interval, _, d = _instance(cfg.f, cfg.a, cfg.b)
-    payload = {"schema": SCHEMA, "config": _config_dict(cfg), "what": cfg.what}
+    fields = {"what": cfg.what}
     if cfg.what == "p":
         if cfg.p is not None:
-            raise CliError("--what p optimizes over p; do not pass --p")
+            raise ValueError("--what p optimizes over p; do not pass --p")
         p_star, rhs_star = bounds.optimize_p(rule, cfg.q, d, interval)
-        payload["p_star"] = float(p_star)
-        payload["rhs_star"] = float(rhs_star)
-        payload["formula_id"] = bounds.formula_id(cfg.q, p_star, name, lm)
+        fields["p_star"] = float(p_star)
+        fields["rhs_star"] = float(rhs_star)
+        fields["formula_id"] = bounds.formula_id(cfg.q, p_star, name, lm)
     else:
         mode, p = _rule_mode(cfg.mode, cfg.q, cfg.p)
         rule_star, rhs_star = bounds.optimize_rule(cfg.q, p, d, interval)
-        payload["mode"] = mode
-        payload["lambda_star"] = float(rule_star.lam)
-        payload["mu_star"] = float(rule_star.mu)
-        payload["rhs_star"] = float(rhs_star)
-    _emit(payload, cfg.fmt)
-    return 0
+        fields["mode"] = mode
+        fields["lambda_star"] = float(rule_star.lam)
+        fields["mu_star"] = float(rule_star.mu)
+        fields["rhs_star"] = float(rhs_star)
+    return fields, 0
 
 
 # Every option is defined once; each subcommand lists the flags it takes.  A
@@ -306,9 +298,11 @@ _OPTIONS = {
     "--to": {"dest": "stop", "type": float, "required": True},
     "--step": {"type": float, "required": True},
     "--format": {"dest": "fmt"},
-    "--tol": {"type": float, "default": 1e-11, "help": "integration tolerance"},
-    "--cert-samples": {"dest": "cert_samples", "type": int, "default": 4096},
-    "--cert-tol": {"dest": "cert_tol", "type": float, "default": 1e-10},
+    "--tol": {"type": float, "default": oracle.DEFAULT_TOL,
+              "help": "integration tolerance"},
+    "--cert-samples": {"dest": "cert_samples", "type": int,
+                       "default": convexity.DEFAULT_SAMPLES},
+    "--cert-tol": {"dest": "cert_tol", "type": float, "default": convexity.DEFAULT_TOL},
     "--theorem": {"required": True,
                   "choices": sorted((*means.MEANS_THEOREMS, *_PARTICULAR))},
     "--s": {"type": float},
@@ -368,11 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     cfg = build_parser().parse_args(argv)
     try:
-        return _SUBCOMMANDS[cfg.command][0](cfg)
-    except (CliError, ExprError, IntegrationError, campaign.GeneratorExhausted,
+        fields, code = _SUBCOMMANDS[cfg.command][0](cfg)
+    except (ExprError, IntegrationError, campaign.GeneratorExhausted,
             ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    _emit(cfg, fields)
+    return code
 
 
 if __name__ == "__main__":

@@ -240,12 +240,33 @@ MEANS = ("--m", "6", "--ell", "1", "--a", "1", "--b", "2")
     ["means", "--theorem", "4.3-pq", *MEANS, "--q", "2", "--s", "3"],
     ["means", "--theorem", "4.3-particular", *MEANS, "--s", "-1"],
     ["means", "--theorem", "4.4", *MEANS, "--q", "2", "--p", "1.5", "--s", "3"],
+    # sweeping p overrides a fixed --p, and the q = 1 bound does not involve p
+    ["sweep", *CUBE, "--rule", "simpson", "--axis", "p", "--q", "2", "--p", "0.7",
+     "--from", "0.5", "--to", "1", "--step", "0.25"],
+    ["sweep", *CUBE, "--rule", "simpson", "--axis", "p",
+     "--from", "0.5", "--to", "1", "--step", "0.25"],
 ], ids=lambda argv: " ".join(argv))
 def test_dropped_or_mismatched_exponent_rejected(argv, capsys):
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert "error:" in err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", *CUBE, "--rule", "simpson"],
+    ["verify", "--trials", "3"],
+    ["sweep", *CUBE, "--rule", "simpson", "--axis", "q", "--from", "1", "--to", "2",
+     "--step", "0.5"],
+    ["means", "--theorem", "4.2-p1", *MEANS, "--s", "2"],
+    ["optimize", *CUBE, "--rule", "simpson", "--q", "2"],
+], ids=lambda argv: argv[0])
+def test_handlers_return_their_report_and_print_nothing(argv, capsys):
+    # main alone writes the report, so a handler's result is all there is
+    result = getattr(cli, f"cmd_{argv[0]}")(cli.build_parser().parse_args(argv))
+    assert capsys.readouterr() == ("", "")
+    fields, code = result
+    assert type(fields) is dict and type(code) is int
 
 
 # Known wrong verdicts (ROADMAP item 3), pinned so that the fix flips them on
