@@ -188,7 +188,11 @@ def cmd_sweep(cfg: argparse.Namespace) -> tuple[dict, int]:
         rule, name, lm = None, None, None
     else:
         rule, name, lm = _resolve_rule(cfg)
-    if {"lambda": cfg.lam, "mu": cfg.mu, "p": cfg.p}.get(cfg.axis) is not None:
+    # argparse keeps a default object as it is and makes a new float of a
+    # given value, so --q was given iff cfg.q is not its default object
+    fixed = {"lambda": cfg.lam is not None, "mu": cfg.mu is not None,
+             "p": cfg.p is not None, "q": cfg.q is not _OPTIONS["--q"]["default"]}
+    if fixed.get(cfg.axis):
         raise ValueError(f"--{cfg.axis} cannot be fixed while sweeping it")
     if cfg.axis == "p" and cfg.q == 1:
         raise ValueError("axis 'p' needs --q > 1: the q = 1 bound does not involve p")

@@ -13,6 +13,7 @@ dominates floating-point noise in the residuals.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -61,49 +62,56 @@ def _evaluate_nudged(g: Callable, pts: np.ndarray, toward: float) -> np.ndarray:
                                for half in np.array_split(pts, 2)])
 
 
-def certify_convex(g: Callable, interval: Interval, samples: int = DEFAULT_SAMPLES,
-                   tol: float = DEFAULT_TOL, seed: int = 0) -> ConvexityCertificate:
-    """Certify that ``g`` is (midpoint) convex on ``interval`` by sampling.
-
-    ``g`` must be vectorized over numpy arrays and defined on [a, b] except
-    possibly at isolated derivative-of-abs kinks (exact hits are retried one
-    ulp inward); any other evaluation failure propagates to the caller.
-    """
-    if samples < 64:
-        raise ValueError(f"samples must be >= 64, got {samples}")
-    width = interval.b - interval.a
-    pts = interval.a + width * _UNIT_GRID
-    ii, jj = _PAIRS
-
+@functools.lru_cache(maxsize=4)
+def _point_set(a: float, b: float, samples: int, seed: int):
+    """The points a certificate evaluates g on, as one read-only array: the
+    grid, the random x's, the random y's, then the midpoint of every pair.
+    Pair k is (points[xi[k]], points[yi[k]]).  Built once per
+    (a, b, samples, seed), so certificates that share those share the array
+    itself."""
     rng = np.random.default_rng(seed)
     u = rng.random(samples)
     gap = _MIN_PAIR_GAP + (1 - 2 * _MIN_PAIR_GAP) * rng.random(samples)
     # (u + gap) mod 1 for u + gap in [0, 2); w - 1 is exact there (Sterbenz).
     w = u + gap
     v = np.where(w >= 1, w - 1, w)
-    rand_xs = interval.a + width * u
-    rand_ys = interval.a + width * v
-    xs = np.concatenate([pts[ii], rand_xs])
-    ys = np.concatenate([pts[jj], rand_ys])
+    ends = a + (b - a) * np.concatenate([_UNIT_GRID, u, v])
 
-    # g is evaluated once per point: on the grid (indexed for its pairs), at
-    # the random x's, at the random y's, and at all midpoints.
-    toward = float(interval.midpoint)
-    g_mids = _evaluate_nudged(g, (xs + ys) / 2, toward)
-    g_pts = _evaluate_nudged(g, pts, toward)
-    g_xs = np.concatenate([g_pts[ii], _evaluate_nudged(g, rand_xs, toward)])
-    g_ys = np.concatenate([g_pts[jj], _evaluate_nudged(g, rand_ys, toward)])
-    residuals = g_mids - (g_xs + g_ys) / 2
+    n = _GRID_POINTS
+    ii, jj = _PAIRS
+    xi = np.concatenate([ii, n + np.arange(samples)])
+    yi = np.concatenate([jj, n + samples + np.arange(samples)])
+    points = np.concatenate([ends, (ends[xi] + ends[yi]) / 2])
+    for arr in (points, xi, yi):
+        arr.flags.writeable = False
+    return points, xi, yi
+
+
+def certify_convex(g: Callable, interval: Interval, samples: int = DEFAULT_SAMPLES,
+                   tol: float = DEFAULT_TOL, seed: int = 0) -> ConvexityCertificate:
+    """Certify that ``g`` is (midpoint) convex on ``interval`` by sampling.
+
+    ``g`` must be vectorized over numpy arrays and defined on [a, b] except
+    possibly at isolated derivative-of-abs kinks (exact hits are retried one
+    ulp inward); any other evaluation failure propagates to the caller.  g
+    is called once, on every point of the certificate, unless a point hits
+    a kink.
+    """
+    if samples < 64:
+        raise ValueError(f"samples must be >= 64, got {samples}")
+    points, xi, yi = _point_set(float(interval.a), float(interval.b), samples, seed)
+    g_all = _evaluate_nudged(g, points, float(interval.midpoint))
+    residuals = g_all[-len(xi):] - (g_all[xi] + g_all[yi]) / 2
     if not np.all(np.isfinite(residuals)):
         raise ValueError("g produced non-finite values during certification")
     worst = int(np.argmax(residuals))
     max_violation = float(residuals[worst])
     valid = max_violation <= tol
     return ConvexityCertificate(
-        samples=len(xs),
+        samples=len(xi),
         max_violation=max_violation,
         valid=valid,
-        witness=None if valid else (float(xs[worst]), float(ys[worst])),
+        witness=None if valid else (float(points[xi[worst]]), float(points[yi[worst]])),
     )
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# evaluate is unused here but stays a module attribute: perfbench/spans.py traces it.
 from .expr import ExprNode, as_function, evaluate
 from .oracle import DEFAULT_TOL, Interval, integrate
 
@@ -88,9 +89,8 @@ def rule_from_lm(lm: LMRule) -> RuleParams:
 def lhs_value(rule: RuleParams, f: ExprNode, interval: Interval,
               mean_integral: float) -> float:
     """Signed deficit (1-mu) f(a) + lam f(b) + (mu-lam) f(mid) - mean_integral."""
-    fa = evaluate(f, float(interval.a))
-    fb = evaluate(f, float(interval.b))
-    fm = evaluate(f, float(interval.midpoint))
+    fn = as_function(f)
+    fa, fb, fm = fn(float(interval.a)), fn(float(interval.b)), fn(float(interval.midpoint))
     return (1 - rule.mu) * fa + rule.lam * fb + (rule.mu - rule.lam) * fm - mean_integral
 
 

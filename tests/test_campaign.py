@@ -56,3 +56,60 @@ def test_concave_family_is_gated_never_asserted():
 def test_run_verify_rejects_bad_trials():
     with pytest.raises(ValueError):
         run_verify(trials=0)
+
+
+def test_trial_evaluates_f_prime_once_per_certificate_point(monkeypatch):
+    # both certificates of a trial share one point set, 64 grid points,
+    # 2 * 4096 random ones and 2,016 + 4,096 midpoints, on which f' is
+    # evaluated once; the two endpoints come from the same compiled f'
+    from quadbound import campaign
+
+    derivs, points = [], {}
+    differentiate, as_function = campaign.differentiate, campaign.as_function
+
+    def counted_differentiate(node):
+        derivs.append(differentiate(node))
+        return derivs[-1]
+
+    def counted_as_function(node):
+        fn = as_function(node)
+
+        def counted(x):
+            points[id(node)] = points.get(id(node), 0) + np.size(x)
+            return fn(x)
+
+        return counted
+
+    monkeypatch.setattr(campaign, "differentiate", counted_differentiate)
+    monkeypatch.setattr(campaign, "as_function", counted_as_function)
+    run_verify(trials=1, seed=3)
+    (deriv,) = derivs
+    assert points[id(deriv)] == 64 + 2 * 4096 + (2016 + 4096) + 2
+
+
+# Trial 341 of the seed-0 mixed campaign.  Its |f'|^q is not convex, yet the
+# q certificate's own seed, which the campaign used before both certificates
+# shared one, drew no violating pair.
+_TRIAL_341 = ("-0.5861351558292163-1.8820104187757019*x-0.9129293370577596*x^2"
+              "+0.3552116897194568*x^3+0.07725775465957918*x^4",
+              -2.130633666203733, -1.2436793356380575, 2.454900773962044)
+_TRIAL_341_SEEDS = {"shared": 5085182945748197998, "old q": 4845258992122741743}
+
+
+def test_trial_341_q_certificate_is_rejected():
+    from quadbound.convexity import certify_convex
+    from quadbound.expr import as_function, differentiate, parse
+    from quadbound.oracle import Interval
+
+    source, a, b, q = _TRIAL_341
+    fp = as_function(differentiate(parse(source)))
+    g = lambda x: np.abs(fp(x)) ** q
+    interval = Interval(a, b)
+    assert not certify_convex(g, interval, seed=_TRIAL_341_SEEDS["shared"]).valid
+    assert certify_convex(g, interval, seed=_TRIAL_341_SEEDS["old q"]).valid
+    dense = certify_convex(g, interval, samples=65536, seed=0)
+    assert not dense.valid and dense.max_violation > 1e-6
+    # and the campaign skips the instance's q paths
+    before, through = run_verify(trials=341, seed=0), run_verify(trials=342, seed=0)
+    assert through["skipped_q_certificate"] == before["skipped_q_certificate"] + 1
+    assert through["paths_checked"] == before["paths_checked"]

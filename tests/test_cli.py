@@ -245,6 +245,11 @@ MEANS = ("--m", "6", "--ell", "1", "--a", "1", "--b", "2")
      "--from", "0.5", "--to", "1", "--step", "0.25"],
     ["sweep", *CUBE, "--rule", "simpson", "--axis", "p",
      "--from", "0.5", "--to", "1", "--step", "0.25"],
+    # sweeping q overrides a fixed --q, even one equal to its default
+    ["sweep", *CUBE, "--rule", "simpson", "--axis", "q", "--q", "2.5", "--p", "1",
+     "--from", "1", "--to", "2", "--step", "0.5"],
+    ["sweep", *CUBE, "--rule", "simpson", "--axis", "q", "--q", "1", "--p", "1",
+     "--from", "1", "--to", "2", "--step", "0.5"],
 ], ids=lambda argv: " ".join(argv))
 def test_dropped_or_mismatched_exponent_rejected(argv, capsys):
     assert main(argv) == 1
@@ -269,7 +274,7 @@ def test_handlers_return_their_report_and_print_nothing(argv, capsys):
     assert type(fields) is dict and type(code) is int
 
 
-# Known wrong verdicts (ROADMAP item 3), pinned so that the fix flips them on
+# Known wrong verdicts (ROADMAP item 1), pinned so that the fix flips them on
 # purpose: strict xfail turns an unnoticed pass into a failure.
 
 @pytest.mark.xfail(strict=True, reason="the certificate compares residuals with an "

@@ -33,6 +33,19 @@ def test_certify_concave_yields_definitive_witness():
     assert abs(residual - cert.max_violation) <= 1e-12 * max(1.0, abs(residual))
 
 
+def test_certify_calls_g_once_without_a_kink():
+    calls = []
+
+    def g(x):
+        calls.append(np.size(x))
+        return np.abs(x) ** 1.5
+
+    cert = certify_convex(g, Interval(-1, 2), samples=1000, seed=4)
+    # the grid, the random x's and y's, and one midpoint per pair
+    assert calls == [64 + 2 * 1000 + cert.samples]
+    assert cert.samples == 2016 + 1000
+
+
 def test_certify_requires_enough_samples():
     with pytest.raises(ValueError):
         certify_convex(lambda x: x, Interval(0, 1), samples=32)
