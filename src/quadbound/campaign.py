@@ -21,28 +21,66 @@ every bound path whose convexity certificate passes; a violation is
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import bounds, convexity, oracle
-from .convexity import admissible_power, certify_convex
+from .convexity import ConvexityCertificate, admissible_power, certify_convex
 # evaluate is unused here but stays a module attribute: perfbench/spans.py traces it.
-from .expr import ExprNode, as_function, differentiate, evaluate, parse
-from .oracle import Interval, average_value
+from .expr import ExprError, ExprNode, as_function, differentiate, evaluate, parse
+from .oracle import Interval, QuadratureResult
 from .rules import RuleParams, lhs_value
 
-__all__ = ["FunctionDraw", "draw_function", "run_verify", "GeneratorExhausted"]
+__all__ = ["Instance", "FunctionDraw", "draw_function", "run_verify"]
 
 SLACK_FLOOR = 1e-9
 Q_LOW = 1.05
 Q_HIGH = 3.0
-_MAX_RESAMPLES = 500
 
 
-class GeneratorExhausted(RuntimeError):
-    pass
+class Instance:
+    """One f on one [a, b], with f' compiled once: ``d`` (|f'| at the ends),
+    ``quad`` (f integrated on first use), ``deficit(rule)`` and
+    ``certificate(q, ...)``, the pieces of every bound claim about f."""
+
+    def __init__(self, ast: ExprNode, deriv: ExprNode, interval: Interval, tol: float):
+        self.ast, self.interval, self.tol = ast, interval, tol
+        self._fp = as_function(deriv)
+        self._last = None, None
+        # f' needs only the endpoints and the certificate samples (an interior
+        # abs kink is fine: |f'| convex covers V-shaped derivatives), so it is
+        # checked where it is used rather than over the whole interval.
+        try:
+            self.d = bounds.DerivEndpoints(abs(float(self._fp(float(interval.a)))),
+                                           abs(float(self._fp(float(interval.b)))))
+        except ExprError as exc:
+            raise ValueError(f"f' is not evaluable at the interval endpoints: {exc}")
+
+    @functools.cached_property
+    def quad(self) -> QuadratureResult:
+        return oracle.integrate(as_function(self.ast), self.interval, self.tol)
+
+    def deficit(self, rule: RuleParams) -> float:
+        """Signed deficit of ``rule`` against the mean integral of f."""
+        mean = self.quad.value / self.interval.width
+        return float(lhs_value(rule, self.ast, self.interval, mean))
+
+    def _abs_fp(self, x):
+        # The certificate's point arrays are cached and read-only, so the
+        # same object means the same points.
+        if x is not self._last[0]:
+            self._last = x, np.abs(self._fp(x))
+        return self._last[1]
+
+    def certificate(self, q: float, samples: int, tol: float,
+                    seed: int) -> ConvexityCertificate:
+        """Sampled certificate that |f'|^q is convex.  Certificates with the
+        same samples and seed share one point set and one evaluation of f'."""
+        return certify_convex(lambda x: self._abs_fp(x) ** q, self.interval,
+                              samples=samples, tol=tol, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -83,16 +121,12 @@ def _draw_poly(rng: np.random.Generator, q: float) -> tuple[str, Interval]:
 
 
 def _draw_power(rng: np.random.Generator, q: float) -> tuple[str, Interval]:
-    for _ in range(_MAX_RESAMPLES):
+    s = 0.0
+    while s == 0 or not admissible_power(s, q):
         s = rng.uniform(-2, 3)
-        if s == 0 or not admissible_power(s, q):
-            continue
-        a = rng.uniform(0.3, 2.0)
-        b = a + rng.uniform(0.3, 1.5)
-        return f"x^{repr(float(s))}", Interval(a, b)
-    raise GeneratorExhausted(
-        f"power family: admissibility rejection rate too high at q={q}"
-    )
+    a = rng.uniform(0.3, 2.0)
+    b = a + rng.uniform(0.3, 1.5)
+    return f"x^{repr(float(s))}", Interval(a, b)
 
 
 def _draw_log(rng: np.random.Generator, q: float) -> tuple[str, Interval]:
@@ -124,20 +158,6 @@ def draw_function(rng: np.random.Generator, family: str, q: float) -> FunctionDr
     return FunctionDraw(family, source, ast, differentiate(ast), iv)
 
 
-def _last_array_memo(g):
-    """``g``, remembering its value at the last array it was called with.
-    The certificate's point arrays are cached and read-only, so the same
-    object means the same points."""
-    last = [None, None]
-
-    def remembered(x):
-        if x is not last[0]:
-            last[:] = x, g(x)
-        return last[1]
-
-    return remembered
-
-
 def run_verify(trials: int, seed: int = 0, family: str = "mixed",
                tol: float = oracle.DEFAULT_TOL,
                cert_samples: int = convexity.DEFAULT_SAMPLES,
@@ -167,20 +187,13 @@ def run_verify(trials: int, seed: int = 0, family: str = "mixed",
 
         family_counts[draw.family] = family_counts.get(draw.family, 0) + 1
         rule = RuleParams(lam, mu)
-        fp = as_function(draw.deriv)
-        d = bounds.DerivEndpoints(abs(float(fp(float(draw.interval.a)))),
-                                  abs(float(fp(float(draw.interval.b)))))
-        mean = average_value(as_function(draw.ast), draw.interval, tol)
-        lhs = lhs_value(rule, draw.ast, draw.interval, mean)
-        lhs_abs = abs(lhs)
+        inst = Instance(draw.ast, draw.deriv, draw.interval, tol)
+        lhs_abs = abs(inst.deficit(rule))
 
         # Both certificates share one seed, so one point set, on which |f'|
         # is evaluated once: the q certificate raises the same values to q.
-        abs_fp = _last_array_memo(lambda x: np.abs(fp(x)))
-        cert1 = certify_convex(abs_fp, draw.interval,
-                               samples=cert_samples, tol=cert_tol, seed=cert_seed)
-        certq = certify_convex(lambda x: abs_fp(x) ** q, draw.interval,
-                               samples=cert_samples, tol=cert_tol, seed=cert_seed)
+        cert1 = inst.certificate(1.0, cert_samples, cert_tol, cert_seed)
+        certq = inst.certificate(q, cert_samples, cert_tol, cert_seed)
 
         # (q, p) of each bound path: q = 1 needs |f'| convex, the rest |f'|^q.
         exponents: list[tuple[float, Optional[float]]] = []
@@ -194,7 +207,7 @@ def run_verify(trials: int, seed: int = 0, family: str = "mixed",
             skipped_q += 1
 
         for path_q, path_p in exponents:
-            rhs, _ = bounds.bound(rule, d, draw.interval, path_q, path_p)
+            rhs, _ = bounds.bound(rule, inst.d, draw.interval, path_q, path_p)
             path = bounds.formula_id(path_q, path_p)
             paths_checked += 1
             slack = float(rhs - lhs_abs)

@@ -26,9 +26,9 @@ import re
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import bounds, campaign, convexity, means, oracle
+# certify_convex, as_function, integrate and lhs_value are unused here but stay
+# module attributes: perfbench/spans.py traces them.
 from .convexity import certify_convex
 from .expr import ExprError, as_function, differentiate, domain_check, parse
 from .oracle import Interval, IntegrationError, integrate
@@ -75,9 +75,8 @@ def _resolve_rule(cfg: argparse.Namespace, optimized: bool = False,
     return rule_from_lm(lm), None, lm
 
 
-def _instance(source: Optional[str], a: float, b: float):
-    """Parse f, check its domain on [a, b] and evaluate |f'| at the ends:
-    (ast, interval, f', endpoint derivatives)."""
+def _instance(source: Optional[str], a: float, b: float, tol: float) -> campaign.Instance:
+    """Parse f and check its domain on [a, b]: the instance of f on [a, b]."""
     if source is None:
         raise ValueError("--f is required")
     ast = parse(source)
@@ -86,15 +85,7 @@ def _instance(source: Optional[str], a: float, b: float):
     if not report.ok:
         msgs = "; ".join(f"{v.node_source}: {v.reason}" for v in report.violations)
         raise ValueError(f"domain error for f on [{a}, {b}]: {msgs}")
-    # f' needs only the endpoints and the certificate samples (an interior
-    # abs kink is fine: |f'| convex covers V-shaped derivatives), so it is
-    # checked where it is used rather than over the whole interval.
-    fp = as_function(differentiate(ast))
-    try:
-        d = bounds.DerivEndpoints(abs(float(fp(a))), abs(float(fp(b))))
-    except ExprError as exc:
-        raise ValueError(f"f' is not evaluable at the interval endpoints: {exc}")
-    return ast, interval, fp, d
+    return campaign.Instance(ast, differentiate(ast), interval, tol)
 
 
 def _emit(cfg: argparse.Namespace, fields: dict) -> None:
@@ -117,13 +108,10 @@ def _emit(cfg: argparse.Namespace, fields: dict) -> None:
 # Each command returns its report fields and exit code; main writes the report.
 def cmd_bound(cfg: argparse.Namespace) -> tuple[dict, int]:
     rule, name, lm = _resolve_rule(cfg)
-    ast, interval, fp, d = _instance(cfg.f, cfg.a, cfg.b)
-    cert = certify_convex(lambda x: np.abs(fp(x)) ** cfg.q, interval,
-                          samples=cfg.cert_samples, tol=cfg.cert_tol, seed=cfg.seed)
-    quad = integrate(as_function(ast), interval, cfg.tol)
-    mean = quad.value / (interval.b - interval.a)
-    lhs = float(lhs_value(rule, ast, interval, mean))
-    rhs, p = bounds.bound(rule, d, interval, cfg.q, cfg.p)
+    inst = _instance(cfg.f, cfg.a, cfg.b, cfg.tol)
+    cert = inst.certificate(cfg.q, cfg.cert_samples, cfg.cert_tol, cfg.seed)
+    lhs = inst.deficit(rule)
+    rhs, p = bounds.bound(rule, inst.d, inst.interval, cfg.q, cfg.p)
     slack = rhs - abs(lhs)
     fields = {
         "lhs": lhs,
@@ -138,7 +126,7 @@ def cmd_bound(cfg: argparse.Namespace) -> tuple[dict, int]:
             "max_violation": cert.max_violation,
         },
         "timings": {
-            "integrand_evaluations": quad.evaluations,
+            "integrand_evaluations": inst.quad.evaluations,
             "certificate_evaluations": 3 * cert.samples,
         },
     }
@@ -204,8 +192,7 @@ def cmd_sweep(cfg: argparse.Namespace) -> tuple[dict, int]:
             if cfg.axis == "s" and v == 0:
                 raise ValueError("s = 0 is not a power function; exclude it from the grid")
             source = f"x^{v!r}" if cfg.axis == "s" else cfg.f
-            ast, interval, _, d = _instance(source, cfg.a, cfg.b)
-            mean = integrate(as_function(ast), interval, cfg.tol).value / interval.width
+            inst = _instance(source, cfg.a, cfg.b, cfg.tol)
         point_rule, q, p = rule, cfg.q, cfg.p
         if cfg.axis == "lambda":
             point_rule = RuleParams(v, cfg.mu if cfg.mu is not None else 1 - v)
@@ -215,8 +202,8 @@ def cmd_sweep(cfg: argparse.Namespace) -> tuple[dict, int]:
             p = v
         elif cfg.axis == "q":
             q = v
-        lhs_abs = abs(float(lhs_value(point_rule, ast, interval, mean)))
-        rhs, p_used = bounds.bound(point_rule, d, interval, q, p)
+        lhs_abs = abs(inst.deficit(point_rule))
+        rhs, p_used = bounds.bound(point_rule, inst.d, inst.interval, q, p)
         rows.append({"axis": cfg.axis, "value": v, "lhs_abs": lhs_abs, "rhs": float(rhs),
                      "slack": float(rhs) - lhs_abs,
                      "formula_id": bounds.formula_id(q, p_used, name, lm)})
@@ -262,18 +249,18 @@ def _rule_mode(mode: str, q: float, p: Optional[float]) -> tuple[str, Optional[f
 
 def cmd_optimize(cfg: argparse.Namespace) -> tuple[dict, int]:
     rule, name, lm = _resolve_rule(cfg, optimized=cfg.what == "rule")
-    _, interval, _, d = _instance(cfg.f, cfg.a, cfg.b)
+    inst = _instance(cfg.f, cfg.a, cfg.b, cfg.tol)
     fields = {"what": cfg.what}
     if cfg.what == "p":
         if cfg.p is not None:
             raise ValueError("--what p optimizes over p; do not pass --p")
-        p_star, rhs_star = bounds.optimize_p(rule, cfg.q, d, interval)
+        p_star, rhs_star = bounds.optimize_p(rule, cfg.q, inst.d, inst.interval)
         fields["p_star"] = float(p_star)
         fields["rhs_star"] = float(rhs_star)
         fields["formula_id"] = bounds.formula_id(cfg.q, p_star, name, lm)
     else:
         mode, p = _rule_mode(cfg.mode, cfg.q, cfg.p)
-        rule_star, rhs_star = bounds.optimize_rule(cfg.q, p, d, interval)
+        rule_star, rhs_star = bounds.optimize_rule(cfg.q, p, inst.d, inst.interval)
         fields["mode"] = mode
         fields["lambda_star"] = float(rule_star.lam)
         fields["mu_star"] = float(rule_star.mu)
@@ -367,8 +354,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     cfg = build_parser().parse_args(argv)
     try:
         fields, code = _SUBCOMMANDS[cfg.command][0](cfg)
-    except (ExprError, IntegrationError, campaign.GeneratorExhausted,
-            ValueError, OverflowError) as exc:
+    except (ExprError, IntegrationError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(cfg, fields)

@@ -58,11 +58,10 @@ def test_run_verify_rejects_bad_trials():
         run_verify(trials=0)
 
 
-def test_trial_evaluates_f_prime_once_per_certificate_point(monkeypatch):
-    # both certificates of a trial share one point set, 64 grid points,
-    # 2 * 4096 random ones and 2,016 + 4,096 midpoints, on which f' is
-    # evaluated once; the two endpoints come from the same compiled f'
-    from quadbound import campaign
+def _f_prime_points(monkeypatch, run) -> int:
+    """Points at which ``run()`` evaluates the one f' it differentiates.
+    draw_function differentiates in campaign, the CLI's _instance in cli."""
+    from quadbound import campaign, cli
 
     derivs, points = [], {}
     differentiate, as_function = campaign.differentiate, campaign.as_function
@@ -81,10 +80,28 @@ def test_trial_evaluates_f_prime_once_per_certificate_point(monkeypatch):
         return counted
 
     monkeypatch.setattr(campaign, "differentiate", counted_differentiate)
+    monkeypatch.setattr(cli, "differentiate", counted_differentiate)
     monkeypatch.setattr(campaign, "as_function", counted_as_function)
-    run_verify(trials=1, seed=3)
+    run()
     (deriv,) = derivs
-    assert points[id(deriv)] == 64 + 2 * 4096 + (2016 + 4096) + 2
+    return points[id(deriv)]
+
+
+def test_trial_evaluates_f_prime_once_per_certificate_point(monkeypatch):
+    # both certificates of a trial share one point set, 64 grid points,
+    # 2 * 4096 random ones and 2,016 + 4,096 midpoints, on which f' is
+    # evaluated once; the two endpoints come from the same compiled f'
+    points = _f_prime_points(monkeypatch, lambda: run_verify(trials=1, seed=3))
+    assert points == 64 + 2 * 4096 + (2016 + 4096) + 2
+
+
+def test_bound_evaluates_f_prime_once_per_certificate_point(monkeypatch, capsys):
+    # a bound call builds its instance the same way, with one certificate
+    from quadbound.cli import main
+
+    argv = ["bound", "--f", "x^3", "--a", "1", "--b", "2", "--rule", "simpson", "--q", "2"]
+    points = _f_prime_points(monkeypatch, lambda: main(argv))
+    assert points == 64 + 2 * 4096 + (2016 + 4096) + 2
 
 
 # Trial 341 of the seed-0 mixed campaign.  Its |f'|^q is not convex, yet the

@@ -45,6 +45,15 @@ def test_bound_domain_error_exit_1():
     assert r.stdout == ""
 
 
+def test_bound_endpoint_derivative_error_exit_1(capsys):
+    # f = |x| is defined on [0, 1], but f' is not at 0
+    code = main(["bound", "--f", "abs(x)", "--a", "0", "--b", "1", "--rule", "simpson"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "f' is not evaluable at the interval endpoints" in err
+    assert out == ""
+
+
 def test_bound_accepts_interior_abs_kink():
     # |f'| convex covers V-shaped derivatives; an interior kink of f' must
     # not be rejected
@@ -453,6 +462,7 @@ def test_sweep_builds_the_instance_once_unless_it_sweeps_s(axis, fixed, monkeypa
     calls = []
     parse = cli.parse
     monkeypatch.setattr(cli, "parse", lambda source: calls.append(source) or parse(source))
+    integrals = _count_integrals(monkeypatch)
     f = [] if axis == "s" else ["--f", "x^3"]
     code = main(["sweep", *f, "--a", "1", "--b", "2", *fixed, "--axis", axis,
                  "--from", grid[0], "--to", grid[1], "--step", "0.125"])
@@ -460,3 +470,29 @@ def test_sweep_builds_the_instance_once_unless_it_sweeps_s(axis, fixed, monkeypa
     assert len(capsys.readouterr().out.splitlines()) == 5
     assert calls == (["x^-2.0", "x^-1.875", "x^-1.75", "x^-1.625"] if axis == "s"
                      else ["x^3"])
+    # and integrates f once per instance
+    assert len(integrals) == len(calls)
+
+
+def _count_integrals(monkeypatch) -> list:
+    """Record every quadrature an instance runs; the list grows by one per call."""
+    from quadbound import oracle
+
+    integrals = []
+    integrate = oracle.integrate
+    monkeypatch.setattr(oracle, "integrate",
+                        lambda *args: integrals.append(args) or integrate(*args))
+    return integrals
+
+
+@pytest.mark.parametrize("argv, integrals", [
+    (["bound", *CUBE, "--rule", "simpson", "--q", "2"], 1),
+    (["optimize", *CUBE, "--what", "p", "--rule", "simpson", "--q", "2"], 0),
+    (["optimize", *CUBE, "--what", "rule", "--q", "2"], 0),
+], ids=("bound", "optimize-p", "optimize-rule"))
+def test_bound_integrates_once_and_optimize_never(argv, integrals, monkeypatch, capsys):
+    # optimizing the bound needs only |f'| at the ends, never the deficit
+    counted = _count_integrals(monkeypatch)
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)
+    assert len(counted) == integrals
