@@ -36,10 +36,9 @@ _QP = (("--q", "1"), ("--q", "2", "--p", "0.7"), ("--q", "2.5"))
 _MEANS = (
     ("4.1", "--s", "3", "--q", "2", "--p", "0.5"),
     ("4.2-p1", "--s", "2"), ("4.2-pq", "--s", "2", "--q", "2"),
-    ("4.2-particular", "--s", "2"),
-    ("4.3-p1",), ("4.3-pq", "--q", "1.5"), ("4.3-particular",),
+    ("4.3-p1",), ("4.3-pq", "--q", "1.5"),
     ("4.4", "--q", "3", "--p", "1.2"),
-    ("4.5-p1", "--q", "2"), ("4.5-pq", "--q", "2"), ("4.5-particular",),
+    ("4.5-p1", "--q", "2"), ("4.5-pq", "--q", "2"), ("4.5-p1",),
 )
 
 COMMANDS = (
@@ -52,43 +51,32 @@ COMMANDS = (
      "--format", "text"],
     ["bound", *_CUBE, "--rule", "simpson", "--q", "0.5"],
     ["bound", *_CUBE, "--rule", "simpson", "--q", "2", "--p", "3"],
-    # optimize over p, and over the rule in every mode
+    # optimize over p, and over the rule at every (q, p) form
     ["optimize", *_CUBE, "--rule", "simpson", "--q", "2", "--what", "p"],
     ["optimize", *_LN, "--m", "7", "--ell", "3", "--q", "3", "--format", "text"],
     ["optimize", *_CUBE, "--what", "rule", "--q", "1"],
     ["optimize", *_CUBE, "--what", "rule", "--q", "2"],
     ["optimize", *_CUBE, "--what", "rule", "--q", "2", "--p", "0.7"],
-    ["optimize", *_CUBE, "--what", "rule", "--mode", "q1"],
-    ["optimize", *_CUBE, "--what", "rule", "--mode", "p1"],
-    ["optimize", *_LN, "--what", "rule", "--mode", "p1", "--q", "2"],
-    ["optimize", *_CUBE, "--what", "rule", "--mode", "pq", "--q", "2"],
-    ["optimize", *_LN, "--what", "rule", "--mode", "general", "--q", "2",
-     "--p", "0.7", "--format", "text"],
-    ["optimize", *_CUBE, "--what", "rule", "--mode", "general", "--q", "2"],
-    ["optimize", *_CUBE, "--what", "rule", "--mode", "general", "--q", "1",
-     "--p", "0.5"],
+    ["optimize", *_CUBE, "--what", "rule", "--p", "1"],
+    ["optimize", *_LN, "--what", "rule", "--q", "2", "--p", "1"],
+    ["optimize", *_LN, "--what", "rule", "--q", "2", "--p", "0.7", "--format", "text"],
     ["optimize", *_CUBE, "--what", "p", "--rule", "simpson", "--q", "1"],
     # optimize --what rule across forms, q values and functions
-    ["optimize", *_GAUSS, "--what", "rule", "--mode", "q1"],
+    ["optimize", *_GAUSS, "--what", "rule", "--q", "1"],
     ["optimize", *_QUARTIC, "--what", "rule", "--q", "1", "--format", "text"],
-    ["optimize", *_CUBE, "--what", "rule", "--mode", "p1", "--q", "1.3"],
-    ["optimize", *_LN, "--what", "rule", "--mode", "pq", "--q", "4",
-     "--format", "text"],
-    ["optimize", *_QUARTIC, "--what", "rule", "--mode", "general", "--q", "2.5",
-     "--p", "0.4"],
-    ["optimize", *_GAUSS, "--what", "rule", "--mode", "pq", "--q", "1.3"],
-    ["optimize", *_QUARTIC, "--what", "rule", "--mode", "p1", "--q", "4",
+    ["optimize", *_CUBE, "--what", "rule", "--q", "1.3", "--p", "1"],
+    ["optimize", *_LN, "--what", "rule", "--q", "4", "--format", "text"],
+    ["optimize", *_QUARTIC, "--what", "rule", "--q", "2.5", "--p", "0.4"],
+    ["optimize", *_GAUSS, "--what", "rule", "--q", "1.3"],
+    ["optimize", *_QUARTIC, "--what", "rule", "--q", "4", "--p", "1",
      "--format", "text"],
     ["optimize", *_LN, "--what", "rule", "--q", "2.5"],
     ["optimize", *_GAUSS, "--what", "rule", "--q", "4", "--p", "2.5",
      "--format", "text"],
-    ["optimize", *_CUBE, "--what", "rule", "--mode", "general", "--q", "1.3",
-     "--p", "1.3"],
-    ["optimize", *_LN, "--what", "rule", "--mode", "general", "--q", "4",
-     "--p", "0.05", "--format", "text"],
-    ["optimize", "--f", "x^2", "--a", "-1", "--b", "1", "--what", "rule",
-     "--mode", "pq", "--q", "2.5"],
-    # --mode auto names the form that bounds.form gives (q, p)
+    ["optimize", *_CUBE, "--what", "rule", "--q", "1.3", "--p", "1.3"],
+    ["optimize", *_LN, "--what", "rule", "--q", "4", "--p", "0.05", "--format", "text"],
+    ["optimize", "--f", "x^2", "--a", "-1", "--b", "1", "--what", "rule", "--q", "2.5"],
+    # the form is what bounds.form gives (q, p), with p = q when --p is omitted
     ["optimize", *_CUBE, "--what", "rule", "--q", "2", "--p", "1"],
     ["optimize", *_CUBE, "--what", "rule", "--q", "2", "--p", "2"],
     ["optimize", *_CUBE, "--what", "rule", "--q", "1", "--p", "0.5"],
@@ -105,7 +93,7 @@ COMMANDS = (
         ["sweep", "--a", "1", "--b", "2", "--rule", "midpoint", "--axis", "s",
          "--q", "1.5", "--p", "1", "--from", "-2", "--to", "-0.5", "--step", "0.5"],
     )],
-    # every means theorem, including the q = 1 '-particular' forms
+    # every means theorem, the p1 forms also at q = 1
     *[["means", "--theorem", theorem, "--m", "6", "--ell", "1", "--a", "1",
        "--b", "2", *rest] for theorem, *rest in _MEANS],
     ["means", "--theorem", "4.5-pq", "--m", "2", "--ell", "1", "--a", "1",
