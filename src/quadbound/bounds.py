@@ -33,7 +33,6 @@ __all__ = [
     "kernel_moments_closed",
     "bound_pq",
     "bound",
-    "FORMS",
     "form",
     "form_p",
     "formula_id",
@@ -177,10 +176,6 @@ def bound(rule: RuleParams, d: DerivEndpoints, interval: Interval,
     return bound_pq(rule, HolderParams(p, q), d, interval), p
 
 
-# The four (q, p) forms every bound takes.
-FORMS = ("q1", "p1", "pq", "general")
-
-
 def form(q: float, p: Optional[float]) -> str:
     """The form of the bound at (q, p): q = 1, p = 1, p = q, or general p."""
     if q == 1:
@@ -192,23 +187,21 @@ def form(q: float, p: Optional[float]) -> str:
     return "general"
 
 
-def form_p(kind: str, q: float, p: Optional[float] = None) -> Optional[float]:
-    """The p at which a bound of form ``kind`` is taken at q, and the one
-    check of which (q, p) each form takes: q1 needs q = 1, p1 and pq need
-    q >= 1, and the three fix p, so take none; general needs q > 1 and a p."""
+def form_p(kind: str, q: float, p: Optional[float] = None) -> float:
+    """The p at which a bound of form ``kind`` (p1, pq or general) is taken
+    at q, and the one check of which (q, p) each form takes: p1 and pq need
+    q >= 1 and fix p, so take none; general needs q > 1 and a p."""
     if kind == "general":
         if not q > 1:
             raise ValueError(f"the general form requires q > 1, got q={q}")
         if p is None:
             raise ValueError("the general form requires p")
         return p
-    if kind == "q1" and q != 1:
-        raise ValueError(f"the q1 form requires q = 1, got q={q}")
     if not q >= 1:
         raise ValueError(f"the {kind} form requires q >= 1, got q={q}")
     if p is not None:
         raise ValueError(f"the {kind} form fixes p; do not pass p")
-    return {"q1": None, "p1": 1.0, "pq": q}[kind]
+    return {"p1": 1.0, "pq": q}[kind]
 
 
 # form -> formula id when the rule is given by (lam, mu), by (m, ell), by name

@@ -210,21 +210,13 @@ def cmd_sweep(cfg: argparse.Namespace) -> tuple[dict, int]:
     return {"rows": rows}, 0
 
 
-_PARTICULAR = {"4.2-particular": "4.2-p1", "4.3-particular": "4.3-p1",
-               "4.5-particular": "4.5-p1"}
-
-
 def cmd_means(cfg: argparse.Namespace) -> tuple[dict, int]:
-    theorem = cfg.theorem
-    if theorem in _PARTICULAR:
-        bounds.form_p("q1", cfg.q, cfg.p)
-        theorem = _PARTICULAR[theorem]
     if cfg.m is None or cfg.ell is None:
         raise ValueError("--m and --ell are required for means")
-    if cfg.s is not None and means.MEANS_THEOREMS[theorem][0] != "power":
+    if cfg.s is not None and means.MEANS_THEOREMS[cfg.theorem][0] != "power":
         raise ValueError(f"theorem {cfg.theorem} is not about x^s; do not pass --s")
-    gap = means.means_gap(theorem, cfg.m, cfg.ell, cfg.a, cfg.b, s=cfg.s)
-    rhs = means.means_bound(theorem, cfg.m, cfg.ell, cfg.a, cfg.b,
+    gap = means.means_gap(cfg.theorem, cfg.m, cfg.ell, cfg.a, cfg.b, s=cfg.s)
+    rhs = means.means_bound(cfg.theorem, cfg.m, cfg.ell, cfg.a, cfg.b,
                             s=cfg.s, p=cfg.p, q=cfg.q)
     slack = rhs - abs(gap)
     fields = {
@@ -232,19 +224,9 @@ def cmd_means(cfg: argparse.Namespace) -> tuple[dict, int]:
         "gap_abs": abs(float(gap)),
         "rhs": float(rhs),
         "slack": float(slack),
-        "formula_id": f"thm{theorem}",
+        "formula_id": f"thm{cfg.theorem}",
     }
     return fields, 0 if slack >= 0 else 1
-
-
-def _rule_mode(mode: str, q: float, p: Optional[float]) -> tuple[str, Optional[float]]:
-    """Resolve ``--mode`` of ``optimize --what rule`` to the reported mode and
-    the p at which ``bounds.optimize_rule`` minimizes the bound.  Auto is the
-    form of (q, p), taking p = q when p is omitted."""
-    if mode == "auto":
-        mode = bounds.form(q, q if p is None else p)
-        p = p if mode == "general" else None
-    return mode, bounds.form_p(mode, q, p)
 
 
 def cmd_optimize(cfg: argparse.Namespace) -> tuple[dict, int]:
@@ -259,9 +241,9 @@ def cmd_optimize(cfg: argparse.Namespace) -> tuple[dict, int]:
         fields["rhs_star"] = float(rhs_star)
         fields["formula_id"] = bounds.formula_id(cfg.q, p_star, name, lm)
     else:
-        mode, p = _rule_mode(cfg.mode, cfg.q, cfg.p)
+        p = cfg.q if cfg.p is None else cfg.p
         rule_star, rhs_star = bounds.optimize_rule(cfg.q, p, inst.d, inst.interval)
-        fields["mode"] = mode
+        fields["mode"] = bounds.form(cfg.q, p)
         fields["lambda_star"] = float(rule_star.lam)
         fields["mu_star"] = float(rule_star.mu)
         fields["rhs_star"] = float(rhs_star)
@@ -282,7 +264,8 @@ _OPTIONS = {
     "--ell": {"type": float, "help": "rule family parameter ell"},
     "--q": {"type": float, "default": 1.0, "help": "convexity exponent q >= 1"},
     "--p": {"type": float, "help": "Hoelder parameter 0 < p <= q "
-            "(bound, sweep: optimized when q > 1 and omitted)"},
+            "(bound, sweep: optimized when q > 1 and omitted; "
+            "optimize --what rule: p = q when omitted)"},
     "--seed": {"type": int, "default": 0, "help": "RNG seed (default 0)"},
     "--axis": {"choices": _SWEEP_AXES, "required": True},
     "--from": {"dest": "start", "type": float, "required": True},
@@ -295,11 +278,9 @@ _OPTIONS = {
                        "default": convexity.DEFAULT_SAMPLES},
     "--cert-tol": {"dest": "cert_tol", "type": float, "default": convexity.DEFAULT_TOL},
     "--theorem": {"required": True,
-                  "choices": sorted((*means.MEANS_THEOREMS, *_PARTICULAR))},
+                  "choices": sorted(means.MEANS_THEOREMS)},
     "--s": {"type": float},
     "--what": {"choices": ("p", "rule"), "default": "p"},
-    "--mode": {"choices": ("auto", *bounds.FORMS), "default": "auto",
-               "help": "bound formula for --what rule"},
     "--trials": {"type": int, "default": 1000},
     "--family": {"choices": campaign.FAMILIES, "default": "mixed"},
 }
@@ -318,7 +299,7 @@ _SUBCOMMANDS = {
               ("--theorem", "--m", "--ell", "--s", "--a", "--b", "--q", "--p"),
               ("json", "text")),
     "optimize": (cmd_optimize, "minimize the bound over p or the rule",
-                 (*_INSTANCE, "--what", "--mode"), ("json", "text")),
+                 (*_INSTANCE, "--what"), ("json", "text")),
 }
 
 

@@ -99,6 +99,8 @@ def certify_convex(g: Callable, interval: Interval, samples: int = DEFAULT_SAMPL
     """
     if samples < 64:
         raise ValueError(f"samples must be >= 64, got {samples}")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     points, xi, yi = _point_set(float(interval.a), float(interval.b), samples, seed)
     g_all = _evaluate_nudged(g, points, float(interval.midpoint))
     residuals = g_all[-len(xi):] - (g_all[xi] + g_all[yi]) / 2

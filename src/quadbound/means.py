@@ -118,7 +118,7 @@ def means_gap_log(m: float, ell: float, a: float, b: float) -> float:
     return combo - _log_identric(a, b)
 
 
-# theorem id -> (gap family, bound form (see bounds.FORMS)).  Each gap is
+# theorem id -> (gap family, bound form (see bounds.form_p)).  Each gap is
 # that of f(x) = x**s, at s = -1 for the harmonic family, or of f(x) = ln x.
 MEANS_THEOREMS = {
     "4.1": ("power", "general"),
@@ -143,6 +143,8 @@ def _theorem(theorem: str, s: Optional[float]) -> tuple[Optional[float], str]:
         )
     if family == "power" and s is None:
         raise ValueError(f"theorem {theorem} requires s")
+    if family == "power" and not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     return {"power": s, "harmonic": -1.0, "log": None}[family], form
 
 

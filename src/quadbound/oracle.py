@@ -126,8 +126,8 @@ def integrate(f: Callable, interval: Interval, tol: float = DEFAULT_TOL,
     after ``max_evals`` integrand evaluations rather than returning an
     unconverged value.
     """
-    if tol < 1e-13:
-        raise ValueError(f"tol must be >= 1e-13, got {tol}")
+    if not 1e-13 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 1e-13, got {tol}")
     lo, hi = float(interval.a), float(interval.b)
     evals = 15
     if evals > max_evals:

@@ -15,6 +15,7 @@ deliberate; do not "fix" it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 # evaluate is unused here but stays a module attribute: perfbench/spans.py traces it.
@@ -53,6 +54,8 @@ class LMRule:
     ell: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.m) and math.isfinite(self.ell)):
+            raise ValueError(f"m and ell must be finite, got m={self.m}, ell={self.ell}")
         if self.m == 0:
             raise ValueError("m must be nonzero")
 

@@ -51,6 +51,13 @@ def test_certify_requires_enough_samples():
         certify_convex(lambda x: x, Interval(0, 1), samples=32)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-10])
+def test_certify_rejects_non_finite_or_negative_tol(tol):
+    # an infinite tol would pass every g, a NaN one fail every g
+    with pytest.raises(ValueError, match="tol must be finite"):
+        certify_convex(lambda x: x, Interval(0, 1), tol=tol)
+
+
 def test_certify_deterministic_given_seed():
     g = lambda x: np.abs(x) ** 1.5
     c1 = certify_convex(g, Interval(-1, 2), seed=42)

@@ -44,6 +44,14 @@ def test_means_reject_non_finite_and_name_the_given_values(theorem, a, b):
         means_bound(theorem, 6, 1, a, b, s=2)
 
 
+@pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
+def test_means_reject_non_finite_s(s):
+    with pytest.raises(ValueError, match="s must be finite"):
+        means_gap("4.2-p1", 6, 1, 1.0, 2.0, s=s)
+    with pytest.raises(ValueError, match="s must be finite"):
+        means_bound("4.2-p1", 6, 1, 1.0, 2.0, s=s)
+
+
 def test_all_means_collapse_at_equal_arguments():
     for kind in ("A", "G", "H", "L", "I"):
         assert compute_mean(kind, 1.7, 1.7) == 1.7

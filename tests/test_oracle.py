@@ -59,6 +59,12 @@ def test_integrate_rejects_tiny_tol():
         integrate(lambda x: x, Interval(0, 1), tol=1e-14)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_integrate_rejects_non_finite_tol(tol):
+    with pytest.raises(ValueError, match="tol must be finite"):
+        integrate(lambda x: x, Interval(0, 1), tol=tol)
+
+
 def test_integrate_budget_is_an_explicit_failure():
     with pytest.raises(IntegrationError, match="node budget"):
         integrate(lambda x: np.sin(50 * x), Interval(0, 10), tol=1e-13, max_evals=300)

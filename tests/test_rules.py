@@ -36,6 +36,12 @@ def test_lm_rule_rejects_zero_m():
         LMRule(0, 1)
 
 
+@pytest.mark.parametrize("m, ell", [(math.inf, 1), (2, math.inf), (math.nan, 1)])
+def test_lm_rule_rejects_non_finite_parameters(m, ell):
+    with pytest.raises(ValueError, match="m and ell must be finite"):
+        LMRule(m, ell)
+
+
 def test_named_rules_table():
     expected = {"midpoint": (1, 0), "trapezoid": (2, 1), "avg3": (3, 1),
                 "avg-mid": (4, 1), "fifth-13": (5, 1), "fifth-221": (5, 2),
