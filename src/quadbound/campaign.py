@@ -75,12 +75,11 @@ class Instance:
             self._last = x, np.abs(self._fp(x))
         return self._last[1]
 
-    def certificate(self, q: float, samples: int, tol: float,
-                    seed: int) -> ConvexityCertificate:
+    def certificate(self, q: float, samples: int, seed: int) -> ConvexityCertificate:
         """Sampled certificate that |f'|^q is convex.  Certificates with the
         same samples and seed share one point set and one evaluation of f'."""
         return certify_convex(lambda x: self._abs_fp(x) ** q, self.interval,
-                              samples=samples, tol=tol, seed=seed)
+                              samples=samples, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -160,8 +159,7 @@ def draw_function(rng: np.random.Generator, family: str, q: float) -> FunctionDr
 
 def run_verify(trials: int, seed: int = 0, family: str = "mixed",
                tol: float = oracle.DEFAULT_TOL,
-               cert_samples: int = convexity.DEFAULT_SAMPLES,
-               cert_tol: float = convexity.DEFAULT_TOL) -> dict:
+               cert_samples: int = convexity.DEFAULT_SAMPLES) -> dict:
     """Run a seeded campaign of ``trials`` random instances and check every
     certified bound path.  Returns a JSON-ready summary (deterministic for a
     fixed configuration)."""
@@ -192,8 +190,8 @@ def run_verify(trials: int, seed: int = 0, family: str = "mixed",
 
         # Both certificates share one seed, so one point set, on which |f'|
         # is evaluated once: the q certificate raises the same values to q.
-        cert1 = inst.certificate(1.0, cert_samples, cert_tol, cert_seed)
-        certq = inst.certificate(q, cert_samples, cert_tol, cert_seed)
+        cert1 = inst.certificate(1.0, cert_samples, cert_seed)
+        certq = inst.certificate(q, cert_samples, cert_seed)
 
         # (q, p) of each bound path: q = 1 needs |f'| convex, the rest |f'|^q.
         exponents: list[tuple[float, Optional[float]]] = []
@@ -239,7 +237,6 @@ def run_verify(trials: int, seed: int = 0, family: str = "mixed",
             "family": family,
             "tol": tol,
             "cert_samples": cert_samples,
-            "cert_tol": cert_tol,
             "q_low": Q_LOW,
             "q_high": Q_HIGH,
         },

@@ -109,7 +109,7 @@ def _emit(cfg: argparse.Namespace, fields: dict) -> None:
 def cmd_bound(cfg: argparse.Namespace) -> tuple[dict, int]:
     rule, name, lm = _resolve_rule(cfg)
     inst = _instance(cfg.f, cfg.a, cfg.b, cfg.tol)
-    cert = inst.certificate(cfg.q, cfg.cert_samples, cfg.cert_tol, cfg.seed)
+    cert = inst.certificate(cfg.q, cfg.cert_samples, cfg.seed)
     lhs = inst.deficit(rule)
     rhs, p = bounds.bound(rule, inst.d, inst.interval, cfg.q, cfg.p)
     slack = rhs - abs(lhs)
@@ -137,12 +137,13 @@ def cmd_bound(cfg: argparse.Namespace) -> tuple[dict, int]:
 
 def cmd_verify(cfg: argparse.Namespace) -> tuple[dict, int]:
     summary = campaign.run_verify(cfg.trials, seed=cfg.seed, family=cfg.family,
-                                  tol=cfg.tol, cert_samples=cfg.cert_samples,
-                                  cert_tol=cfg.cert_tol)
+                                  tol=cfg.tol, cert_samples=cfg.cert_samples)
     return summary, 0 if not summary["violations"] else 1
 
 
 _SWEEP_AXES = ("lambda", "mu", "p", "q", "s")
+# a mistyped --step (1e-12 over [0, 0.5]) would build a grid until memory runs out
+_MAX_SWEEP_POINTS = 100_000
 
 
 def _sweep_grid(cfg: argparse.Namespace) -> list[float]:
@@ -150,15 +151,14 @@ def _sweep_grid(cfg: argparse.Namespace) -> list[float]:
         raise ValueError(f"--from and --to must be finite, got {cfg.start} and {cfg.stop}")
     if not cfg.step > 0:
         raise ValueError(f"--step must be positive, got {cfg.step}")
-    grid = []
-    v = cfg.start
-    k = 0
-    while v <= cfg.stop + 1e-12 * max(1.0, abs(cfg.stop)):
+    limit = cfg.stop + 1e-12 * max(1.0, abs(cfg.stop))
+    steps = (limit - cfg.start) / cfg.step  # the grid has floor(steps) + 1 points
+    if not 0 <= steps < _MAX_SWEEP_POINTS:
+        raise ValueError(f"sweep grid must have 1 to {_MAX_SWEEP_POINTS} points: "
+                         f"from={cfg.start}, to={cfg.stop}, step={cfg.step}")
+    grid = [cfg.start]
+    while (v := cfg.start + len(grid) * cfg.step) <= limit:
         grid.append(v)
-        k += 1
-        v = cfg.start + k * cfg.step
-    if not grid:
-        raise ValueError(f"empty sweep grid: from={cfg.start}, to={cfg.stop}, step={cfg.step}")
     return grid
 
 
@@ -276,7 +276,6 @@ _OPTIONS = {
               "help": "integration tolerance"},
     "--cert-samples": {"dest": "cert_samples", "type": int,
                        "default": convexity.DEFAULT_SAMPLES},
-    "--cert-tol": {"dest": "cert_tol", "type": float, "default": convexity.DEFAULT_TOL},
     "--theorem": {"required": True,
                   "choices": sorted(means.MEANS_THEOREMS)},
     "--s": {"type": float},
@@ -286,7 +285,7 @@ _OPTIONS = {
 }
 _INSTANCE = ("--f", "--a", "--b", "--rule", "--lambda", "--mu", "--m", "--ell",
              "--q", "--p", "--tol")
-_CERTIFICATE = ("--seed", "--cert-samples", "--cert-tol")
+_CERTIFICATE = ("--seed", "--cert-samples")
 # subcommand -> (handler, help, flags, --format choices with the default first)
 _SUBCOMMANDS = {
     "bound": (cmd_bound, "evaluate one bound instance", (*_INSTANCE, *_CERTIFICATE),

@@ -3,9 +3,10 @@
 Every error bound in this package assumes |f'|^q is convex on [a, b].  That
 hypothesis is checked numerically: g is evaluated on all pairs of a
 deterministic low-discrepancy grid plus a seeded batch of random pairs, and
-the worst residual g((x+y)/2) - (g(x)+g(y))/2 is recorded.  A passing
-certificate is evidence, not proof; a failing one carries a concrete
-violating pair, which is definitive.
+the worst residual g((x+y)/2) - (g(x)+g(y))/2 is recorded.  The certificate
+passes while that residual is within rounding, 1024 eps * max|g|, so the
+verdict does not depend on the scale of f.  A passing certificate is evidence,
+not proof; a failing one carries a concrete violating pair, which is definitive.
 
 Random pairs are kept at least 1e-3*(b-a) apart so that true curvature
 dominates floating-point noise in the residuals.
@@ -26,9 +27,13 @@ from .oracle import Interval
 __all__ = ["ConvexityCertificate", "certify_convex", "admissible_power"]
 
 DEFAULT_SAMPLES = 4096
-DEFAULT_TOL = 1e-10
 _GRID_POINTS = 64
 _MIN_PAIR_GAP = 1e-3
+# A residual passes while at most this many eps * max|g| over the certificate:
+# near a zero of f', g's rounding error scales with the terms of f', not with
+# |f'| (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).  Valid
+# verify-campaign certificates reach 6.6 eps, invalid ones 1.3e5 eps and more.
+_ROUNDING_FACTOR = 1024
 
 
 @dataclass(frozen=True)
@@ -88,7 +93,7 @@ def _point_set(a: float, b: float, samples: int, seed: int):
 
 
 def certify_convex(g: Callable, interval: Interval, samples: int = DEFAULT_SAMPLES,
-                   tol: float = DEFAULT_TOL, seed: int = 0) -> ConvexityCertificate:
+                   seed: int = 0) -> ConvexityCertificate:
     """Certify that ``g`` is (midpoint) convex on ``interval`` by sampling.
 
     ``g`` must be vectorized over numpy arrays and defined on [a, b] except
@@ -99,8 +104,6 @@ def certify_convex(g: Callable, interval: Interval, samples: int = DEFAULT_SAMPL
     """
     if samples < 64:
         raise ValueError(f"samples must be >= 64, got {samples}")
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     points, xi, yi = _point_set(float(interval.a), float(interval.b), samples, seed)
     g_all = _evaluate_nudged(g, points, float(interval.midpoint))
     residuals = g_all[-len(xi):] - (g_all[xi] + g_all[yi]) / 2
@@ -108,7 +111,7 @@ def certify_convex(g: Callable, interval: Interval, samples: int = DEFAULT_SAMPL
         raise ValueError("g produced non-finite values during certification")
     worst = int(np.argmax(residuals))
     max_violation = float(residuals[worst])
-    valid = max_violation <= tol
+    valid = max_violation <= _ROUNDING_FACTOR * math.ulp(1.0) * float(np.abs(g_all).max())
     return ConvexityCertificate(
         samples=len(xi),
         max_violation=max_violation,
