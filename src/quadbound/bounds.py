@@ -6,8 +6,10 @@ Two master formulas are implemented and ``bound`` dispatches to them on (q, p):
   (lam, mu).  Written in plain rational arithmetic so Fraction inputs stay
   exact.
 * ``bound_pq`` -- the Hoelder (p, q) bound for q > 1, 0 < p <= q, assembled
-  per half-interval from the closed-form kernel moments
-  ``kernel_moments_closed``.
+  per half-interval from the closed-form kernel moments, whose per-half
+  forms ``kernel_moments_closed`` shares.  It is one point of the curve
+  p -> bound that ``_pq_curve`` builds once per (rule, q, d, interval);
+  ``optimize_p`` searches that curve.
 
 The specializations (p = 1, p = q, the (m, ell) family, the seven named
 rules) are not reimplemented: each is ``bound`` at some (rule, q, p), and
@@ -98,6 +100,49 @@ class KernelMoments(NamedTuple):
     weight_b: float
 
 
+# The closed forms below are written once and shared by
+# ``kernel_moments_closed`` and ``_pq_curve``.  Each keeps the expressions,
+# and their order, of the per-side formulas, so every result is the same
+# float whichever caller computes it.
+
+def _p_terms(p, q, two_q, q_minus_1):
+    """The terms of both halves that depend on p: p + 1, p + 2, p + 3, the
+    Hoelder exponent (2q - p - 1)/(q - 1), the factor's prefactor
+    (q - 1)/(2q - p - 1) and the weights' divisor (p + 1)(p + 2)."""
+    expo_num = two_q - p - 1
+    expo = expo_num / q_minus_1
+    if not math.isfinite(expo):
+        raise OverflowError(f"Hoelder exponent overflow for q={q}, p={p}")
+    p1, p2 = p + 1, p + 2
+    return p1, p2, p + 3, expo, q_minus_1 / expo_num, p1 * p2
+
+
+def _left_half(lam, near, terms):
+    """(hoelder_factor, weight_a, weight_b) of the left half; near = 1/2 - lam."""
+    p1, p2, p3, expo, factor, denom = terms
+    near_p1 = near ** p1
+    return (factor * (near ** expo + lam ** expo),
+            (0.5 * (p1 + 2 * lam) * near_p1 + lam ** p2) / denom,
+            (0.5 * (p3 - 2 * lam) * near_p1 + (p2 - lam) * lam ** p1) / denom)
+
+
+def _right_half(mu, near, far, terms):
+    """(hoelder_factor, weight_a, weight_b) of the right half; near = mu - 1/2,
+    far = 1 - mu."""
+    p1, p2, p3, expo, factor, denom = terms
+    near_p1 = near ** p1
+    return (factor * (near ** expo + far ** expo),
+            (0.5 * (p1 + 2 * mu) * near_p1 + (p1 + mu) * far ** p1) / denom,
+            (0.5 * (p3 - 2 * mu) * near_p1 + far ** p2) / denom)
+
+
+def _factor_underflow(q, p) -> OverflowError:
+    # The factor is strictly positive mathematically; an exact zero means
+    # base**expo underflowed (q extremely close to 1), and powering it by
+    # 1 - 1/q downstream would silently collapse the bound.
+    return OverflowError(f"Hoelder factor underflow for q={q}, p={p} (q too close to 1)")
+
+
 def kernel_moments_closed(shift: float, side: str, hp: HolderParams) -> KernelMoments:
     """Closed forms of the three half-interval kernel moments.
 
@@ -107,36 +152,61 @@ def kernel_moments_closed(shift: float, side: str, hp: HolderParams) -> KernelMo
     weights, already divided by (p+1)(p+2).
     """
     p, q = hp.p, hp.q
-    expo = (2 * q - p - 1) / (q - 1)
-    if not math.isfinite(expo):
-        raise OverflowError(f"Hoelder exponent overflow for q={q}, p={p}")
-    denom = (p + 1) * (p + 2)
+    terms = _p_terms(p, q, 2 * q, q - 1)
     if side == "left":
-        lam = shift
-        if not 0 <= lam <= 0.5:
-            raise ValueError(f"left shift must lie in [0, 1/2], got {lam}")
-        h = (q - 1) / (2 * q - p - 1) * ((0.5 - lam) ** expo + lam**expo)
-        wa = (0.5 * (p + 1 + 2 * lam) * (0.5 - lam) ** (p + 1) + lam ** (p + 2)) / denom
-        wb = (0.5 * (p + 3 - 2 * lam) * (0.5 - lam) ** (p + 1)
-              + (p + 2 - lam) * lam ** (p + 1)) / denom
+        if not 0 <= shift <= 0.5:
+            raise ValueError(f"left shift must lie in [0, 1/2], got {shift}")
+        h, wa, wb = _left_half(shift, 0.5 - shift, terms)
     elif side == "right":
-        mu = shift
-        if not 0.5 <= mu <= 1:
-            raise ValueError(f"right shift must lie in [1/2, 1], got {mu}")
-        h = (q - 1) / (2 * q - p - 1) * ((mu - 0.5) ** expo + (1 - mu) ** expo)
-        wa = (0.5 * (p + 1 + 2 * mu) * (mu - 0.5) ** (p + 1)
-              + (p + 1 + mu) * (1 - mu) ** (p + 1)) / denom
-        wb = (0.5 * (p + 3 - 2 * mu) * (mu - 0.5) ** (p + 1) + (1 - mu) ** (p + 2)) / denom
+        if not 0.5 <= shift <= 1:
+            raise ValueError(f"right shift must lie in [1/2, 1], got {shift}")
+        h, wa, wb = _right_half(shift, shift - 0.5, 1 - shift, terms)
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if h == 0:
-        # The factor is strictly positive mathematically; an exact zero means
-        # base**expo underflowed (q extremely close to 1), and powering it by
-        # 1 - 1/q downstream would silently collapse the bound.
-        raise OverflowError(
-            f"Hoelder factor underflow for q={q}, p={p} (q too close to 1)"
-        )
+        raise _factor_underflow(q, p)
     return KernelMoments(h, wa, wb)
+
+
+def _pq_curve(rule: RuleParams, q: float, d: DerivEndpoints, interval: Interval):
+    """p -> the Hoelder bound at (p, q), for 0 < p <= q.
+
+    Everything that does not depend on p (the checks of the rule and q, the
+    half-interval distances, |f'(a)|**q, |f'(b)|**q, 1/q and b - a) is
+    computed here once; each p computes only its own terms, and raises what
+    ``bound_pq`` at that p raises.
+    """
+    _require_bound_admissible(rule)
+    if not q > 1:
+        raise ValueError(f"q must be > 1, got {q}")
+    lam, mu = rule.lam, rule.mu
+    near_left, near_right, far_right = 0.5 - lam, mu - 0.5, 1 - mu
+    two_q, q_minus_1 = 2 * q, q - 1
+    overflow = None
+    try:
+        daq, dbq = d.da ** q, d.db ** q
+    except OverflowError as exc:
+        # raised at each p after that p's own checks, where bound_pq raised it
+        overflow, daq, dbq = exc.args, None, None
+    factor_exp, weight_exp = 1 - 1 / q, 1 / q
+    width = interval.b - interval.a
+
+    def rhs(p):
+        if not 0 < p <= q:
+            raise ValueError(f"p must satisfy 0 < p <= q, got p={p}, q={q}")
+        terms = _p_terms(p, q, two_q, q_minus_1)
+        hl, wal, wbl = _left_half(lam, near_left, terms)
+        if hl == 0:
+            raise _factor_underflow(q, p)
+        hr, war, wbr = _right_half(mu, near_right, far_right, terms)
+        if hr == 0:
+            raise _factor_underflow(q, p)
+        if overflow is not None:
+            raise OverflowError(*overflow)
+        return width * (hl ** factor_exp * (wal * daq + wbl * dbq) ** weight_exp
+                        + hr ** factor_exp * (war * daq + wbr * dbq) ** weight_exp)
+
+    return rhs
 
 
 def bound_pq(rule: RuleParams, hp: HolderParams, d: DerivEndpoints,
@@ -145,17 +215,7 @@ def bound_pq(rule: RuleParams, hp: HolderParams, d: DerivEndpoints,
 
     (b-a) * sum_side hoelder_factor**(1-1/q) * (wa |f'(a)|^q + wb |f'(b)|^q)**(1/q).
     """
-    _require_bound_admissible(rule)
-    q = hp.q
-    left = kernel_moments_closed(rule.lam, "left", hp)
-    right = kernel_moments_closed(rule.mu, "right", hp)
-    daq = d.da**q
-    dbq = d.db**q
-    total = 0.0
-    for mom in (left, right):
-        total += (mom.hoelder_factor ** (1 - 1 / q)
-                  * (mom.weight_a * daq + mom.weight_b * dbq) ** (1 / q))
-    return (interval.b - interval.a) * total
+    return _pq_curve(rule, hp.q, d, interval)(hp.p)
 
 
 def bound(rule: RuleParams, d: DerivEndpoints, interval: Interval,
@@ -246,17 +306,27 @@ def optimize_p(rule: RuleParams, q: float, d: DerivEndpoints,
     """Minimize ``bound_pq`` over p in (0, q].
 
     Brackets the minimum on a log-spaced grid (p = 1 and p = q are always
-    included), then refines by golden-section search.
+    included), then refines by golden-section search, all on one curve.  A p
+    whose bound underflows or overflows scores +inf; if every grid point
+    does, the first grid point's error is raised.
     """
     if not q > 1:
         raise ValueError(f"optimize_p requires q > 1, got {q}")
+    curve = _pq_curve(rule, q, d, interval)
+    errors = []
 
     def f(p):
-        return bound_pq(rule, HolderParams(p, q), d, interval)
+        try:
+            return curve(p)
+        except OverflowError as exc:
+            errors.append(exc)
+            return math.inf
 
     n = _P_GRID_POINTS
     grid = sorted({q * 10 ** (-6 * (1 - i / (n - 1))) for i in range(n)} | {1.0, q})
     values = [f(p) for p in grid]
+    if len(errors) == len(grid):
+        raise errors[0]
     i = min(range(len(grid)), key=values.__getitem__)
     lo = grid[i - 1] if i > 0 else grid[i]
     hi = grid[i + 1] if i + 1 < len(grid) else grid[i]

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,8 +6,12 @@ import pytest
 
 import display_fixtures as fx
 from quadbound.bounds import (
+    _P_GRID_POINTS,
     DerivEndpoints,
     HolderParams,
+    KernelMoments,
+    _golden_min,
+    _require_bound_admissible,
     bound,
     bound_pq,
     bound_q1,
@@ -300,3 +305,182 @@ def test_simpson_weighted_crosscheck():
         got, _ = bound(rule_from_lm(named_rule("simpson")), D, IV, q, 1.0)
         want = fx.simpson_weighted_q(q, D.da, D.db, W)
         assert fx.relerr(got, want) <= 1e-12
+
+
+def test_optimize_p_scores_an_underflowing_p_as_inf():
+    # at q = 1.001 the Hoelder factor underflows for the smallest grid p's;
+    # those points lose, and p = 1 and p = q stay in play
+    rule, d, iv = RuleParams(1 / 6, 5 / 6), DerivEndpoints(2.0, 4.0), Interval(1.0, 2.0)
+    q = 1.001
+    with pytest.raises(OverflowError, match="underflow"):
+        bound_pq(rule, HolderParams(q * 1e-6, q), d, iv)
+    p_star, v_star = optimize_p(rule, q, d, iv)
+    assert abs(p_star - 1) <= 1e-6
+    assert v_star <= bound_pq(rule, HolderParams(1.0, q), d, iv)
+    assert v_star <= bound_pq(rule, HolderParams(q, q), d, iv)
+
+
+# -- reference: the Hoelder bound before it was one curve per instance --------
+# Verbatim copies of kernel_moments_closed, bound_pq and optimize_p as they
+# were when bound_pq rebuilt its moments for every p.  The curve must
+# reproduce them bit for bit.  _require_bound_admissible, _golden_min and
+# _P_GRID_POINTS did not change, so the copies use the module's.
+
+def _reference_kernel_moments_closed(shift: float, side: str, hp: HolderParams) -> KernelMoments:
+    p, q = hp.p, hp.q
+    expo = (2 * q - p - 1) / (q - 1)
+    if not math.isfinite(expo):
+        raise OverflowError(f"Hoelder exponent overflow for q={q}, p={p}")
+    denom = (p + 1) * (p + 2)
+    if side == "left":
+        lam = shift
+        if not 0 <= lam <= 0.5:
+            raise ValueError(f"left shift must lie in [0, 1/2], got {lam}")
+        h = (q - 1) / (2 * q - p - 1) * ((0.5 - lam) ** expo + lam**expo)
+        wa = (0.5 * (p + 1 + 2 * lam) * (0.5 - lam) ** (p + 1) + lam ** (p + 2)) / denom
+        wb = (0.5 * (p + 3 - 2 * lam) * (0.5 - lam) ** (p + 1)
+              + (p + 2 - lam) * lam ** (p + 1)) / denom
+    elif side == "right":
+        mu = shift
+        if not 0.5 <= mu <= 1:
+            raise ValueError(f"right shift must lie in [1/2, 1], got {mu}")
+        h = (q - 1) / (2 * q - p - 1) * ((mu - 0.5) ** expo + (1 - mu) ** expo)
+        wa = (0.5 * (p + 1 + 2 * mu) * (mu - 0.5) ** (p + 1)
+              + (p + 1 + mu) * (1 - mu) ** (p + 1)) / denom
+        wb = (0.5 * (p + 3 - 2 * mu) * (mu - 0.5) ** (p + 1) + (1 - mu) ** (p + 2)) / denom
+    else:
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if h == 0:
+        # The factor is strictly positive mathematically; an exact zero means
+        # base**expo underflowed (q extremely close to 1), and powering it by
+        # 1 - 1/q downstream would silently collapse the bound.
+        raise OverflowError(
+            f"Hoelder factor underflow for q={q}, p={p} (q too close to 1)"
+        )
+    return KernelMoments(h, wa, wb)
+
+
+def _reference_bound_pq(rule: RuleParams, hp: HolderParams, d: DerivEndpoints,
+                        interval: Interval) -> float:
+    _require_bound_admissible(rule)
+    q = hp.q
+    left = _reference_kernel_moments_closed(rule.lam, "left", hp)
+    right = _reference_kernel_moments_closed(rule.mu, "right", hp)
+    daq = d.da**q
+    dbq = d.db**q
+    total = 0.0
+    for mom in (left, right):
+        total += (mom.hoelder_factor ** (1 - 1 / q)
+                  * (mom.weight_a * daq + mom.weight_b * dbq) ** (1 / q))
+    return (interval.b - interval.a) * total
+
+
+def _reference_optimize_p(rule: RuleParams, q: float, d: DerivEndpoints,
+                          interval: Interval) -> tuple[float, float]:
+    if not q > 1:
+        raise ValueError(f"optimize_p requires q > 1, got {q}")
+
+    def f(p):
+        return _reference_bound_pq(rule, HolderParams(p, q), d, interval)
+
+    n = _P_GRID_POINTS
+    grid = sorted({q * 10 ** (-6 * (1 - i / (n - 1))) for i in range(n)} | {1.0, q})
+    values = [f(p) for p in grid]
+    i = min(range(len(grid)), key=values.__getitem__)
+    lo = grid[i - 1] if i > 0 else grid[i]
+    hi = grid[i + 1] if i + 1 < len(grid) else grid[i]
+    p_star, v_star = _golden_min(f, lo, hi, tol=1e-9 * q)
+    if values[i] < v_star:
+        p_star, v_star = grid[i], values[i]
+    return p_star, v_star
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _raised(fn, *args):
+    """The type and message of what fn raises."""
+    with pytest.raises((ValueError, OverflowError)) as info:
+        fn(*args)
+    return info.type, str(info.value)
+
+
+def _reference_draws(n, seed):
+    """n seeded (rule, hp, d, interval) as Python floats.  Each of lam, mu,
+    p and (|f'(a)|, |f'(b)|) independently takes an edge value a quarter of
+    the time: lam in {0, 1/2}, mu in {1/2, 1}, p in {1, q}, a zero
+    derivative at a or at b."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        q = float(rng.uniform(1.05, 4.0))
+        p = q * float(rng.uniform(1e-6, 1.0))
+        lam, mu = float(rng.uniform(0, 0.5)), float(rng.uniform(0.5, 1.0))
+        da, db = float(rng.uniform(0, 3)), float(rng.uniform(0, 3))
+        a = float(rng.uniform(-2, 1))
+        b = a + float(rng.uniform(0.3, 2))
+        edge = rng.random(4) < 0.25
+        if edge[0]:
+            lam = float(rng.choice([0.0, 0.5]))
+        if edge[1]:
+            mu = float(rng.choice([0.5, 1.0]))
+        if edge[2]:
+            p = float(rng.choice([1.0, q]))
+        if edge[3]:
+            da, db = (0.0, db) if rng.random() < 0.5 else (da, 0.0)
+        yield RuleParams(lam, mu), HolderParams(p, q), DerivEndpoints(da, db), Interval(a, b)
+
+
+def test_bound_pq_curve_equals_reference():
+    edges = dict.fromkeys(("lam", "mu", "p", "d"), 0)
+    for rule, hp, d, iv in _reference_draws(2000, seed=41):
+        for side, shift in (("left", rule.lam), ("right", rule.mu)):
+            assert (kernel_moments_closed(shift, side, hp)
+                    == _reference_kernel_moments_closed(shift, side, hp)), (side, shift, hp)
+        assert bound_pq(rule, hp, d, iv) == _reference_bound_pq(rule, hp, d, iv), (rule, hp, d, iv)
+        assert (optimize_p(rule, hp.q, d, iv)
+                == _reference_optimize_p(rule, hp.q, d, iv)), (rule, hp.q, d, iv)
+        edges["lam"] += rule.lam in (0.0, 0.5)
+        edges["mu"] += rule.mu in (0.5, 1.0)
+        edges["p"] += hp.p in (1.0, hp.q)
+        edges["d"] += 0.0 in (d.da, d.db)
+    assert min(edges.values()) >= 400, edges
+
+
+_Q_NEAR_1 = float(np.nextafter(1.0, 2.0))
+
+
+@pytest.mark.parametrize("rule, hp, d", [
+    # the factor underflows; with |f'(a)|^q overflowing too, the underflow
+    # is still what is raised
+    (RuleParams(0.2, 0.8), HolderParams(0.5, _Q_NEAR_1), D),
+    (RuleParams(0.2, 0.8), HolderParams(1.001e-6, 1.001), DerivEndpoints(1e308, 1.0)),
+    (RuleParams(0.5, 0.8), HolderParams(1e-6, 1.001), D),
+    # |f'|^q overflows
+    (RuleParams(0.2, 0.8), HolderParams(1.0, 2.0), DerivEndpoints(1.0, 1e300)),
+    # the exponent overflows, and |f'(a)|^q with it
+    (RuleParams(0.2, 0.8), HolderParams(1.0, 1e308), DerivEndpoints(2.0, 1.0)),
+    # an inadmissible rule
+    (RuleParams(0.7, 0.9), HolderParams(1.0, 2.0), D),
+])
+def test_bound_pq_errors_equal_reference(rule, hp, d):
+    assert _raised(bound_pq, rule, hp, d, IV) == _raised(_reference_bound_pq, rule, hp, d, IV)
+    for side, shift in (("left", rule.lam), ("right", rule.mu), ("middle", 0.5)):
+        assert (_outcome(kernel_moments_closed, shift, side, hp)
+                == _outcome(_reference_kernel_moments_closed, shift, side, hp))
+
+
+@pytest.mark.parametrize("rule, q, d", [
+    # every grid point raises: the first grid point's error is raised
+    (RuleParams(0.2, 0.8), 1.5, DerivEndpoints(1e300, 1.0)),
+    (RuleParams(0.2, 0.8), 1.001, DerivEndpoints(1e308, 1.0)),
+    (RuleParams(0.7, 0.9), 2.0, D),
+    (RuleParams(0.2, 0.8), 1.0, D),
+])
+def test_optimize_p_errors_equal_reference(rule, q, d):
+    assert (_raised(optimize_p, rule, q, d, IV)
+            == _raised(_reference_optimize_p, rule, q, d, IV))

@@ -175,6 +175,35 @@ def test_sweep_p_minimum_matches_optimizer():
     assert abs(opt["rhs_star"] - sweep_min) <= 1e-6 * sweep_min
 
 
+# q = 1.001: the Hoelder factor underflows at the smallest p's of the
+# optimizer's grid, which must not end the search
+_Q_NEAR_1 = ("--f", "x^2", "--a", "1", "--b", "2", "--rule", "simpson")
+
+
+def test_bound_near_q_1_optimizes_past_an_underflowing_p(capsys):
+    assert main(["bound", *_Q_NEAR_1, "--q", "1.001"]) == 0
+    optimized = json.loads(capsys.readouterr().out)
+    assert main(["bound", *_Q_NEAR_1, "--q", "1.001", "--p", "1"]) == 0
+    at_p1 = json.loads(capsys.readouterr().out)
+    assert abs(optimized["p"] - 1) <= 1e-6
+    assert optimized["rhs"] <= at_p1["rhs"]
+    assert optimized["formula_id"] == "cor3.4-simpson"
+
+
+def test_sweep_q_near_1_prints_every_row(capsys):
+    argv = ["sweep", *_Q_NEAR_1, "--axis", "q", "--from", "1", "--to", "1.01",
+            "--step", "0.001"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 11
+    # the bound grows with q from the q = 1 bound 5/12
+    rhs = [float(row[3]) for row in rows]
+    assert rhs == sorted(rhs)
+    assert abs(rhs[0] - 5 / 12) <= 1e-14
+
+
 def test_sweep_empty_grid_rejected():
     r = run_cli("sweep", "--f", "x^2", "--a", "1", "--b", "2", "--axis", "p",
                 "--from", "2", "--to", "1", "--step", "0.5",
