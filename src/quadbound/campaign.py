@@ -15,8 +15,8 @@ The documented generator family (reproducible from the seed alone):
 
 Rule weights are uniform over 0 <= lam <= 1/2 <= mu <= 1, q is uniform in
 (1.05, 3], and p = q * uniform(0.01, 1].  Each instance is checked against
-every bound path whose convexity certificate passes; a violation is
-|deficit| > bound + 1e-9.
+every bound path whose convexity certificate passes; a path is a violation
+unless its ``Claim`` holds, bound >= |deficit|, the verdict every command uses.
 """
 
 from __future__ import annotations
@@ -32,24 +32,42 @@ from .convexity import ConvexityCertificate, admissible_power, certify_convex
 # evaluate is unused here but stays a module attribute: perfbench/spans.py traces it.
 from .expr import ExprError, ExprNode, as_function, differentiate, evaluate, parse
 from .oracle import Interval, QuadratureResult
-from .rules import RuleParams, lhs_value
+from .rules import LMRule, RuleParams, lhs_value
 
-__all__ = ["Instance", "FunctionDraw", "draw_function", "run_verify"]
+__all__ = ["Claim", "Instance", "FunctionDraw", "draw_function", "run_verify"]
 
-SLACK_FLOOR = 1e-9
 Q_LOW = 1.05
 Q_HIGH = 3.0
 
 
+@dataclass(frozen=True)
+class Claim:
+    """A bound claim |deficit or means gap| <= rhs, with the p and formula of rhs."""
+
+    lhs: float
+    rhs: float
+    p: Optional[float]
+    formula_id: str
+
+    @property
+    def slack(self) -> float:
+        return self.rhs - abs(self.lhs)
+
+    @property
+    def holds(self) -> bool:
+        """The one verdict, rhs >= |lhs|; a NaN slack never holds."""
+        return self.slack >= 0
+
+
 class Instance:
     """One f on one [a, b], with f' compiled once: ``d`` (|f'| at the ends),
-    ``quad`` (f integrated on first use), ``deficit(rule)`` and
-    ``certificate(q, ...)``, the pieces of every bound claim about f."""
+    ``quad`` (f integrated on first use), ``deficit(rule)``,
+    ``certificate(q, ...)`` and ``claim(rule, q, p)``, every bound claim about f."""
 
     def __init__(self, ast: ExprNode, deriv: ExprNode, interval: Interval, tol: float):
         self.ast, self.interval, self.tol = ast, interval, tol
         self._fp = as_function(deriv)
-        self._last = None, None
+        self._last = self._deficit = None, None
         # f' needs only the endpoints and the certificate samples (an interior
         # abs kink is fine: |f'| convex covers V-shaped derivatives), so it is
         # checked where it is used rather than over the whole interval.
@@ -64,9 +82,18 @@ class Instance:
         return oracle.integrate(as_function(self.ast), self.interval, self.tol)
 
     def deficit(self, rule: RuleParams) -> float:
-        """Signed deficit of ``rule`` against the mean integral of f."""
-        mean = self.quad.value / self.interval.width
-        return float(lhs_value(rule, self.ast, self.interval, mean))
+        """Signed deficit of ``rule`` against the mean integral of f; the last one is kept."""
+        if rule != self._deficit[0]:
+            mean = self.quad.value / self.interval.width
+            self._deficit = rule, float(lhs_value(rule, self.ast, self.interval, mean))
+        return self._deficit[1]
+
+    def claim(self, rule: RuleParams, q: float, p: Optional[float],
+              name: Optional[str] = None, lm: Optional[LMRule] = None) -> Claim:
+        """The claim of ``rule`` at (q, p); ``name``/``lm`` name its formula id."""
+        lhs = self.deficit(rule)
+        rhs, p = bounds.bound(rule, self.d, self.interval, q, p)
+        return Claim(lhs, rhs, p, bounds.formula_id(q, p, name, lm))
 
     def _abs_fp(self, x):
         # The certificate's point arrays are cached and read-only, so the
@@ -170,8 +197,7 @@ def run_verify(trials: int, seed: int = 0, family: str = "mixed",
     skipped_q1 = 0
     skipped_q = 0
     family_counts: dict[str, int] = {}
-    min_slack: Optional[float] = None
-    min_slack_path = ""
+    min_claim: Optional[Claim] = None
     violations: list[dict] = []
 
     for trial in range(trials):
@@ -186,7 +212,7 @@ def run_verify(trials: int, seed: int = 0, family: str = "mixed",
         family_counts[draw.family] = family_counts.get(draw.family, 0) + 1
         rule = RuleParams(lam, mu)
         inst = Instance(draw.ast, draw.deriv, draw.interval, tol)
-        lhs_abs = abs(inst.deficit(rule))
+        inst.deficit(rule)  # before the certificates, as the claims reuse it
 
         # Both certificates share one seed, so one point set, on which |f'|
         # is evaluated once: the q certificate raises the same values to q.
@@ -205,17 +231,14 @@ def run_verify(trials: int, seed: int = 0, family: str = "mixed",
             skipped_q += 1
 
         for path_q, path_p in exponents:
-            rhs, _ = bounds.bound(rule, inst.d, draw.interval, path_q, path_p)
-            path = bounds.formula_id(path_q, path_p)
+            claim = inst.claim(rule, path_q, path_p)
             paths_checked += 1
-            slack = float(rhs - lhs_abs)
-            if min_slack is None or slack < min_slack:
-                min_slack = slack
-                min_slack_path = path
-            if lhs_abs > rhs + SLACK_FLOOR:
+            if min_claim is None or claim.slack < min_claim.slack:
+                min_claim = claim
+            if not claim.holds:
                 violations.append({
                     "trial": trial,
-                    "path": path,
+                    "path": claim.formula_id,
                     "family": draw.family,
                     "source": draw.source,
                     "a": float(draw.interval.a),
@@ -224,13 +247,12 @@ def run_verify(trials: int, seed: int = 0, family: str = "mixed",
                     "mu": mu,
                     "q": q,
                     "p": p,
-                    "lhs_abs": float(lhs_abs),
-                    "rhs": float(rhs),
-                    "slack": slack,
+                    "lhs_abs": abs(claim.lhs),
+                    "rhs": float(claim.rhs),
+                    "slack": float(claim.slack),
                 })
 
     return {
-        "schema": 1,
         "config": {
             "trials": trials,
             "seed": seed,
@@ -245,7 +267,7 @@ def run_verify(trials: int, seed: int = 0, family: str = "mixed",
         "paths_checked": paths_checked,
         "skipped_q1_certificate": skipped_q1,
         "skipped_q_certificate": skipped_q,
-        "min_slack": min_slack,
-        "min_slack_path": min_slack_path,
+        "min_slack": None if min_claim is None else float(min_claim.slack),
+        "min_slack_path": "" if min_claim is None else min_claim.formula_id,
         "violations": violations,
     }

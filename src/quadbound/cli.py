@@ -8,9 +8,9 @@ Subcommands::
     means     check a special-means inequality
     optimize  minimize the bound over p or over the rule weights
 
-Exit codes: 0 success (slack >= 0, certificate valid / no violations),
-2 certificate invalid (bound not asserted) or a usage error from argparse
-(unknown option, missing required option, bad choice), 1 anything else.
+Exit codes: 0 success (claim holds, rhs >= |lhs|; certificate valid / no
+violations), 2 certificate invalid (bound not asserted) or a usage error from
+argparse (unknown option, missing required option, bad choice), 1 otherwise.
 Output is byte-identical for identical configuration and seed; the
 ``timings`` block therefore reports deterministic work counters, not
 wall-clock times.
@@ -110,16 +110,14 @@ def cmd_bound(cfg: argparse.Namespace) -> tuple[dict, int]:
     rule, name, lm = _resolve_rule(cfg)
     inst = _instance(cfg.f, cfg.a, cfg.b, cfg.tol)
     cert = inst.certificate(cfg.q, cfg.cert_samples, cfg.seed)
-    lhs = inst.deficit(rule)
-    rhs, p = bounds.bound(rule, inst.d, inst.interval, cfg.q, cfg.p)
-    slack = rhs - abs(lhs)
+    claim = inst.claim(rule, cfg.q, cfg.p, name, lm)
     fields = {
-        "lhs": lhs,
-        "lhs_abs": abs(lhs),
-        "rhs": rhs,
-        "slack": slack,
-        "formula_id": bounds.formula_id(cfg.q, p, name, lm),
-        "p": p,
+        "lhs": claim.lhs,
+        "lhs_abs": abs(claim.lhs),
+        "rhs": claim.rhs,
+        "slack": claim.slack,
+        "formula_id": claim.formula_id,
+        "p": claim.p,
         "certificate": {
             "valid": cert.valid,
             "samples": cert.samples,
@@ -132,7 +130,7 @@ def cmd_bound(cfg: argparse.Namespace) -> tuple[dict, int]:
     }
     if not cert.valid:
         return fields, 2
-    return fields, 0 if slack >= 0 else 1
+    return fields, 0 if claim.holds else 1
 
 
 def cmd_verify(cfg: argparse.Namespace) -> tuple[dict, int]:
@@ -202,11 +200,10 @@ def cmd_sweep(cfg: argparse.Namespace) -> tuple[dict, int]:
             p = v
         elif cfg.axis == "q":
             q = v
-        lhs_abs = abs(inst.deficit(point_rule))
-        rhs, p_used = bounds.bound(point_rule, inst.d, inst.interval, q, p)
-        rows.append({"axis": cfg.axis, "value": v, "lhs_abs": lhs_abs, "rhs": float(rhs),
-                     "slack": float(rhs) - lhs_abs,
-                     "formula_id": bounds.formula_id(q, p_used, name, lm)})
+        claim = inst.claim(point_rule, q, p, name, lm)
+        rows.append({"axis": cfg.axis, "value": v, "lhs_abs": abs(claim.lhs),
+                     "rhs": float(claim.rhs), "slack": float(claim.slack),
+                     "formula_id": claim.formula_id})
     return {"rows": rows}, 0
 
 
@@ -218,15 +215,15 @@ def cmd_means(cfg: argparse.Namespace) -> tuple[dict, int]:
     gap = means.means_gap(cfg.theorem, cfg.m, cfg.ell, cfg.a, cfg.b, s=cfg.s)
     rhs = means.means_bound(cfg.theorem, cfg.m, cfg.ell, cfg.a, cfg.b,
                             s=cfg.s, p=cfg.p, q=cfg.q)
-    slack = rhs - abs(gap)
+    claim = campaign.Claim(gap, rhs, cfg.p, f"thm{cfg.theorem}")
     fields = {
         "gap": float(gap),
         "gap_abs": abs(float(gap)),
         "rhs": float(rhs),
-        "slack": float(slack),
-        "formula_id": f"thm{cfg.theorem}",
+        "slack": float(claim.slack),
+        "formula_id": claim.formula_id,
     }
-    return fields, 0 if slack >= 0 else 1
+    return fields, 0 if claim.holds else 1
 
 
 def cmd_optimize(cfg: argparse.Namespace) -> tuple[dict, int]:

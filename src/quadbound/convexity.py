@@ -27,6 +27,9 @@ from .oracle import Interval
 __all__ = ["ConvexityCertificate", "certify_convex", "admissible_power"]
 
 DEFAULT_SAMPLES = 4096
+# _point_set holds about 3 * samples float64 points plus two index arrays, so
+# a mistyped --cert-samples 10**9 would ask for hundreds of GB
+_MAX_SAMPLES = 1_000_000
 _GRID_POINTS = 64
 _MIN_PAIR_GAP = 1e-3
 # A residual passes while at most this many eps * max|g| over the certificate:
@@ -102,8 +105,8 @@ def certify_convex(g: Callable, interval: Interval, samples: int = DEFAULT_SAMPL
     is called once, on every point of the certificate, unless a point hits
     a kink.
     """
-    if samples < 64:
-        raise ValueError(f"samples must be >= 64, got {samples}")
+    if not 64 <= samples <= _MAX_SAMPLES:
+        raise ValueError(f"samples must be in [64, {_MAX_SAMPLES}], got {samples}")
     points, xi, yi = _point_set(float(interval.a), float(interval.b), samples, seed)
     g_all = _evaluate_nudged(g, points, float(interval.midpoint))
     residuals = g_all[-len(xi):] - (g_all[xi] + g_all[yi]) / 2

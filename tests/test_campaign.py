@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from quadbound.campaign import FAMILIES, draw_function, run_verify
+from quadbound.campaign import FAMILIES, Claim, draw_function, run_verify
 
 
 def test_families_listed():
@@ -51,6 +53,53 @@ def test_concave_family_is_gated_never_asserted():
     assert summary["skipped_q_certificate"] == 25
     assert summary["violations"] == []
     assert summary["min_slack"] is None
+
+
+@pytest.mark.parametrize("lhs, rhs, holds", [
+    (0.825, 0.825, True),                          # the equality case holds
+    (0.825, math.nextafter(0.825, 0), False),      # one ulp short does not
+    (-0.825, 0.825, True),                         # lhs is judged by |lhs|
+    (-0.825, math.nextafter(0.825, 0), False),
+    (0.825, math.nan, False),                      # a NaN rhs never holds
+    (math.inf, math.inf, False),                   # nor does a NaN slack
+])
+def test_claim_holds_iff_rhs_covers_abs_lhs(lhs, rhs, holds):
+    assert Claim(lhs, rhs, None, "thm3.1").holds == holds
+
+
+@pytest.mark.parametrize("low_rhs", [lambda lhs_abs: lhs_abs - 1e-12,
+                                     lambda lhs_abs: math.nan], ids=["1e-12 below", "nan"])
+def test_run_verify_reports_a_bound_just_below_the_deficit(low_rhs, monkeypatch):
+    # The second bound path drawn gets an rhs 1e-12 below |deficit|, or NaN:
+    # verify judges it by rhs >= |lhs| like bound does, and reports exactly
+    # that path.  An absolute slack floor of 1e-9 would pass both.
+    from quadbound import campaign
+
+    lhs_value, bound = campaign.lhs_value, campaign.bounds.bound
+    deficits, paths = [], []
+
+    def recorded_lhs_value(*args):
+        deficits.append(float(lhs_value(*args)))
+        return deficits[-1]
+
+    def low_bound(rule, d, interval, q, p=None):
+        rhs, p = bound(rule, d, interval, q, p)
+        paths.append((len(deficits) - 1, campaign.bounds.formula_id(q, p)))
+        if len(paths) == 2:
+            rhs = low_rhs(abs(deficits[-1]))
+        return rhs, p
+
+    monkeypatch.setattr(campaign, "lhs_value", recorded_lhs_value)
+    monkeypatch.setattr(campaign.bounds, "bound", low_bound)
+    summary = run_verify(trials=3, seed=0)
+    trial, path = paths[1]
+    (violation,) = summary["violations"]
+    assert (violation["trial"], violation["path"]) == (trial, path)
+    assert violation["lhs_abs"] == abs(deficits[trial])
+    if math.isnan(low_rhs(1.0)):
+        assert math.isnan(violation["rhs"]) and math.isnan(violation["slack"])
+    else:
+        assert -2e-12 < violation["slack"] < 0
 
 
 def test_run_verify_rejects_bad_trials():

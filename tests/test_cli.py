@@ -226,6 +226,17 @@ def test_sweep_grid_over_the_cap_exits_1_at_once(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("command", [
+    ["bound", "--f", "x^2", "--a", "1", "--b", "2", "--rule", "simpson"],
+    ["verify", "--trials", "1"],
+])
+def test_cert_samples_over_the_cap_exit_1(command, capsys):
+    assert main([*command, "--cert-samples", "1000001"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: samples must be in [64, 1000000], got 1000001")
+
+
 def test_means_worked_instance():
     r = run_cli("means", "--theorem", "4.2-p1", "--m", "2", "--ell", "1",
                 "--s", "2", "--a", "1", "--b", "2")

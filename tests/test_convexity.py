@@ -52,6 +52,24 @@ def test_certify_requires_enough_samples():
         certify_convex(lambda x: x, Interval(0, 1), samples=32)
 
 
+def test_certify_caps_samples_before_building_points(monkeypatch):
+    # 3 * samples float64 points plus index arrays: the cap is checked
+    # before any of them is built, and the cap itself gets through
+    from quadbound import convexity
+
+    class Built(Exception):
+        pass
+
+    def point_set(*args):
+        raise Built
+
+    monkeypatch.setattr(convexity, "_point_set", point_set)
+    with pytest.raises(ValueError, match="samples must be in"):
+        certify_convex(lambda x: x, Interval(0, 1), samples=1_000_001)
+    with pytest.raises(Built):
+        certify_convex(lambda x: x, Interval(0, 1), samples=1_000_000)
+
+
 def test_certify_deterministic_given_seed():
     g = lambda x: np.abs(x) ** 1.5
     c1 = certify_convex(g, Interval(-1, 2), seed=42)
