@@ -226,8 +226,8 @@ def bound(rule: RuleParams, d: DerivEndpoints, interval: Interval,
     and None returned); q > 1 is the Hoelder bound at p, or at the p that
     minimizes it when p is None.
     """
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
+    if not 1 <= q < math.inf:
+        raise ValueError(f"q must be finite and >= 1, got {q}")
     if q == 1:
         return bound_q1(rule, d, interval), None
     if p is None:

@@ -17,6 +17,9 @@ Rule weights are uniform over 0 <= lam <= 1/2 <= mu <= 1, q is uniform in
 (1.05, 3], and p = q * uniform(0.01, 1].  Each instance is checked against
 every bound path whose convexity certificate passes; a path is a violation
 unless its ``Claim`` holds, bound >= |deficit|, the verdict every command uses.
+
+f is integrated to ``QUAD_RTOL * (b - a) * (max - min of f at a, (a+b)/2, b)``,
+which scales with f as the deficit and its bound do and ignores a constant added to f.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import bounds, convexity, oracle
+from . import bounds, oracle
 from .convexity import ConvexityCertificate, admissible_power, certify_convex
 # evaluate is unused here but stays a module attribute: perfbench/spans.py traces it.
 from .expr import ExprError, ExprNode, as_function, differentiate, evaluate, parse
@@ -38,6 +41,7 @@ __all__ = ["Claim", "Instance", "FunctionDraw", "draw_function", "run_verify"]
 
 Q_LOW = 1.05
 Q_HIGH = 3.0
+QUAD_RTOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -62,10 +66,10 @@ class Claim:
 class Instance:
     """One f on one [a, b], with f' compiled once: ``d`` (|f'| at the ends),
     ``quad`` (f integrated on first use), ``deficit(rule)``,
-    ``certificate(q, ...)`` and ``claim(rule, q, p)``, every bound claim about f."""
+    ``certificate(q, seed)`` and ``claim(rule, q, p)``, every bound claim about f."""
 
-    def __init__(self, ast: ExprNode, deriv: ExprNode, interval: Interval, tol: float):
-        self.ast, self.interval, self.tol = ast, interval, tol
+    def __init__(self, ast: ExprNode, deriv: ExprNode, interval: Interval):
+        self.ast, self.interval = ast, interval
         self._fp = as_function(deriv)
         self._last = self._deficit = None, None
         # f' needs only the endpoints and the certificate samples (an interior
@@ -79,7 +83,9 @@ class Instance:
 
     @functools.cached_property
     def quad(self) -> QuadratureResult:
-        return oracle.integrate(as_function(self.ast), self.interval, self.tol)
+        f, iv = as_function(self.ast), self.interval
+        fx = f(np.array([iv.a, iv.midpoint, iv.b])).tolist()
+        return oracle.integrate(f, iv, QUAD_RTOL * iv.width * (max(fx) - min(fx)))
 
     def deficit(self, rule: RuleParams) -> float:
         """Signed deficit of ``rule`` against the mean integral of f; the last one is kept."""
@@ -102,11 +108,10 @@ class Instance:
             self._last = x, np.abs(self._fp(x))
         return self._last[1]
 
-    def certificate(self, q: float, samples: int, seed: int) -> ConvexityCertificate:
+    def certificate(self, q: float, seed: int) -> ConvexityCertificate:
         """Sampled certificate that |f'|^q is convex.  Certificates with the
-        same samples and seed share one point set and one evaluation of f'."""
-        return certify_convex(lambda x: self._abs_fp(x) ** q, self.interval,
-                              samples=samples, seed=seed)
+        same seed share one point set and one evaluation of f'."""
+        return certify_convex(lambda x: self._abs_fp(x) ** q, self.interval, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -184,9 +189,7 @@ def draw_function(rng: np.random.Generator, family: str, q: float) -> FunctionDr
     return FunctionDraw(family, source, ast, differentiate(ast), iv)
 
 
-def run_verify(trials: int, seed: int = 0, family: str = "mixed",
-               tol: float = oracle.DEFAULT_TOL,
-               cert_samples: int = convexity.DEFAULT_SAMPLES) -> dict:
+def run_verify(trials: int, seed: int = 0, family: str = "mixed") -> dict:
     """Run a seeded campaign of ``trials`` random instances and check every
     certified bound path.  Returns a JSON-ready summary (deterministic for a
     fixed configuration)."""
@@ -211,13 +214,13 @@ def run_verify(trials: int, seed: int = 0, family: str = "mixed",
 
         family_counts[draw.family] = family_counts.get(draw.family, 0) + 1
         rule = RuleParams(lam, mu)
-        inst = Instance(draw.ast, draw.deriv, draw.interval, tol)
+        inst = Instance(draw.ast, draw.deriv, draw.interval)
         inst.deficit(rule)  # before the certificates, as the claims reuse it
 
         # Both certificates share one seed, so one point set, on which |f'|
         # is evaluated once: the q certificate raises the same values to q.
-        cert1 = inst.certificate(1.0, cert_samples, cert_seed)
-        certq = inst.certificate(q, cert_samples, cert_seed)
+        cert1 = inst.certificate(1.0, cert_seed)
+        certq = inst.certificate(q, cert_seed)
 
         # (q, p) of each bound path: q = 1 needs |f'| convex, the rest |f'|^q.
         exponents: list[tuple[float, Optional[float]]] = []
@@ -257,8 +260,6 @@ def run_verify(trials: int, seed: int = 0, family: str = "mixed",
             "trials": trials,
             "seed": seed,
             "family": family,
-            "tol": tol,
-            "cert_samples": cert_samples,
             "q_low": Q_LOW,
             "q_high": Q_HIGH,
         },

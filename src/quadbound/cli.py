@@ -11,9 +11,10 @@ Subcommands::
 Exit codes: 0 success (claim holds, rhs >= |lhs|; certificate valid / no
 violations), 2 certificate invalid (bound not asserted) or a usage error from
 argparse (unknown option, missing required option, bad choice), 1 otherwise.
-Output is byte-identical for identical configuration and seed; the
-``timings`` block therefore reports deterministic work counters, not
-wall-clock times.
+No option sets a tolerance or a sample count: the quadrature tolerance and the
+certificate threshold follow from f.  Output is byte-identical for identical
+configuration and seed; the ``timings`` block therefore reports deterministic
+work counters, not wall-clock times.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import re
 import sys
 from typing import Optional
 
-from . import bounds, campaign, convexity, means, oracle
+from . import bounds, campaign, means
 # certify_convex, as_function, integrate and lhs_value are unused here but stay
 # module attributes: perfbench/spans.py traces them.
 from .convexity import certify_convex
@@ -75,7 +76,7 @@ def _resolve_rule(cfg: argparse.Namespace, optimized: bool = False,
     return rule_from_lm(lm), None, lm
 
 
-def _instance(source: Optional[str], a: float, b: float, tol: float) -> campaign.Instance:
+def _instance(source: Optional[str], a: float, b: float) -> campaign.Instance:
     """Parse f and check its domain on [a, b]: the instance of f on [a, b]."""
     if source is None:
         raise ValueError("--f is required")
@@ -85,7 +86,7 @@ def _instance(source: Optional[str], a: float, b: float, tol: float) -> campaign
     if not report.ok:
         msgs = "; ".join(f"{v.node_source}: {v.reason}" for v in report.violations)
         raise ValueError(f"domain error for f on [{a}, {b}]: {msgs}")
-    return campaign.Instance(ast, differentiate(ast), interval, tol)
+    return campaign.Instance(ast, differentiate(ast), interval)
 
 
 def _emit(cfg: argparse.Namespace, fields: dict) -> None:
@@ -108,9 +109,10 @@ def _emit(cfg: argparse.Namespace, fields: dict) -> None:
 # Each command returns its report fields and exit code; main writes the report.
 def cmd_bound(cfg: argparse.Namespace) -> tuple[dict, int]:
     rule, name, lm = _resolve_rule(cfg)
-    inst = _instance(cfg.f, cfg.a, cfg.b, cfg.tol)
-    cert = inst.certificate(cfg.q, cfg.cert_samples, cfg.seed)
+    inst = _instance(cfg.f, cfg.a, cfg.b)
+    # the claim checks (q, p) before the certificate raises f' to q
     claim = inst.claim(rule, cfg.q, cfg.p, name, lm)
+    cert = inst.certificate(cfg.q, cfg.seed)
     fields = {
         "lhs": claim.lhs,
         "lhs_abs": abs(claim.lhs),
@@ -134,8 +136,7 @@ def cmd_bound(cfg: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_verify(cfg: argparse.Namespace) -> tuple[dict, int]:
-    summary = campaign.run_verify(cfg.trials, seed=cfg.seed, family=cfg.family,
-                                  tol=cfg.tol, cert_samples=cfg.cert_samples)
+    summary = campaign.run_verify(cfg.trials, seed=cfg.seed, family=cfg.family)
     return summary, 0 if not summary["violations"] else 1
 
 
@@ -190,7 +191,7 @@ def cmd_sweep(cfg: argparse.Namespace) -> tuple[dict, int]:
             if cfg.axis == "s" and v == 0:
                 raise ValueError("s = 0 is not a power function; exclude it from the grid")
             source = f"x^{v!r}" if cfg.axis == "s" else cfg.f
-            inst = _instance(source, cfg.a, cfg.b, cfg.tol)
+            inst = _instance(source, cfg.a, cfg.b)
         point_rule, q, p = rule, cfg.q, cfg.p
         if cfg.axis == "lambda":
             point_rule = RuleParams(v, cfg.mu if cfg.mu is not None else 1 - v)
@@ -228,7 +229,7 @@ def cmd_means(cfg: argparse.Namespace) -> tuple[dict, int]:
 
 def cmd_optimize(cfg: argparse.Namespace) -> tuple[dict, int]:
     rule, name, lm = _resolve_rule(cfg, optimized=cfg.what == "rule")
-    inst = _instance(cfg.f, cfg.a, cfg.b, cfg.tol)
+    inst = _instance(cfg.f, cfg.a, cfg.b)
     fields = {"what": cfg.what}
     if cfg.what == "p":
         if cfg.p is not None:
@@ -269,10 +270,6 @@ _OPTIONS = {
     "--to": {"dest": "stop", "type": float, "required": True},
     "--step": {"type": float, "required": True},
     "--format": {"dest": "fmt"},
-    "--tol": {"type": float, "default": oracle.DEFAULT_TOL,
-              "help": "integration tolerance"},
-    "--cert-samples": {"dest": "cert_samples", "type": int,
-                       "default": convexity.DEFAULT_SAMPLES},
     "--theorem": {"required": True,
                   "choices": sorted(means.MEANS_THEOREMS)},
     "--s": {"type": float},
@@ -281,14 +278,13 @@ _OPTIONS = {
     "--family": {"choices": campaign.FAMILIES, "default": "mixed"},
 }
 _INSTANCE = ("--f", "--a", "--b", "--rule", "--lambda", "--mu", "--m", "--ell",
-             "--q", "--p", "--tol")
-_CERTIFICATE = ("--seed", "--cert-samples")
+             "--q", "--p")
 # subcommand -> (handler, help, flags, --format choices with the default first)
 _SUBCOMMANDS = {
-    "bound": (cmd_bound, "evaluate one bound instance", (*_INSTANCE, *_CERTIFICATE),
+    "bound": (cmd_bound, "evaluate one bound instance", (*_INSTANCE, "--seed"),
               ("json", "text")),
     "verify": (cmd_verify, "seeded randomized soundness campaign",
-               ("--trials", "--family", "--tol", *_CERTIFICATE), ("json", "text")),
+               ("--trials", "--family", "--seed"), ("json", "text")),
     "sweep": (cmd_sweep, "sweep one axis to CSV",
               (*_INSTANCE, "--axis", "--from", "--to", "--step"), ("csv", "json")),
     "means": (cmd_means, "check a special-means inequality",

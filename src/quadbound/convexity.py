@@ -28,7 +28,7 @@ __all__ = ["ConvexityCertificate", "certify_convex", "admissible_power"]
 
 DEFAULT_SAMPLES = 4096
 # _point_set holds about 3 * samples float64 points plus two index arrays, so
-# a mistyped --cert-samples 10**9 would ask for hundreds of GB
+# a library caller's samples=10**9 would ask for hundreds of GB
 _MAX_SAMPLES = 1_000_000
 _GRID_POINTS = 64
 _MIN_PAIR_GAP = 1e-3

@@ -157,12 +157,12 @@ def means_bound(theorem: str, m: float, ell: float, a: float, b: float,
         raise ValueError(f"need a <= b, got a={a}, b={b}")
     _check_lm(m, ell)
     s, mode = _theorem(theorem, s)
-    if s is not None and not admissible_power(s, max(q, 1.0)):
+    p = bounds.form_p(mode, q, p)
+    if s is not None and not admissible_power(s, q):
         raise ValueError(
             f"(s={s}, q={q}) inadmissible: |s x^(s-1)|^q is convex only for "
             "s > 1 with (s-1)q >= 1, or s < 1 with s != 0"
         )
-    p = bounds.form_p(mode, q, p)
     if a == b:
         return 0.0
 

@@ -4,8 +4,8 @@ Gauss-Kronrod 7-15 panels under global error control (QUADPACK QAG;
 Piessens et al., 1983): the Kronrod value is a panel's estimate and
 |K15 - G7| its embedded error estimate.  Starting from the whole interval,
 the panel with the largest error estimate is bisected until the summed error
-of all panels is at most the tolerance (or at the rounding floor of the
-value), so work goes where the error is -- an integrable endpoint
+of all panels is at most the tolerance (or at the rounding floor of the panel
+values), so work goes where the error is -- an integrable endpoint
 singularity such as ``t**-0.5`` or ``|shift - t|**0.001`` costs a few dozen
 bisections, not a descent to underflow.  Deterministic for fixed inputs;
 exhausting the node budget is an explicit failure, never a silent
@@ -116,7 +116,8 @@ def integrate(f: Callable, interval: Interval, tol: float = DEFAULT_TOL,
 
     Globally adaptive: the panel with the largest error estimate is bisected
     (both halves in one call of ``f``) until the summed error of all panels is
-    at most ``tol`` or at most ``4 * eps * |value|``.  ``value`` and
+    at most ``tol`` or at most ``4 * eps * sum(|panel value|)``, a floor that
+    cancelling values do not lower, so ``tol = 0`` terminates.  ``value`` and
     ``error_estimate`` are the sums of the panel values and errors, so on
     success ``error_estimate <= tol`` unless it is at that rounding floor.  A
     panel whose midpoint no longer splits it is kept as it is; if only such
@@ -126,8 +127,8 @@ def integrate(f: Callable, interval: Interval, tol: float = DEFAULT_TOL,
     after ``max_evals`` integrand evaluations rather than returning an
     unconverged value.
     """
-    if not 1e-13 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and >= 1e-13, got {tol}")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     lo, hi = float(interval.a), float(interval.b)
     evals = 15
     if evals > max_evals:
@@ -136,14 +137,15 @@ def integrate(f: Callable, interval: Interval, tol: float = DEFAULT_TOL,
     # Max-heap on error: entries are (-err, lo, hi, value).
     heap = [(-err, lo, hi, value)]
     kept: list[tuple[float, float, float, float]] = []
-    value_sum, err_sum = value, err
+    value_sum, err_sum, abs_sum = value, err, abs(value)
     while True:
         # The running sums drift; confirm a stop with exact sums.
-        if not heap or err_sum <= max(tol, 4 * _EPS * abs(value_sum)):
+        if not heap or err_sum <= max(tol, 4 * _EPS * abs_sum):
             panels = heap + kept
             value_sum = math.fsum(p[3] for p in panels)
             err_sum = -math.fsum(p[0] for p in panels)
-            if not heap or err_sum <= max(tol, 4 * _EPS * abs(value_sum)):
+            abs_sum = math.fsum(abs(p[3]) for p in panels)
+            if not heap or err_sum <= max(tol, 4 * _EPS * abs_sum):
                 return QuadratureResult(value_sum, err_sum, evals)
         neg_err, lo, hi, value = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
@@ -158,6 +160,7 @@ def integrate(f: Callable, interval: Interval, tol: float = DEFAULT_TOL,
         heapq.heappush(heap, (-e2, mid, hi, v2))
         value_sum += v1 + v2 - value
         err_sum += e1 + e2 + neg_err
+        abs_sum += abs(v1) + abs(v2) - abs(value)
 
 
 def _budget_message(max_evals: int, tol: float) -> str:

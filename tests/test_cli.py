@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from quadbound import cli
@@ -74,6 +75,60 @@ def test_bound_invalid_certificate_exit_2():
     assert r.returncode == 2
     payload = json.loads(r.stdout)
     assert payload["certificate"]["valid"] is False
+
+
+def test_scaled_down_f_is_not_a_false_violation(capsys):
+    # integrated to a fixed absolute tolerance, the deficit of 1e-9 |x - 0.49|
+    # came out 2.5079e-10 against a bound of 2.5e-10 and exited 1
+    code, out = _call(["bound", "--f", "1e-9*abs(x-0.49)", "--a", "0", "--b", "1",
+                       "--rule", "trapezoid"], capsys)
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["lhs_abs"] == pytest.approx(0.2499e-9, rel=1e-9)
+
+
+def test_odd_f_with_zero_spread_stops_at_the_rounding_floor(capsys):
+    # f is 0 at a, (a+b)/2 and b, so the tolerance is 0, and its panel values
+    # cancel; a floor of 4 eps |sum| would run out the 10^6 evaluation budget
+    code, out = _call(["bound", "--f", "(x^2-1)^2*x", "--a", "-1", "--b", "1",
+                       "--rule", "simpson"], capsys)
+    assert code == 2
+    assert json.loads(out)["timings"]["integrand_evaluations"] <= 45
+
+
+def _scale_cases(n=40):
+    """(f at scale s, args) of seeded s |x - c| and s x^0.5 bound instances."""
+    rng = np.random.default_rng(5)
+    for k in range(2 * n):
+        if k < n:
+            a = rng.uniform(0.0, 2.0)
+            b = a + rng.uniform(0.2, 2.0)
+            c = rng.uniform(a, b)
+            source, interval = (lambda s, c=c: f"{s!r}*abs(x-{c!r})"), (a, b)
+        else:
+            source, interval = (lambda s: f"{s!r}*x^0.5"), (1e-6, 1.0)
+        lam, mu = rng.uniform(0.0, 0.5), rng.uniform(0.5, 1.0)
+        q = 1.0 if rng.random() < 0.5 else rng.uniform(1.05, 3.0)
+        args = ["--a", repr(interval[0]), "--b", repr(interval[1]),
+                "--lambda", repr(lam), "--mu", repr(mu), "--q", repr(q)]
+        yield source, args
+
+
+def test_verdict_does_not_depend_on_the_scale_of_f(capsys):
+    def bound(source, args, s):
+        code, out = _call(["bound", "--f", source(s), *args], capsys)
+        return code, json.loads(out)
+
+    for source, args in _scale_cases():
+        code, ref = bound(source, args, 1.0)
+        # a power of two scales every value of the quadrature exactly
+        for s in (2.0**-30, 2.0**20):
+            scaled_code, scaled = bound(source, args, s)
+            assert scaled_code == code, (source(s), args)
+            assert scaled["lhs"] == s * ref["lhs"], (source(s), args)
+            assert (scaled["timings"]["integrand_evaluations"]
+                    == ref["timings"]["integrand_evaluations"]), (source(s), args)
+        assert bound(source, args, 1e-9)[0] == code, (source(1e-9), args)
 
 
 def test_bound_rule_spec_forms():
@@ -226,17 +281,6 @@ def test_sweep_grid_over_the_cap_exits_1_at_once(capsys):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("command", [
-    ["bound", "--f", "x^2", "--a", "1", "--b", "2", "--rule", "simpson"],
-    ["verify", "--trials", "1"],
-])
-def test_cert_samples_over_the_cap_exit_1(command, capsys):
-    assert main([*command, "--cert-samples", "1000001"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: samples must be in [64, 1000000], got 1000001")
-
-
 def test_means_worked_instance():
     r = run_cli("means", "--theorem", "4.2-p1", "--m", "2", "--ell", "1",
                 "--s", "2", "--a", "1", "--b", "2")
@@ -377,6 +421,14 @@ OPTIMIZE = ["optimize", *CUBE, "--what", "rule", "--q", "1"]
     ["means", "--theorem", "4.9", *MEANS],
     ["bound", "--f", "x^3", "--b", "2", "--rule", "simpson"],
     ["means", "--theorem", "4.2-p1", "--m", "6", "--ell", "1", "--a", "1", "--s", "2"],
+    # the quadrature tolerance follows from the spread of f, and a certificate
+    # takes a fixed number of samples, so neither is an option
+    *[[*command, "--tol", value]
+      for command in (["bound", *CUBE, "--rule", "simpson"], SWEEP, OPTIMIZE,
+                      ["verify", "--trials", "3"])
+      for value in ("1e-9", "nan")],
+    ["bound", *CUBE, "--rule", "simpson", "--cert-samples", "1000001"],
+    ["verify", "--trials", "1", "--cert-samples", "1000001"],
     # the form of the bound follows from (q, p), so it is not an option
     ["optimize", *CUBE, "--what", "rule", "--mode", "pq", "--q", "2"],
     ["means", "--theorem", "4.2-particular", *MEANS, "--s", "2"],
@@ -467,8 +519,10 @@ TO_INF = ("--a", "0", "--b", "inf")
      "--a", "1", "--b", "inf"],
     ["means", "--theorem", "4.3-p1", "--m", "6", "--ell", "1", "--a", "1",
      "--b", "inf"],
-    # a non-finite tolerance, rule parameters and exponents
-    ["bound", "--f", "x^2", "--a", "1", "--b", "2", "--rule", "simpson", "--tol", "nan"],
+    # non-finite rule parameters and exponents
+    ["bound", "--f", "x^2", "--a", "1", "--b", "2", "--rule", "simpson", "--q", "nan"],
+    ["bound", "--f", "x^2", "--a", "1", "--b", "2", "--rule", "simpson", "--q", "inf"],
+    ["means", "--theorem", "4.2-p1", *MEANS, "--s", "2", "--q", "nan"],
     ["bound", "--f", "x^2", "--a", "1", "--b", "2", "--m", "inf", "--ell", "1"],
     ["means", "--theorem", "4.2-p1", "--m", "inf", "--ell", "1", "--s", "2",
      "--a", "1", "--b", "2"],

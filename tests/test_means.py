@@ -221,6 +221,13 @@ def test_means_bound_admissibility_errors():
         means_bound("4.9", 2, 1, 1, 2)
 
 
+@pytest.mark.parametrize("q", [math.nan, 0.5])
+def test_means_bound_checks_q_before_admissibility(q):
+    # (s = 2, q) is checked for the form first, so a bad q is blamed on q
+    with pytest.raises(ValueError, match="the p1 form requires q >= 1"):
+        means_bound("4.2-p1", 2, 1, 1, 2, s=2, q=q)
+
+
 def test_means_bound_equal_endpoints():
     assert means_bound("4.2-p1", 2, 1, 1.3, 1.3, s=2, q=1.0) == 0.0
     assert means_gap("4.2-p1", 2, 1, 1.3, 1.3, s=2) == 0.0

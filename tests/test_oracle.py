@@ -54,14 +54,24 @@ def test_integrate_polynomial_exactness():
         assert abs(r.value - exact) <= 1e-13 * max(1.0, abs(exact))
 
 
-def test_integrate_rejects_tiny_tol():
-    with pytest.raises(ValueError):
-        integrate(lambda x: x, Interval(0, 1), tol=1e-14)
+def test_integrate_tol_zero_stops_at_the_rounding_floor():
+    r = integrate(np.exp, Interval(0, 1), tol=0.0)
+    assert r.error_estimate <= 4 * np.finfo(float).eps * abs(r.value)
+    assert abs(r.value - (math.e - 1)) <= 1e-15
+    assert r.evaluations < 1000
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf])
-def test_integrate_rejects_non_finite_tol(tol):
-    with pytest.raises(ValueError, match="tol must be finite"):
+def test_integrate_rounding_floor_survives_cancellation():
+    # the panel values of an odd integrand cancel, so a floor of
+    # 4 eps |sum| would be ~0 and tol = 0 would run out the budget
+    r = integrate(lambda x: x**5 - 2 * x**3 + x, Interval(-1, 1), tol=0.0)
+    assert abs(r.value) <= 1e-15
+    assert r.evaluations <= 45
+
+
+@pytest.mark.parametrize("tol", [-1e-12, math.nan, math.inf])
+def test_integrate_rejects_negative_or_non_finite_tol(tol):
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
         integrate(lambda x: x, Interval(0, 1), tol=tol)
 
 
