@@ -25,6 +25,7 @@ which scales with f as the deficit and its bound do and ignores a constant added
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -74,17 +75,24 @@ class Instance:
         self._last = self._deficit = None, None
         # f' needs only the endpoints and the certificate samples (an interior
         # abs kink is fine: |f'| convex covers V-shaped derivatives), so it is
-        # checked where it is used rather than over the whole interval.
+        # checked where it is used rather than over the whole interval.  An
+        # f' that overflows at an end leaves d infinite, with no warning: quad
+        # reports an f that overflows there, the certificate an |f'|^q.
         try:
-            self.d = bounds.DerivEndpoints(abs(float(self._fp(float(interval.a)))),
-                                           abs(float(self._fp(float(interval.b)))))
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.d = bounds.DerivEndpoints(abs(float(self._fp(float(interval.a)))),
+                                               abs(float(self._fp(float(interval.b)))))
         except ExprError as exc:
             raise ValueError(f"f' is not evaluable at the interval endpoints: {exc}")
 
     @functools.cached_property
     def quad(self) -> QuadratureResult:
         f, iv = as_function(self.ast), self.interval
-        fx = f(np.array([iv.a, iv.midpoint, iv.b])).tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            fx = f(np.array([iv.a, iv.midpoint, iv.b])).tolist()
+        if not all(map(math.isfinite, fx)):
+            raise ValueError(f"f overflows on [{iv.a}, {iv.b}]: "
+                             f"f(a), f((a+b)/2), f(b) = {', '.join(map(str, fx))}")
         return oracle.integrate(f, iv, QUAD_RTOL * iv.width * (max(fx) - min(fx)))
 
     def deficit(self, rule: RuleParams) -> float:

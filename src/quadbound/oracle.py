@@ -143,7 +143,7 @@ def integrate(f: Callable, interval: Interval, tol: float = DEFAULT_TOL,
         if not heap or err_sum <= max(tol, 4 * _EPS * abs_sum):
             panels = heap + kept
             value_sum = math.fsum(p[3] for p in panels)
-            err_sum = -math.fsum(p[0] for p in panels)
+            err_sum = math.fsum(-p[0] for p in panels)
             abs_sum = math.fsum(abs(p[3]) for p in panels)
             if not heap or err_sum <= max(tol, 4 * _EPS * abs_sum):
                 return QuadratureResult(value_sum, err_sum, evals)

@@ -537,6 +537,17 @@ def test_non_finite_input_exit_1(argv):
     assert "RuntimeWarning" not in r.stderr
 
 
+def test_f_overflow_is_named_exit_1():
+    # f = exp(1000x) is inf at b: the quadrature tolerance, from the spread of
+    # f, would be inf too, so the error names f's overflow instead
+    r = run_cli("bound", "--f", "exp(1000*x)", "--a", "0", "--b", "1",
+                "--rule", "simpson", timeout=5)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: f overflows on [0.0, 1.0]")
+    assert r.stderr.count("\n") == 1, r.stderr
+
+
 SIMPSON_X2 = ["bound", "--f", "x^2", "--b", "1", "--rule", "simpson"]
 
 

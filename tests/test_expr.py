@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -242,8 +243,18 @@ def test_to_source_examples():
 
 
 # -- reference: the tree walks that the compile pass replaced ----------------
-# Verbatim copies of the evaluator and the domain checker before expressions
-# were compiled once; compiled closures must reproduce them bit for bit.
+# Copies of the evaluator and the domain checker before expressions were
+# compiled once, with the documented power (_reference_power); compiled
+# closures must reproduce them bit for bit.
+
+def _reference_power(base, e):
+    """The documented power: an array base with an integral e is raised as
+    |base|^e with the sign of base put back for odd e; a number by C pow."""
+    if float(e).is_integer() and isinstance(base, np.ndarray):
+        v = np.abs(base) ** e
+        return np.copysign(v, base) if e % 2 == 1 else v
+    return base ** e
+
 
 def _reference_evaluate(node, x):
     if isinstance(node, Const):
@@ -275,7 +286,7 @@ def _reference_evaluate(node, x):
                 raise EvalDomainError("negative base with non-integer exponent")
             if e < 0 and np.any(base == 0):
                 raise EvalDomainError("zero base with negative exponent")
-        return base ** e
+        return _reference_power(base, e)
     if isinstance(node, Call):
         v = _reference_evaluate(node.arg, x)
         if node.fn == "ln":
@@ -334,7 +345,7 @@ def _reference_domain_check(node, interval, samples=1025):
                     flag(n, "zero base with a negative exponent")
                     return None
             with np.errstate(over="ignore"):
-                return bv ** e
+                return _reference_power(bv, e)
         if isinstance(n, Call):
             av = rec(n.arg)
             if av is None:
@@ -373,8 +384,8 @@ _points = st.one_of(_coords, st.lists(_coords, min_size=1, max_size=6).map(np.ar
 @settings(max_examples=500, deadline=None)
 def test_compiled_evaluation_equals_reference(ast, x):
     # Literals, and so sub-expressions without x, are folded into constants;
-    # at an array they must be computed as arrays (numpy's array power is not
-    # C pow), and failures must still be raised only when evaluated.
+    # at an array they must be computed as arrays (an array power is not C
+    # pow), and failures must still be raised only when evaluated.
     for node in (ast, differentiate(ast)):
         assert _outcome(evaluate, node, x) == _outcome(_reference_evaluate, node, x)
         assert (_outcome(lambda n, v: as_function(n)(v), node, x)
@@ -391,6 +402,32 @@ def test_constant_subexpressions_equal_reference(source, x):
         with np.errstate(all="ignore"):
             as_function(node)  # compiling raises nothing; evaluating may
         assert _outcome(evaluate, node, x) == _outcome(_reference_evaluate, node, x)
+
+
+_rng = np.random.default_rng(18)
+_magnitudes = np.concatenate([np.linspace(0.01, 2.5, 500), 10.0 ** _rng.uniform(-40, 40, 500)])
+_BASES = np.concatenate([-_magnitudes, [0.0, -0.0], _magnitudes])
+
+
+@pytest.mark.parametrize("e", [3, 4, 5, -2, -3])
+def test_array_power_within_one_ulp_of_exact(e):
+    bases = _BASES if e > 0 else _BASES[_BASES != 0]
+    power = as_function(Pow(Var(), float(e)))(bases)
+    for b, v in zip(bases.tolist(), power.tolist()):
+        exact = Fraction(b) ** e
+        assert abs(Fraction(v) - exact) <= Fraction(math.ulp(float(exact))), (b, v)
+        # the sign too, -0.0 included
+        assert math.copysign(1.0, v) == math.copysign(1.0, b ** e), (b, v)
+    if e < 0:
+        with pytest.raises(EvalDomainError):
+            as_function(Pow(Var(), float(e)))(np.array([1.0, -0.0]))
+
+
+@pytest.mark.parametrize("e", [-1, 0, 1, 2])
+def test_array_power_is_numpy_power_for_small_exponents(e):
+    bases = _BASES if e >= 0 else _BASES[_BASES != 0]
+    power = as_function(Pow(Var(), float(e)))(bases)
+    assert power.tobytes() == (bases ** float(e)).tobytes()
 
 
 @given(_exprs, st.sampled_from([(-2.0, 2.0), (0.5, 3.0), (-3.0, -0.25)]))

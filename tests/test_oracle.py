@@ -61,6 +61,11 @@ def test_integrate_tol_zero_stops_at_the_rounding_floor():
     assert r.evaluations < 1000
 
 
+def test_integrate_zero_error_estimate_is_positive_zero():
+    r = integrate(np.exp, Interval(0, 1), tol=0.0)
+    assert r.error_estimate == 0.0 and math.copysign(1.0, r.error_estimate) == 1.0
+
+
 def test_integrate_rounding_floor_survives_cancellation():
     # the panel values of an odd integrand cancel, so a floor of
     # 4 eps |sum| would be ~0 and tol = 0 would run out the budget
