@@ -118,8 +118,10 @@ class Instance:
 
     def certificate(self, q: float, seed: int) -> ConvexityCertificate:
         """Sampled certificate that |f'|^q is convex.  Certificates with the
-        same seed share one point set and one evaluation of f'."""
-        return certify_convex(lambda x: self._abs_fp(x) ** q, self.interval, seed=seed)
+        same seed share one point set and one evaluation of f'.  At q = 1, g
+        is the remembered |f'| itself, since x ** 1.0 == x."""
+        g = self._abs_fp if q == 1 else lambda x: self._abs_fp(x) ** q
+        return certify_convex(g, self.interval, seed=seed)
 
 
 @dataclass(frozen=True)

@@ -230,6 +230,11 @@ def cmd_means(cfg: argparse.Namespace) -> tuple[dict, int]:
 def cmd_optimize(cfg: argparse.Namespace) -> tuple[dict, int]:
     rule, name, lm = _resolve_rule(cfg, optimized=cfg.what == "rule")
     inst = _instance(cfg.f, cfg.a, cfg.b)
+    # optimize never integrates f, so Instance.quad's overflow check does not
+    # run; an infinite |f'| at an end would make every bound infinite
+    if not (math.isfinite(inst.d.da) and math.isfinite(inst.d.db)):
+        raise ValueError(f"|f'| is not finite at the ends of [{inst.interval.a}, {inst.interval.b}]: "
+                         f"|f'(a)|, |f'(b)| = {inst.d.da}, {inst.d.db}")
     fields = {"what": cfg.what}
     if cfg.what == "p":
         if cfg.p is not None:

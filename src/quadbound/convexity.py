@@ -27,8 +27,9 @@ from .oracle import Interval
 __all__ = ["ConvexityCertificate", "certify_convex", "admissible_power"]
 
 DEFAULT_SAMPLES = 4096
-# _point_set holds about 3 * samples float64 points plus two index arrays, so
-# a library caller's samples=10**9 would ask for hundreds of GB
+# A certificate holds 3 * samples float64 points, two int64 index arrays and
+# the g values and residuals, about 72 bytes per sample, so a library
+# caller's samples=10**9 would ask for tens of GB
 _MAX_SAMPLES = 1_000_000
 _GRID_POINTS = 64
 _MIN_PAIR_GAP = 1e-3
@@ -70,29 +71,48 @@ def _evaluate_nudged(g: Callable, pts: np.ndarray, toward: float) -> np.ndarray:
                                for half in np.array_split(pts, 2)])
 
 
-@functools.lru_cache(maxsize=4)
-def _point_set(a: float, b: float, samples: int, seed: int):
-    """The points a certificate evaluates g on, as one read-only array: the
-    grid, the random x's, the random y's, then the midpoint of every pair.
-    Pair k is (points[xi[k]], points[yi[k]]).  Built once per
-    (a, b, samples, seed), so certificates that share those share the array
-    itself."""
-    rng = np.random.default_rng(seed)
-    u = rng.random(samples)
-    gap = _MIN_PAIR_GAP + (1 - 2 * _MIN_PAIR_GAP) * rng.random(samples)
-    # (u + gap) mod 1 for u + gap in [0, 2); w - 1 is exact there (Sterbenz).
-    w = u + gap
-    v = np.where(w >= 1, w - 1, w)
-    ends = a + (b - a) * np.concatenate([_UNIT_GRID, u, v])
-
+@functools.lru_cache(maxsize=2)
+def _pair_indices(samples: int):
+    """Pair k of a point set is (points[xi[k]], points[yi[k]]): the grid
+    pairs, then random x j with random y j.  The indices depend on samples
+    only, so they are built once per sample count and are read-only."""
     n = _GRID_POINTS
     ii, jj = _PAIRS
-    xi = np.concatenate([ii, n + np.arange(samples)])
-    yi = np.concatenate([jj, n + samples + np.arange(samples)])
-    points = np.concatenate([ends, (ends[xi] + ends[yi]) / 2])
-    for arr in (points, xi, yi):
-        arr.flags.writeable = False
-    return points, xi, yi
+    xi = np.concatenate([ii, np.arange(n, n + samples)])
+    yi = np.concatenate([jj, np.arange(n + samples, n + 2 * samples)])
+    xi.flags.writeable = yi.flags.writeable = False
+    return xi, yi
+
+
+@functools.lru_cache(maxsize=4)
+def _point_set(a: float, b: float, samples: int, seed: int):
+    """The points a certificate evaluates g on, as one read-only array in
+    blocks: the grid, the random x's, the random y's, the grid-pair
+    midpoints, then the random-pair midpoints.  Built in place once per
+    (a, b, samples, seed), so certificates that share those share the array
+    itself; returned with the pair indices of ``_pair_indices``."""
+    n, ii, jj = _GRID_POINTS, *_PAIRS
+    points = np.empty(n + 2 * samples + len(ii) + samples)
+    ends, mids = points[:n + 2 * samples], points[n + 2 * samples:]
+    u, v = ends[n:n + samples], ends[n + samples:]
+    ends[:n] = _UNIT_GRID
+    rng = np.random.default_rng(seed)
+    rng.random(out=u)
+    # v = (u + gap) mod 1, gap uniform in [_MIN_PAIR_GAP, 1 - _MIN_PAIR_GAP).
+    # w = u + gap is in [0, 2), where w - 1 is exact (Sterbenz) and w - 0 is
+    # w; subtracting the mask w >= 1 does not branch per element.
+    rng.random(out=v)
+    v *= 1 - 2 * _MIN_PAIR_GAP
+    v += _MIN_PAIR_GAP
+    v += u
+    v -= v >= 1
+    ends *= b - a
+    ends += a
+    np.add(ends[ii], ends[jj], out=mids[:len(ii)])
+    np.add(u, v, out=mids[len(ii):])
+    mids *= 0.5  # bit-identical to / 2, and faster
+    points.flags.writeable = False
+    return (points, *_pair_indices(samples))
 
 
 def certify_convex(g: Callable, interval: Interval, samples: int = DEFAULT_SAMPLES,
@@ -109,12 +129,21 @@ def certify_convex(g: Callable, interval: Interval, samples: int = DEFAULT_SAMPL
         raise ValueError(f"samples must be in [64, {_MAX_SAMPLES}], got {samples}")
     points, xi, yi = _point_set(float(interval.a), float(interval.b), samples, seed)
     g_all = _evaluate_nudged(g, points, float(interval.midpoint))
-    residuals = g_all[-len(xi):] - (g_all[xi] + g_all[yi]) / 2
-    if not np.all(np.isfinite(residuals)):
-        raise ValueError("g produced non-finite values during certification")
+    # g(mid) - (g(x) + g(y)) / 2 per pair, in _point_set's block order: only
+    # the grid pairs gather, the random pairs are the x and y blocks.
+    n, ii, jj = _GRID_POINTS, *_PAIRS
+    residuals = np.empty(len(xi))
+    np.add(g_all[ii], g_all[jj], out=residuals[:len(ii)])
+    np.add(g_all[n:n + samples], g_all[n + samples:n + 2 * samples], out=residuals[len(ii):])
+    residuals *= 0.5
+    np.subtract(g_all[-len(xi):], residuals, out=residuals)
+    # argmax stops at the first NaN, so a NaN or +inf shows in the max
     worst = int(np.argmax(residuals))
     max_violation = float(residuals[worst])
-    valid = max_violation <= _ROUNDING_FACTOR * math.ulp(1.0) * float(np.abs(g_all).max())
+    if not (math.isfinite(max_violation) and math.isfinite(residuals.min())):
+        raise ValueError("g produced non-finite values during certification")
+    # every g value enters a residual, so g is finite here
+    valid = max_violation <= _ROUNDING_FACTOR * math.ulp(1.0) * float(max(g_all.max(), -g_all.min()))
     return ConvexityCertificate(
         samples=len(xi),
         max_violation=max_violation,

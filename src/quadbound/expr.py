@@ -318,7 +318,7 @@ def domain_check(node: ExprNode, interval, samples: int = 1025) -> DomainReport:
     """
     xs = np.linspace(float(interval.a), float(interval.b), samples)
     found: list[DomainViolation] = []
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         _compile(node, found)[0](xs)
     return DomainReport(not found, tuple(found))
 

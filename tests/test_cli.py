@@ -548,7 +548,30 @@ def test_f_overflow_is_named_exit_1():
     assert r.stderr.count("\n") == 1, r.stderr
 
 
-SIMPSON_X2 = ["bound", "--f", "x^2", "--b", "1", "--rule", "simpson"]
+@pytest.mark.parametrize("what", [["--what", "p", "--rule", "simpson"], ["--what", "rule"]],
+                         ids=["p", "rule"])
+def test_optimize_with_infinite_derivative_is_exit_1(what):
+    # |f'(b)| of exp(1000x) overflows, so every bound is infinite: optimize
+    # names the overflow instead of printing "rhs_star": Infinity
+    r = run_cli("optimize", *what, "--q", "2", "--f", "exp(1000*x)", "--a", "0", "--b", "1",
+                timeout=5)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == ("error: |f'| is not finite at the ends of [0.0, 1.0]: "
+                        "|f'(a)|, |f'(b)| = 1000.0, inf\n")
+
+
+def test_domain_check_of_inf_minus_inf_warns_nothing():
+    # f is inf - inf at b: the domain check's grid meets it before quad does
+    r = run_cli("bound", "--f", "exp(1000*x)-exp(1000*x)", "--a", "0", "--b", "1",
+                "--rule", "simpson", timeout=5)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == ("error: f overflows on [0.0, 1.0]: "
+                        "f(a), f((a+b)/2), f(b) = 0.0, 0.0, nan\n")
+
+
+SIMPSON_X2 =["bound", "--f", "x^2", "--b", "1", "--rule", "simpson"]
 
 
 @pytest.mark.parametrize("argv, option, value, code", [

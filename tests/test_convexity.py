@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from quadbound.campaign import draw_function
-from quadbound.convexity import admissible_power, certify_convex
+from quadbound.campaign import Instance, draw_function
+from quadbound.convexity import ConvexityCertificate, admissible_power, certify_convex
 from quadbound.expr import EvalDomainError, as_function, differentiate, parse
 from quadbound.oracle import Interval
 
@@ -64,6 +64,7 @@ def test_certify_caps_samples_before_building_points(monkeypatch):
         raise Built
 
     monkeypatch.setattr(convexity, "_point_set", point_set)
+    monkeypatch.setattr(convexity, "_pair_indices", point_set)
     with pytest.raises(ValueError, match="samples must be in"):
         certify_convex(lambda x: x, Interval(0, 1), samples=1_000_001)
     with pytest.raises(Built):
@@ -268,3 +269,120 @@ def test_verdict_does_not_depend_on_the_scale_of_f(k):
         assert scaled.valid == cert.valid, (source, interval, q)
         verdicts.append(cert.valid)
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+# -- reference: the certificate before its point set was built in place ------
+# Verbatim copies of the point set and certificate that concatenated the
+# points and gathered every pair, with the module constants they read.  The
+# in-place point set and the sliced residuals must reproduce them bit for bit.
+
+_PARENT_GRID_POINTS = 64
+_PARENT_MIN_PAIR_GAP = 1e-3
+_PARENT_ROUNDING_FACTOR = 1024
+_PARENT_MAX_SAMPLES = 1_000_000
+_PARENT_UNIT_GRID = np.sort((np.arange(1, _PARENT_GRID_POINTS + 1)
+                             * ((math.sqrt(5.0) - 1) / 2)) % 1.0)
+_PARENT_PAIRS = np.triu_indices(_PARENT_GRID_POINTS, k=1)
+
+
+def _parent_point_set(a: float, b: float, samples: int, seed: int):
+    rng = np.random.default_rng(seed)
+    u = rng.random(samples)
+    gap = _PARENT_MIN_PAIR_GAP + (1 - 2 * _PARENT_MIN_PAIR_GAP) * rng.random(samples)
+    # (u + gap) mod 1 for u + gap in [0, 2); w - 1 is exact there (Sterbenz).
+    w = u + gap
+    v = np.where(w >= 1, w - 1, w)
+    ends = a + (b - a) * np.concatenate([_PARENT_UNIT_GRID, u, v])
+
+    n = _PARENT_GRID_POINTS
+    ii, jj = _PARENT_PAIRS
+    xi = np.concatenate([ii, n + np.arange(samples)])
+    yi = np.concatenate([jj, n + samples + np.arange(samples)])
+    points = np.concatenate([ends, (ends[xi] + ends[yi]) / 2])
+    for arr in (points, xi, yi):
+        arr.flags.writeable = False
+    return points, xi, yi
+
+
+def _parent_certify_convex(g, interval, samples=4096, seed=0):
+    from quadbound.convexity import _evaluate_nudged
+
+    if not 64 <= samples <= _PARENT_MAX_SAMPLES:
+        raise ValueError(f"samples must be in [64, {_PARENT_MAX_SAMPLES}], got {samples}")
+    points, xi, yi = _parent_point_set(float(interval.a), float(interval.b), samples, seed)
+    g_all = _evaluate_nudged(g, points, float(interval.midpoint))
+    residuals = g_all[-len(xi):] - (g_all[xi] + g_all[yi]) / 2
+    if not np.all(np.isfinite(residuals)):
+        raise ValueError("g produced non-finite values during certification")
+    worst = int(np.argmax(residuals))
+    max_violation = float(residuals[worst])
+    valid = max_violation <= _PARENT_ROUNDING_FACTOR * math.ulp(1.0) * float(np.abs(g_all).max())
+    return ConvexityCertificate(
+        samples=len(xi),
+        max_violation=max_violation,
+        valid=valid,
+        witness=None if valid else (float(points[xi[worst]]), float(points[yi[worst]])),
+    )
+
+
+def _seeded_cases(samples, count=4):
+    rng = np.random.default_rng(samples)
+    for _ in range(count):
+        a = float(rng.uniform(-3, 2))
+        yield a, a + float(rng.uniform(1e-3, 4)), int(rng.integers(2**63))
+
+
+@pytest.mark.parametrize("samples", [64, 1000, 4096])
+def test_point_set_equals_parent(samples):
+    from quadbound.convexity import _point_set
+
+    for a, b, seed in _seeded_cases(samples):
+        got, want = _point_set(a, b, samples, seed), _parent_point_set(a, b, samples, seed)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (a, b, seed)
+            assert not g.flags.writeable
+
+
+@pytest.mark.parametrize("samples", [64, 1000, 4096])
+def test_certificate_equals_parent(samples):
+    from quadbound.convexity import _UNIT_GRID
+
+    for k, (a, b, seed) in enumerate(_seeded_cases(samples)):
+        interval = Interval(a, b)
+        kink = float(a + (b - a) * _UNIT_GRID[17 * k % 64])
+        kinked = _derivative_power(f"abs(x-{kink!r})^3", 1.5)
+        with pytest.raises(EvalDomainError):
+            kinked(np.array([kink]))
+        for g in (lambda x: np.abs(x - a) ** 1.7, lambda x: -(x - a) ** 2, kinked):
+            cert = certify_convex(g, interval, samples=samples, seed=seed)
+            assert cert == _parent_certify_convex(g, interval, samples=samples, seed=seed)
+        assert cert.valid
+        concave = certify_convex(lambda x: -(x - a) ** 2, interval, samples=samples, seed=seed)
+        assert concave.witness is not None
+
+
+@pytest.mark.parametrize("q", [1.0, 2.7])
+def test_instance_certificate_equals_parent(q):
+    # at q = 1 the certificate reads the remembered |f'| itself
+    rng = np.random.default_rng(23)
+    for family in ("poly", "power", "log", "concave-test"):
+        for _ in range(3):
+            draw = draw_function(rng, family, q)
+            seed = int(rng.integers(2**63))
+            ast = parse(draw.source)
+            inst = Instance(ast, differentiate(ast), draw.interval)
+            want = _parent_certify_convex(_derivative_power(draw.source, q), draw.interval,
+                                          seed=seed)
+            assert inst.certificate(q, seed) == want, (draw.source, q)
+    # a kink on grid point 9 takes the nudge path
+    from quadbound.convexity import _UNIT_GRID
+
+    interval = Interval(-0.8, 1.3)
+    kink = float(interval.a + (interval.b - interval.a) * _UNIT_GRID[9])
+    source = f"abs(x-{kink!r})^3+x"
+    ast = parse(source)
+    inst = Instance(ast, differentiate(ast), interval)
+    with pytest.raises(EvalDomainError):
+        _derivative_power(source, q)(np.array([kink]))
+    assert inst.certificate(q, 5) == _parent_certify_convex(
+        _derivative_power(source, q), interval, seed=5)
