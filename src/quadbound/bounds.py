@@ -171,14 +171,12 @@ def kernel_moments_closed(shift: float, side: str, hp: HolderParams) -> KernelMo
 def _pq_curve(rule: RuleParams, q: float, d: DerivEndpoints, interval: Interval):
     """p -> the Hoelder bound at (p, q), for 0 < p <= q.
 
-    Everything that does not depend on p (the checks of the rule and q, the
+    Everything that does not depend on p (the check of the rule, the
     half-interval distances, |f'(a)|**q, |f'(b)|**q, 1/q and b - a) is
     computed here once; each p computes only its own terms, and raises what
-    ``bound_pq`` at that p raises.
+    ``bound_pq`` at that p raises.  Both callers have checked q and p.
     """
     _require_bound_admissible(rule)
-    if not q > 1:
-        raise ValueError(f"q must be > 1, got {q}")
     lam, mu = rule.lam, rule.mu
     near_left, near_right, far_right = 0.5 - lam, mu - 0.5, 1 - mu
     two_q, q_minus_1 = 2 * q, q - 1
@@ -192,8 +190,6 @@ def _pq_curve(rule: RuleParams, q: float, d: DerivEndpoints, interval: Interval)
     width = interval.b - interval.a
 
     def rhs(p):
-        if not 0 < p <= q:
-            raise ValueError(f"p must satisfy 0 < p <= q, got p={p}, q={q}")
         terms = _p_terms(p, q, two_q, q_minus_1)
         hl, wal, wbl = _left_half(lam, near_left, terms)
         if hl == 0:

@@ -1,9 +1,9 @@
 """Sampled midpoint-convexity certificates.
 
 Every error bound in this package assumes |f'|^q is convex on [a, b].  That
-hypothesis is checked numerically: g is evaluated on all pairs of a
-deterministic low-discrepancy grid plus a seeded batch of random pairs, and
-the worst residual g((x+y)/2) - (g(x)+g(y))/2 is recorded.  The certificate
+hypothesis is checked numerically: g is evaluated on all 2,016 pairs of a
+deterministic 64-point low-discrepancy grid plus 4,096 seeded random pairs,
+and the worst residual g((x+y)/2) - (g(x)+g(y))/2 is recorded.  The certificate
 passes while that residual is within rounding, 1024 eps * max|g|, so the
 verdict does not depend on the scale of f.  A passing certificate is evidence,
 not proof; a failing one carries a concrete violating pair, which is definitive.
@@ -26,12 +26,8 @@ from .oracle import Interval
 
 __all__ = ["ConvexityCertificate", "certify_convex", "admissible_power"]
 
-DEFAULT_SAMPLES = 4096
-# A certificate holds 3 * samples float64 points, two int64 index arrays and
-# the g values and residuals, about 72 bytes per sample, so a library
-# caller's samples=10**9 would ask for tens of GB
-_MAX_SAMPLES = 1_000_000
 _GRID_POINTS = 64
+_SAMPLES = 4096  # random pairs per certificate, after the grid's 2,016 pairs
 _MIN_PAIR_GAP = 1e-3
 # A residual passes while at most this many eps * max|g| over the certificate:
 # near a zero of f', g's rounding error scales with the terms of f', not with
@@ -53,6 +49,11 @@ class ConvexityCertificate:
 # way, so both are built once.
 _UNIT_GRID = np.sort((np.arange(1, _GRID_POINTS + 1) * ((math.sqrt(5.0) - 1) / 2)) % 1.0)
 _PAIRS = np.triu_indices(_GRID_POINTS, k=1)
+# Pair k of a point set is (points[_XI[k]], points[_YI[k]]): the grid pairs,
+# then random x j with random y j.  Read-only, as every certificate shares them.
+_XI = np.concatenate([_PAIRS[0], _GRID_POINTS + np.arange(_SAMPLES)])
+_YI = np.concatenate([_PAIRS[1], _GRID_POINTS + _SAMPLES + np.arange(_SAMPLES)])
+_XI.flags.writeable = _YI.flags.writeable = False
 
 
 def _evaluate_nudged(g: Callable, pts: np.ndarray, toward: float) -> np.ndarray:
@@ -71,30 +72,16 @@ def _evaluate_nudged(g: Callable, pts: np.ndarray, toward: float) -> np.ndarray:
                                for half in np.array_split(pts, 2)])
 
 
-@functools.lru_cache(maxsize=2)
-def _pair_indices(samples: int):
-    """Pair k of a point set is (points[xi[k]], points[yi[k]]): the grid
-    pairs, then random x j with random y j.  The indices depend on samples
-    only, so they are built once per sample count and are read-only."""
-    n = _GRID_POINTS
-    ii, jj = _PAIRS
-    xi = np.concatenate([ii, np.arange(n, n + samples)])
-    yi = np.concatenate([jj, np.arange(n + samples, n + 2 * samples)])
-    xi.flags.writeable = yi.flags.writeable = False
-    return xi, yi
-
-
 @functools.lru_cache(maxsize=4)
-def _point_set(a: float, b: float, samples: int, seed: int):
+def _point_set(a: float, b: float, seed: int) -> np.ndarray:
     """The points a certificate evaluates g on, as one read-only array in
     blocks: the grid, the random x's, the random y's, the grid-pair
     midpoints, then the random-pair midpoints.  Built in place once per
-    (a, b, samples, seed), so certificates that share those share the array
-    itself; returned with the pair indices of ``_pair_indices``."""
-    n, ii, jj = _GRID_POINTS, *_PAIRS
-    points = np.empty(n + 2 * samples + len(ii) + samples)
-    ends, mids = points[:n + 2 * samples], points[n + 2 * samples:]
-    u, v = ends[n:n + samples], ends[n + samples:]
+    (a, b, seed), so certificates that share those share the array itself."""
+    n, ii, jj, m = _GRID_POINTS, *_PAIRS, _SAMPLES
+    points = np.empty(n + 2 * m + len(ii) + m)
+    ends, mids = points[:n + 2 * m], points[n + 2 * m:]
+    u, v = ends[n:n + m], ends[n + m:]
     ends[:n] = _UNIT_GRID
     rng = np.random.default_rng(seed)
     rng.random(out=u)
@@ -112,11 +99,10 @@ def _point_set(a: float, b: float, samples: int, seed: int):
     np.add(u, v, out=mids[len(ii):])
     mids *= 0.5  # bit-identical to / 2, and faster
     points.flags.writeable = False
-    return (points, *_pair_indices(samples))
+    return points
 
 
-def certify_convex(g: Callable, interval: Interval, samples: int = DEFAULT_SAMPLES,
-                   seed: int = 0) -> ConvexityCertificate:
+def certify_convex(g: Callable, interval: Interval, seed: int = 0) -> ConvexityCertificate:
     """Certify that ``g`` is (midpoint) convex on ``interval`` by sampling.
 
     ``g`` must be vectorized over numpy arrays and defined on [a, b] except
@@ -125,18 +111,16 @@ def certify_convex(g: Callable, interval: Interval, samples: int = DEFAULT_SAMPL
     is called once, on every point of the certificate, unless a point hits
     a kink.
     """
-    if not 64 <= samples <= _MAX_SAMPLES:
-        raise ValueError(f"samples must be in [64, {_MAX_SAMPLES}], got {samples}")
-    points, xi, yi = _point_set(float(interval.a), float(interval.b), samples, seed)
+    points = _point_set(float(interval.a), float(interval.b), seed)
     g_all = _evaluate_nudged(g, points, float(interval.midpoint))
     # g(mid) - (g(x) + g(y)) / 2 per pair, in _point_set's block order: only
     # the grid pairs gather, the random pairs are the x and y blocks.
-    n, ii, jj = _GRID_POINTS, *_PAIRS
-    residuals = np.empty(len(xi))
+    n, ii, jj, m = _GRID_POINTS, *_PAIRS, _SAMPLES
+    residuals = np.empty(len(_XI))
     np.add(g_all[ii], g_all[jj], out=residuals[:len(ii)])
-    np.add(g_all[n:n + samples], g_all[n + samples:n + 2 * samples], out=residuals[len(ii):])
+    np.add(g_all[n:n + m], g_all[n + m:n + 2 * m], out=residuals[len(ii):])
     residuals *= 0.5
-    np.subtract(g_all[-len(xi):], residuals, out=residuals)
+    np.subtract(g_all[-len(_XI):], residuals, out=residuals)
     # argmax stops at the first NaN, so a NaN or +inf shows in the max
     worst = int(np.argmax(residuals))
     max_violation = float(residuals[worst])
@@ -145,10 +129,10 @@ def certify_convex(g: Callable, interval: Interval, samples: int = DEFAULT_SAMPL
     # every g value enters a residual, so g is finite here
     valid = max_violation <= _ROUNDING_FACTOR * math.ulp(1.0) * float(max(g_all.max(), -g_all.min()))
     return ConvexityCertificate(
-        samples=len(xi),
+        samples=len(_XI),
         max_violation=max_violation,
         valid=valid,
-        witness=None if valid else (float(points[xi[worst]]), float(points[yi[worst]])),
+        witness=None if valid else (float(points[_XI[worst]]), float(points[_YI[worst]])),
     )
 
 

@@ -308,15 +308,18 @@ def evaluate(node: ExprNode, x):
     return _compile(node)[0](x)
 
 
-def domain_check(node: ExprNode, interval, samples: int = 1025) -> DomainReport:
+_DOMAIN_GRID_POINTS = 1025
+
+
+def domain_check(node: ExprNode, interval) -> DomainReport:
     """Check that ``node`` is evaluable everywhere on ``interval``.
 
-    Uses a dense grid: a sub-expression is flagged if a risky operation (ln,
+    Uses a dense grid of 1,025 evenly spaced points: a sub-expression is flagged if a risky operation (ln,
     division, fractional power) sees a bad argument at any grid point, or if
     a denominator changes sign between adjacent points (a zero crossing that
     the grid may have stepped over).
     """
-    xs = np.linspace(float(interval.a), float(interval.b), samples)
+    xs = np.linspace(float(interval.a), float(interval.b), _DOMAIN_GRID_POINTS)
     found: list[DomainViolation] = []
     with np.errstate(over="ignore", invalid="ignore"):
         _compile(node, found)[0](xs)

@@ -168,9 +168,9 @@ def _budget_message(max_evals: int, tol: float) -> str:
             f"reaching tol={tol}")
 
 
-def average_value(f: Callable, interval: Interval, tol: float = DEFAULT_TOL) -> float:
-    """(1/(b-a)) * integral of f over [a, b]."""
-    return integrate(f, interval, tol).value / (interval.b - interval.a)
+def average_value(f: Callable, interval: Interval) -> float:
+    """(1/(b-a)) * integral of f over [a, b], to ``DEFAULT_TOL``."""
+    return integrate(f, interval).value / (interval.b - interval.a)
 
 
 _WEIGHTS = {
@@ -180,8 +180,11 @@ _WEIGHTS = {
 }
 
 
+_MOMENT_TOL = 1e-12
+
+
 def kernel_moment_numeric(side: str, shift: float, exponent: float,
-                          weight: str = "1", tol: float = 1e-12) -> float:
+                          weight: str = "1") -> float:
     """Brute-force half-interval kernel moment.
 
     Integrates ``|shift - t|**exponent * w(t)`` for t in [0, 1/2] (``side ==
@@ -189,7 +192,7 @@ def kernel_moment_numeric(side: str, shift: float, exponent: float,
     interior ``shift`` is cut out as a piece boundary, so the kink (for
     exponents below 1, an algebraic endpoint singularity) sits at an end of
     each piece, where global error control resolves it in a few dozen
-    bisections.  Each piece is integrated to ``tol``; no closed form is used.
+    bisections.  Each piece is integrated to 1e-12; no closed form is used.
     """
     if exponent < 0:
         raise ValueError(f"exponent must be >= 0, got {exponent}")
@@ -212,5 +215,5 @@ def kernel_moment_numeric(side: str, shift: float, exponent: float,
         cuts = [lo, float(shift), hi]
     total = 0.0
     for piece_lo, piece_hi in zip(cuts[:-1], cuts[1:]):
-        total += integrate(integrand, Interval(piece_lo, piece_hi), tol).value
+        total += integrate(integrand, Interval(piece_lo, piece_hi), _MOMENT_TOL).value
     return total

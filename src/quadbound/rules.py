@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 # evaluate is unused here but stays a module attribute: perfbench/spans.py traces it.
 from .expr import ExprNode, as_function, evaluate
-from .oracle import DEFAULT_TOL, Interval, integrate
+from .oracle import Interval, integrate
 
 __all__ = [
     "RuleParams",
@@ -97,9 +97,9 @@ def lhs_value(rule: RuleParams, f: ExprNode, interval: Interval,
     return (1 - rule.mu) * fa + rule.lam * fb + (rule.mu - rule.lam) * fm - mean_integral
 
 
-def identity_rhs_half(rule: RuleParams, fprime: ExprNode, interval: Interval,
-                    tol: float = DEFAULT_TOL) -> float:
-    """Half-interval identity right-hand side for the deficit of ``rule``."""
+def identity_rhs_half(rule: RuleParams, fprime: ExprNode, interval: Interval) -> float:
+    """Half-interval identity right-hand side for the deficit of ``rule``,
+    each half integrated to ``DEFAULT_TOL``."""
     a, b = float(interval.a), float(interval.b)
     fp = as_function(fprime)
 
@@ -109,6 +109,6 @@ def identity_rhs_half(rule: RuleParams, fprime: ExprNode, interval: Interval,
     def right(t):
         return (rule.mu - t) * fp(t * a + (1 - t) * b)
 
-    li = integrate(left, Interval(0.0, 0.5), tol)
-    ri = integrate(right, Interval(0.5, 1.0), tol)
+    li = integrate(left, Interval(0.0, 0.5))
+    ri = integrate(right, Interval(0.5, 1.0))
     return (b - a) * (li.value + ri.value)

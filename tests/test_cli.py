@@ -561,6 +561,30 @@ def test_optimize_with_infinite_derivative_is_exit_1(what):
                         "|f'(a)|, |f'(b)| = 1000.0, inf\n")
 
 
+_EXP_709 = ["--f", "exp(709*x)", "--a", "0", "--b", "1"]
+_EXP_400 = ["--f", "exp(400*x)", "--a", "0", "--b", "1", "--q", "2"]
+_LAMBDA_AXIS = ["--axis", "lambda", "--from", "0", "--to", "0.5", "--step", "0.5"]
+_INFINITE_FP = "|f'| is not finite at the ends of [0.0, 1.0]: |f'(a)|, |f'(b)| = 709.0, inf"
+_OVERFLOWING_FP_Q = ("|f'|^q overflows at the ends of [0.0, 1.0] at q = 2.0: "
+                     "|f'(a)|, |f'(b)| = 400.0, 2.0885878759056576e+176")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", *_EXP_709, *_LAMBDA_AXIS, "--format", "json"], _INFINITE_FP),
+    (["bound", *_EXP_709, "--rule", "simpson"], _INFINITE_FP),
+    (["bound", *_EXP_400, "--rule", "simpson"], _OVERFLOWING_FP_Q),
+    (["optimize", *_EXP_400, "--what", "p", "--rule", "simpson"], _OVERFLOWING_FP_Q),
+    (["sweep", *_EXP_400, *_LAMBDA_AXIS], _OVERFLOWING_FP_Q),
+], ids=["sweep-inf", "bound-inf", "bound-q", "optimize-q", "sweep-q"])
+def test_derivative_overflow_at_the_ends_is_named_exit_1(argv, message):
+    # f is finite on [0, 1], but |f'(b)| or |f'(b)|^q is not, so every bound
+    # would be infinite, and JSON has no Infinity
+    r = run_cli(*argv, timeout=5)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == f"error: {message}\n"
+
+
 def test_domain_check_of_inf_minus_inf_warns_nothing():
     # f is inf - inf at b: the domain check's grid meets it before quad does
     r = run_cli("bound", "--f", "exp(1000*x)-exp(1000*x)", "--a", "0", "--b", "1",

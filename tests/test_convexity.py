@@ -41,34 +41,10 @@ def test_certify_calls_g_once_without_a_kink():
         calls.append(np.size(x))
         return np.abs(x) ** 1.5
 
-    cert = certify_convex(g, Interval(-1, 2), samples=1000, seed=4)
+    cert = certify_convex(g, Interval(-1, 2), seed=4)
     # the grid, the random x's and y's, and one midpoint per pair
-    assert calls == [64 + 2 * 1000 + cert.samples]
-    assert cert.samples == 2016 + 1000
-
-
-def test_certify_requires_enough_samples():
-    with pytest.raises(ValueError):
-        certify_convex(lambda x: x, Interval(0, 1), samples=32)
-
-
-def test_certify_caps_samples_before_building_points(monkeypatch):
-    # 3 * samples float64 points plus index arrays: the cap is checked
-    # before any of them is built, and the cap itself gets through
-    from quadbound import convexity
-
-    class Built(Exception):
-        pass
-
-    def point_set(*args):
-        raise Built
-
-    monkeypatch.setattr(convexity, "_point_set", point_set)
-    monkeypatch.setattr(convexity, "_pair_indices", point_set)
-    with pytest.raises(ValueError, match="samples must be in"):
-        certify_convex(lambda x: x, Interval(0, 1), samples=1_000_001)
-    with pytest.raises(Built):
-        certify_convex(lambda x: x, Interval(0, 1), samples=1_000_000)
+    assert calls == [64 + 2 * 4096 + cert.samples]
+    assert cert.samples == 2016 + 4096
 
 
 def test_certify_deterministic_given_seed():
@@ -325,39 +301,37 @@ def _parent_certify_convex(g, interval, samples=4096, seed=0):
     )
 
 
-def _seeded_cases(samples, count=4):
-    rng = np.random.default_rng(samples)
+def _seeded_cases(count=4):
+    rng = np.random.default_rng(4096)
     for _ in range(count):
         a = float(rng.uniform(-3, 2))
         yield a, a + float(rng.uniform(1e-3, 4)), int(rng.integers(2**63))
 
 
-@pytest.mark.parametrize("samples", [64, 1000, 4096])
-def test_point_set_equals_parent(samples):
-    from quadbound.convexity import _point_set
+def test_point_set_equals_parent():
+    from quadbound.convexity import _XI, _YI, _point_set
 
-    for a, b, seed in _seeded_cases(samples):
-        got, want = _point_set(a, b, samples, seed), _parent_point_set(a, b, samples, seed)
+    for a, b, seed in _seeded_cases():
+        got, want = (_point_set(a, b, seed), _XI, _YI), _parent_point_set(a, b, 4096, seed)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (a, b, seed)
             assert not g.flags.writeable
 
 
-@pytest.mark.parametrize("samples", [64, 1000, 4096])
-def test_certificate_equals_parent(samples):
+def test_certificate_equals_parent():
     from quadbound.convexity import _UNIT_GRID
 
-    for k, (a, b, seed) in enumerate(_seeded_cases(samples)):
+    for k, (a, b, seed) in enumerate(_seeded_cases()):
         interval = Interval(a, b)
         kink = float(a + (b - a) * _UNIT_GRID[17 * k % 64])
         kinked = _derivative_power(f"abs(x-{kink!r})^3", 1.5)
         with pytest.raises(EvalDomainError):
             kinked(np.array([kink]))
         for g in (lambda x: np.abs(x - a) ** 1.7, lambda x: -(x - a) ** 2, kinked):
-            cert = certify_convex(g, interval, samples=samples, seed=seed)
-            assert cert == _parent_certify_convex(g, interval, samples=samples, seed=seed)
+            cert = certify_convex(g, interval, seed=seed)
+            assert cert == _parent_certify_convex(g, interval, seed=seed)
         assert cert.valid
-        concave = certify_convex(lambda x: -(x - a) ** 2, interval, samples=samples, seed=seed)
+        concave = certify_convex(lambda x: -(x - a) ** 2, interval, seed=seed)
         assert concave.witness is not None
 
 
