@@ -162,6 +162,31 @@ _TRIAL_341 = ("-0.5861351558292163-1.8820104187757019*x-0.9129293370577596*x^2"
 _TRIAL_341_SEEDS = {"shared": 5085182945748197998, "old q": 4845258992122741743}
 
 
+@pytest.mark.parametrize("source, q, error", [
+    ("1e200*x^2/2", 1.0, None),
+    ("1e200*x^2/2", 0.5, None),
+    ("1e200*x^2/2", 2.0, "|f'|^q overflows at the ends of [0.0, 1.0] at q = 2.0: "
+                         "|f'(a)|, |f'(b)| = 0.0, 1e+200"),
+    ("exp(709*x)", 1.0, "|f'| is not finite at the ends of [0.0, 1.0]: "
+                        "|f'(a)|, |f'(b)| = 709.0, inf"),
+], ids=["q1", "q-below-1", "q-overflows", "inf"])
+def test_instance_ends_checks_the_power_only_above_q_1(source, q, error):
+    # |f'(b)| = 1e200 is finite, and so is its first power; its square is
+    # not.  A q below 1 is left for the bound to reject.
+    from quadbound.campaign import Instance
+    from quadbound.expr import differentiate, parse
+    from quadbound.oracle import Interval
+
+    ast = parse(source)
+    inst = Instance(ast, differentiate(ast), Interval(0.0, 1.0))
+    if error is None:
+        assert inst.ends(q) is inst.d
+    else:
+        with pytest.raises(ValueError) as exc:
+            inst.ends(q)
+        assert str(exc.value) == error
+
+
 def test_trial_341_q_certificate_is_rejected():
     from quadbound.convexity import certify_convex
     from quadbound.expr import as_function, differentiate, parse
