@@ -44,6 +44,7 @@ __all__ = [
 
 _P_GRID_POINTS = 64  # log-spaced p values tried before the golden refinement
 _RULE_TOL = 1.25e-7  # golden-section tolerance on each rule weight
+_GOLDEN_MAX_ITER = 200  # golden-section steps at most, far above any tolerance's need
 
 
 @dataclass(frozen=True)
@@ -225,11 +226,17 @@ def bound(rule: RuleParams, d: DerivEndpoints, interval: Interval,
     if not 1 <= q < math.inf:
         raise ValueError(f"q must be finite and >= 1, got {q}")
     if q == 1:
-        return bound_q1(rule, d, interval), None
-    if p is None:
+        rhs, p = bound_q1(rule, d, interval), None
+    elif p is None:
         p, rhs = optimize_p(rule, q, d, interval)
-        return rhs, p
-    return bound_pq(rule, HolderParams(p, q), d, interval), p
+    else:
+        rhs = bound_pq(rule, HolderParams(p, q), d, interval)
+    # Every command's bound comes through here, so an rhs that overflows
+    # (finite ends near 1e308) is named once rather than printed as Infinity.
+    if not math.isfinite(rhs):
+        raise ValueError(f"the bound overflows on [{interval.a}, {interval.b}] at q = {q}: "
+                         f"rhs = {rhs} from |f'(a)|, |f'(b)| = {d.da}, {d.db}")
+    return rhs, p
 
 
 def form(q: float, p: Optional[float]) -> str:
@@ -276,13 +283,13 @@ def formula_id(q: float, p: Optional[float], name: Optional[str] = None,
     return _FORMULA_IDS[form(q, p)][given].format(name)
 
 
-def _golden_min(f, lo: float, hi: float, tol: float, max_iter: int = 200):
+def _golden_min(f, lo: float, hi: float, tol: float):
     """Golden-section search for the minimum of f on [lo, hi]."""
     invphi = (math.sqrt(5.0) - 1) / 2
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
+    for _ in range(_GOLDEN_MAX_ITER):
         if hi - lo <= tol:
             break
         if f1 <= f2:

@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-11
-DEFAULT_MAX_EVALS = 10**6
+MAX_EVALS = 10**6  # integrand evaluations before integrate gives up
 
 
 class IntegrationError(Exception):
@@ -110,8 +110,7 @@ def _panel(f: Callable, *edges: float) -> list[tuple[float, float]]:
     return out
 
 
-def integrate(f: Callable, interval: Interval, tol: float = DEFAULT_TOL,
-              max_evals: int = DEFAULT_MAX_EVALS) -> QuadratureResult:
+def integrate(f: Callable, interval: Interval, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """Integrate a vectorized callable over ``interval`` to absolute tolerance.
 
     Globally adaptive: the panel with the largest error estimate is bisected
@@ -124,15 +123,15 @@ def integrate(f: Callable, interval: Interval, tol: float = DEFAULT_TOL,
     panels are left, the result is returned with the error they carry.
 
     Raises :class:`IntegrationError` on a non-finite integrand value, and
-    after ``max_evals`` integrand evaluations rather than returning an
+    after ``MAX_EVALS`` integrand evaluations rather than returning an
     unconverged value.
     """
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     lo, hi = float(interval.a), float(interval.b)
     evals = 15
-    if evals > max_evals:
-        raise IntegrationError(_budget_message(max_evals, tol))
+    if evals > MAX_EVALS:
+        raise IntegrationError(_budget_message(tol))
     [(value, err)] = _panel(f, lo, hi)
     # Max-heap on error: entries are (-err, lo, hi, value).
     heap = [(-err, lo, hi, value)]
@@ -153,8 +152,8 @@ def integrate(f: Callable, interval: Interval, tol: float = DEFAULT_TOL,
             kept.append((neg_err, lo, hi, value))
             continue
         evals += 30
-        if evals > max_evals:
-            raise IntegrationError(_budget_message(max_evals, tol))
+        if evals > MAX_EVALS:
+            raise IntegrationError(_budget_message(tol))
         (v1, e1), (v2, e2) = _panel(f, lo, mid, hi)
         heapq.heappush(heap, (-e1, lo, mid, v1))
         heapq.heappush(heap, (-e2, mid, hi, v2))
@@ -163,8 +162,8 @@ def integrate(f: Callable, interval: Interval, tol: float = DEFAULT_TOL,
         abs_sum += abs(v1) + abs(v2) - abs(value)
 
 
-def _budget_message(max_evals: int, tol: float) -> str:
-    return (f"node budget exceeded ({max_evals} evaluations) before "
+def _budget_message(tol: float) -> str:
+    return (f"node budget exceeded ({MAX_EVALS} evaluations) before "
             f"reaching tol={tol}")
 
 

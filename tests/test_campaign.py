@@ -136,12 +136,13 @@ def _f_prime_points(monkeypatch, run) -> int:
     return points[id(deriv)]
 
 
-def test_trial_evaluates_f_prime_once_per_certificate_point(monkeypatch):
-    # both certificates of a trial share one point set, 64 grid points,
-    # 2 * 4096 random ones and 2,016 + 4,096 midpoints, on which f' is
-    # evaluated once; the two endpoints come from the same compiled f'
-    points = _f_prime_points(monkeypatch, lambda: run_verify(trials=1, seed=3))
-    assert points == 64 + 2 * 4096 + (2016 + 4096) + 2
+@pytest.mark.parametrize("family", ["mixed", "concave-test"])
+def test_trial_evaluates_f_prime_once_per_certificate_point(monkeypatch, family):
+    # a trial's certificates share one 4,097-point dyadic grid, on which f'
+    # is evaluated once, whether one certificate is built or two; the two
+    # endpoints come from the same compiled f'
+    points = _f_prime_points(monkeypatch, lambda: run_verify(trials=1, seed=3, family=family))
+    assert points == 4097 + 2
 
 
 def test_bound_evaluates_f_prime_once_per_certificate_point(monkeypatch, capsys):
@@ -150,16 +151,42 @@ def test_bound_evaluates_f_prime_once_per_certificate_point(monkeypatch, capsys)
 
     argv = ["bound", "--f", "x^3", "--a", "1", "--b", "2", "--rule", "simpson", "--q", "2"]
     points = _f_prime_points(monkeypatch, lambda: main(argv))
-    assert points == 64 + 2 * 4096 + (2016 + 4096) + 2
+    assert points == 4097 + 2
 
 
-# Trial 341 of the seed-0 mixed campaign.  Its |f'|^q is not convex, yet the
-# q certificate's own seed, which the campaign used before both certificates
-# shared one, drew no violating pair.
+@pytest.mark.parametrize("family, certificates, paths", [
+    ("log", 1, 4), ("concave-test", 2, 0)])
+def test_valid_q1_certificate_certifies_the_q_paths(monkeypatch, family, certificates, paths):
+    # |f'| convex makes |f'|^q convex for q >= 1, so a trial whose q = 1
+    # certificate passes builds no q certificate and checks all four paths;
+    # one whose q = 1 certificate fails builds the q certificate too
+    from quadbound import campaign
+
+    certify, calls = campaign.certify_convex, []
+
+    def counted(g, interval):
+        calls.append(certify(g, interval))
+        return calls[-1]
+
+    monkeypatch.setattr(campaign, "certify_convex", counted)
+    summary = run_verify(trials=1, seed=3, family=family)
+    assert len(calls) == certificates
+    assert calls[0].valid == (family == "log")
+    assert summary["paths_checked"] == paths
+
+
+# Trial 341 of the seed-0 mixed campaign.  Its |f'|^q is not convex; a
+# sampled certificate with one of the two seeds it drew found no violating
+# pair, and the dyadic certificate, which needs no seed, rejects it.
 _TRIAL_341 = ("-0.5861351558292163-1.8820104187757019*x-0.9129293370577596*x^2"
               "+0.3552116897194568*x^3+0.07725775465957918*x^4",
               -2.130633666203733, -1.2436793356380575, 2.454900773962044)
-_TRIAL_341_SEEDS = {"shared": 5085182945748197998, "old q": 4845258992122741743}
+
+# Trial 802 of the seed-0 mixed campaign: |f'| is concave in the last 1.3% of
+# [a, b], which the sampled certificate passed.
+_TRIAL_802 = ("1.4782208209513743+0.3557663653494685*x-0.2252225697423076*x^2"
+              "+0.6964220880337391*x^3+1.9064376011753068*x^4",
+              -1.5619355542768354, -0.5281404166676151, 2.7647084370077835)
 
 
 @pytest.mark.parametrize("source, q, error", [
@@ -196,8 +223,11 @@ def test_trial_341_q_certificate_is_rejected():
     fp = as_function(differentiate(parse(source)))
     g = lambda x: np.abs(fp(x)) ** q
     interval = Interval(a, b)
-    assert not certify_convex(g, interval, seed=_TRIAL_341_SEEDS["shared"]).valid
-    assert certify_convex(g, interval, seed=_TRIAL_341_SEEDS["old q"]).valid
+    cert = certify_convex(g, interval)
+    assert not cert.valid
+    # its witness pair violates midpoint convexity beyond rounding
+    x, y = cert.witness
+    assert g(np.array([(x + y) / 2]))[0] - (g(np.array([x]))[0] + g(np.array([y]))[0]) / 2 > 1e-6
     # a dense check of 65,536 seeded pairs finds the violation too
     x, y = a + (b - a) * np.random.default_rng(0).random((2, 65536))
     assert np.max(g((x + y) / 2) - (g(x) + g(y)) / 2) > 1e-6
@@ -205,3 +235,30 @@ def test_trial_341_q_certificate_is_rejected():
     before, through = run_verify(trials=341, seed=0), run_verify(trials=342, seed=0)
     assert through["skipped_q_certificate"] == before["skipped_q_certificate"] + 1
     assert through["paths_checked"] == before["paths_checked"]
+
+
+def test_trial_802_end_concave_poly_is_rejected_at_q_1():
+    from quadbound.convexity import certify_convex
+    from quadbound.expr import as_function, differentiate, parse
+    from quadbound.oracle import Interval
+
+    source, a, b, q = _TRIAL_802
+    fp = as_function(differentiate(parse(source)))
+    g = lambda x: np.abs(fp(x))
+    cert = certify_convex(g, Interval(a, b))
+    assert not cert.valid
+    # the witness lies in the concave end
+    assert min(cert.witness) > a + 0.98 * (b - a)
+    # a dense check on 20,001 points: every second difference beyond
+    # rounding lies in the last 2% of [a, b]
+    x = np.linspace(a, b, 20001)
+    gx = g(x)
+    residuals = gx[1:-1] - (gx[:-2] + gx[2:]) / 2
+    concave = x[1:-1][residuals > 1024 * np.finfo(float).eps * gx.max()]
+    assert concave.size > 100 and concave.min() > a + 0.98 * (b - a)
+    # |f'|^q is convex there, so the campaign skips the q = 1 path alone
+    assert certify_convex(lambda x: g(x) ** q, Interval(a, b)).valid
+    before, through = run_verify(trials=802, seed=0), run_verify(trials=803, seed=0)
+    assert through["skipped_q1_certificate"] == before["skipped_q1_certificate"] + 1
+    assert through["skipped_q_certificate"] == before["skipped_q_certificate"]
+    assert through["paths_checked"] == before["paths_checked"] + 3

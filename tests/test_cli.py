@@ -160,8 +160,9 @@ def test_bound_q_gt_1_defaults_to_optimized_p():
 
 
 def test_bound_deterministic_bytes():
+    # the dyadic certificate needs no seed, so none is given
     args = ("bound", "--f", "x^2+0.5*x", "--a", "0.5", "--b", "2.5",
-            "--rule", "avg3", "--q", "1.7", "--seed", "3")
+            "--rule", "avg3", "--q", "1.7")
     r1, r2 = run_cli(*args), run_cli(*args)
     assert r1.stdout == r2.stdout
     assert r1.returncode == r2.returncode == 0
@@ -405,8 +406,10 @@ OPTIMIZE = ["optimize", *CUBE, "--what", "rule", "--q", "1"]
     *[[*command, flag, value] for command in (SWEEP, OPTIMIZE)
       for flag, value in (("--seed", "3"), ("--cert-samples", "128"),
                           ("--cert-tol", "1e-9"))],
-    # the certificate's threshold follows from the size of g, so it is not an option
+    # the certificate's threshold follows from the size of g, so it is not an
+    # option, and its dyadic grid needs no seed
     ["bound", *CUBE, "--rule", "simpson", "--cert-tol", "1e-10"],
+    ["bound", *CUBE, "--rule", "simpson", "--seed", "3"],
     ["verify", "--trials", "3", "--cert-tol", "1e-10"],
     # bad choices and missing required options
     ["sweep", *CUBE, "--axis", "r", "--from", "0", "--to", "1", "--step", "0.5"],
@@ -422,7 +425,7 @@ OPTIMIZE = ["optimize", *CUBE, "--what", "rule", "--q", "1"]
     ["bound", "--f", "x^3", "--b", "2", "--rule", "simpson"],
     ["means", "--theorem", "4.2-p1", "--m", "6", "--ell", "1", "--a", "1", "--s", "2"],
     # the quadrature tolerance follows from the spread of f, and a certificate
-    # takes a fixed number of samples, so neither is an option
+    # has a fixed grid, so neither is an option
     *[[*command, "--tol", value]
       for command in (["bound", *CUBE, "--rule", "simpson"], SWEEP, OPTIMIZE,
                       ["verify", "--trials", "3"])
@@ -442,14 +445,41 @@ def test_usage_errors_exit_2(argv, capsys):
     assert "error:" in err
 
 
-def test_kink_on_a_certificate_grid_point(capsys):
-    # |f'|^1.5 = 3^1.5 |x - c|^3 is convex; c sits on a certificate grid
-    # point, and a midpoint one ulp beside it must not be moved onto it
+def test_kink_off_the_dyadic_grid(capsys):
+    # |f'|^1.5 = 3^1.5 |x - c|^3 is convex; c sat on a point of the sampled
+    # certificate's grid, and lies between two dyadic grid points
     code = main(["bound", "--f", "abs(x+0.42128623625220707)^3", "--a", "-0.8",
                  "--b", "1.3", "--rule", "midpoint", "--q", "1.5", "--p", "1"])
     payload = json.loads(capsys.readouterr().out)
     assert payload["certificate"]["valid"] is True
+    assert payload["timings"]["certificate_evaluations"] == 4097
     assert code == 0
+
+
+# Kinks at grid points x_k = a + k(b-a)/2^12 of the dyadic certificate: the
+# midpoint (k = 2048), a quarter point (k = 1024) and x_1.  The midpoint was
+# once retried one ulp toward itself, which left it on the kink.  Each exit
+# code and verdict is the one the sampled certificate gave.
+_KINKS = {(0.0, 1.0): ("0.5", "0.25", "0.000244140625"),
+          (-0.8, 1.3): ("0.25", "-0.275", "-0.7994873046875001")}
+
+
+@pytest.mark.parametrize("template, q, code", [
+    ("abs(x-{})", "1", 0), ("abs(x-{})^3", "1.5", 0), ("abs(x-{})^1.5", "1", 2)],
+    ids=["v", "cubic", "concave"])
+@pytest.mark.parametrize("interval, k", [((a, b), k) for a, b in _KINKS for k in range(3)],
+                         ids=lambda v: str(v))
+def test_kink_on_a_dyadic_grid_point_keeps_its_verdict(template, q, code, interval, k, capsys):
+    a, b = interval
+    kink = _KINKS[interval][k]
+    assert float(kink) == a + [2048, 1024, 1][k] * (b - a) / 4096
+    source = template.format(kink).replace("--", "+")
+    assert main(["bound", f"--f={source}", "--a", repr(a), "--b", repr(b),
+                 "--rule", "trapezoid", "--q", q]) == code
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["certificate"]["valid"] is (code == 0)
+    # the kink's point is evaluated once more, one ulp off it
+    assert payload["timings"]["certificate_evaluations"] == 4097 + 1
 
 
 # The parser is built on the first main() call and reused for the process.
@@ -559,6 +589,25 @@ def test_optimize_with_infinite_derivative_is_exit_1(what):
     assert r.stdout == ""
     assert r.stderr == ("error: |f'| is not finite at the ends of [0.0, 1.0]: "
                         "|f'(a)|, |f'(b)| = 1000.0, inf\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["optimize", "--what", "rule", "--q", "1", "--f", "1e307*x^2", "--a", "0", "--b", "5"],
+     "the bound overflows on [0.0, 5.0] at q = 1.0: rhs = inf "
+     "from |f'(a)|, |f'(b)| = 0.0, 1e+308"),
+    (["optimize", "--what", "p", "--rule", "simpson", "--q", "1.5", "--f", "1e200*x",
+      "--a", "0", "--b", "1.5e109"],
+     "the bound overflows on [0.0, 1.5e+109] at q = 1.5: rhs = inf "
+     "from |f'(a)|, |f'(b)| = 1e+200, 1e+200"),
+], ids=["rule", "p"])
+def test_bound_overflow_is_named_exit_1(argv, message):
+    # |f'| and |f'|^q are finite at the ends, but the bound built from them
+    # is not, and JSON has no Infinity: every command's bound goes through
+    # bounds.bound, which names it
+    r = run_cli(*argv, timeout=5)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == f"error: {message}\n"
 
 
 _EXP_709 = ["--f", "exp(709*x)", "--a", "0", "--b", "1"]

@@ -80,9 +80,12 @@ def test_integrate_rejects_negative_or_non_finite_tol(tol):
         integrate(lambda x: x, Interval(0, 1), tol=tol)
 
 
-def test_integrate_budget_is_an_explicit_failure():
+def test_integrate_budget_is_an_explicit_failure(monkeypatch):
+    from quadbound import oracle
+
+    monkeypatch.setattr(oracle, "MAX_EVALS", 300)
     with pytest.raises(IntegrationError, match="node budget"):
-        integrate(lambda x: np.sin(50 * x), Interval(0, 10), tol=1e-13, max_evals=300)
+        integrate(lambda x: np.sin(50 * x), Interval(0, 10), tol=1e-13)
 
 
 def test_integrate_rejects_nonfinite_integrand():
