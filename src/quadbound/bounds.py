@@ -72,6 +72,16 @@ class DerivEndpoints:
         if self.da < 0 or self.db < 0:
             raise ValueError("derivative magnitudes must be nonnegative")
 
+    @classmethod
+    def of(cls, fp, a, b) -> "DerivEndpoints":
+        """|fp| at a and b; inf at an end where a float power overflows, for ``bound`` to name."""
+        def end(x):
+            try:
+                return abs(fp(x))
+            except OverflowError:
+                return math.inf
+        return cls(end(a), end(b))
+
 
 def _require_bound_admissible(rule: RuleParams) -> None:
     if not rule.bound_admissible:
@@ -223,19 +233,29 @@ def bound(rule: RuleParams, d: DerivEndpoints, interval: Interval,
     and None returned); q > 1 is the Hoelder bound at p, or at the p that
     minimizes it when p is None.
     """
+    # Every command's bound comes here: |f'| finite at the ends, 1 <= q < inf, |f'|^q finite.
+    da, db = d.da, d.db
+    if not (math.isfinite(da) and math.isfinite(db)):
+        raise ValueError(f"|f'| is not finite at the ends of [{interval.a}, {interval.b}]: "
+                         f"|f'(a)|, |f'(b)| = {da}, {db}")
     if not 1 <= q < math.inf:
         raise ValueError(f"q must be finite and >= 1, got {q}")
+    if q > 1:  # d ** 1 is d
+        try:
+            max(da, db) ** q
+        except OverflowError:
+            raise ValueError(f"|f'|^q overflows at the ends of [{interval.a}, {interval.b}] "
+                             f"at q = {q}: |f'(a)|, |f'(b)| = {da}, {db}") from None
     if q == 1:
         rhs, p = bound_q1(rule, d, interval), None
     elif p is None:
         p, rhs = optimize_p(rule, q, d, interval)
     else:
         rhs = bound_pq(rule, HolderParams(p, q), d, interval)
-    # Every command's bound comes through here, so an rhs that overflows
-    # (finite ends near 1e308) is named once rather than printed as Infinity.
+    # finite ends near 1e308 can still overflow the rhs: named, not printed as Infinity
     if not math.isfinite(rhs):
         raise ValueError(f"the bound overflows on [{interval.a}, {interval.b}] at q = {q}: "
-                         f"rhs = {rhs} from |f'(a)|, |f'(b)| = {d.da}, {d.db}")
+                         f"rhs = {rhs} from |f'(a)|, |f'(b)| = {da}, {db}")
     return rhs, p
 
 

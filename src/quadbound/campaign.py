@@ -68,9 +68,8 @@ class Claim:
 
 class Instance:
     """One f on one [a, b], with f' compiled once: ``d`` (|f'| at the ends),
-    ``ends(q)`` (d, checked for a bound at q), ``quad`` (f integrated on first
-    use), ``deficit(rule)``, ``certificate(q)`` and ``claim(rule, q, p)``,
-    every bound claim about f."""
+    ``quad`` (f integrated on first use), ``deficit(rule)``,
+    ``certificate(q)`` and ``claim(rule, q, p)``, every bound claim about f."""
 
     def __init__(self, ast: ExprNode, deriv: ExprNode, interval: Interval):
         self.ast, self.interval = ast, interval
@@ -79,12 +78,12 @@ class Instance:
         # f' needs only the endpoints and the certificate grid (an interior
         # abs kink is fine: |f'| convex covers V-shaped derivatives), so it is
         # checked where it is used rather than over the whole interval.  An
-        # f' that overflows at an end leaves d infinite, with no warning:
-        # ends(q) names it.
+        # f' that overflows at an end (a float power raises, numpy warns)
+        # leaves d infinite, with no warning: bounds.bound names it.
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                self.d = bounds.DerivEndpoints(abs(float(self._fp(float(interval.a)))),
-                                               abs(float(self._fp(float(interval.b)))))
+                self.d = bounds.DerivEndpoints.of(lambda x: float(self._fp(float(x))),
+                                                  interval.a, interval.b)
         except ExprError as exc:
             raise ValueError(f"f' is not evaluable at the interval endpoints: {exc}")
 
@@ -105,27 +104,11 @@ class Instance:
             self._deficit = rule, float(lhs_value(rule, self.ast, self.interval, mean))
         return self._deficit[1]
 
-    def ends(self, q: float) -> bounds.DerivEndpoints:
-        """``d``, for a bound at q: an |f'| or |f'|^q that is not finite at an
-        end would make every bound infinite, so it is an error here."""
-        da, db, iv = self.d.da, self.d.db, self.interval
-        if not (math.isfinite(da) and math.isfinite(db)):
-            raise ValueError(f"|f'| is not finite at the ends of [{iv.a}, {iv.b}]: "
-                             f"|f'(a)|, |f'(b)| = {da}, {db}")
-        # d ** 1 is d, and a q below 1 or NaN is the bound's to reject
-        if q > 1:
-            try:
-                max(da, db) ** q
-            except OverflowError:
-                raise ValueError(f"|f'|^q overflows at the ends of [{iv.a}, {iv.b}] at q = {q}: "
-                                 f"|f'(a)|, |f'(b)| = {da}, {db}") from None
-        return self.d
-
     def claim(self, rule: RuleParams, q: float, p: Optional[float],
               name: Optional[str] = None, lm: Optional[LMRule] = None) -> Claim:
         """The claim of ``rule`` at (q, p); ``name``/``lm`` name its formula id."""
         lhs = self.deficit(rule)
-        rhs, p = bounds.bound(rule, self.ends(q), self.interval, q, p)
+        rhs, p = bounds.bound(rule, self.d, self.interval, q, p)
         return Claim(lhs, rhs, p, bounds.formula_id(q, p, name, lm))
 
     def _abs_fp(self, x):

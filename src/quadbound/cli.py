@@ -230,7 +230,7 @@ def cmd_means(cfg: argparse.Namespace) -> tuple[dict, int]:
 def cmd_optimize(cfg: argparse.Namespace) -> tuple[dict, int]:
     rule, name, lm = _resolve_rule(cfg, optimized=cfg.what == "rule")
     inst = _instance(cfg.f, cfg.a, cfg.b)
-    d = inst.ends(cfg.q)
+    d = inst.d
     fields = {"what": cfg.what}
     if cfg.what == "p":
         if cfg.p is not None:

@@ -104,9 +104,15 @@ def means_gap_power(m: float, ell: float, s: float, a: float, b: float) -> float
     _check_lm(m, ell)
     if s == 0:
         raise ValueError("s must be nonzero")
-    combo = (2 * ell * compute_mean("A", a**s, b**s)
-             + (m - 2 * ell) * compute_mean("A", a, b) ** s) / m
-    return combo - _ls_power(s, a, b)
+    try:
+        combo = (2 * ell * compute_mean("A", a**s, b**s)
+                 + (m - 2 * ell) * compute_mean("A", a, b) ** s) / m
+        gap = combo - _ls_power(s, a, b)
+    except OverflowError:  # a float power past the largest float
+        gap = math.inf
+    if not math.isfinite(gap):
+        raise ValueError(f"the gap of f = x^s overflows on [{a}, {b}] at s = {s}")
+    return gap
 
 
 def means_gap_log(m: float, ell: float, a: float, b: float) -> float:
@@ -169,7 +175,7 @@ def means_bound(theorem: str, m: float, ell: float, a: float, b: float,
     if s is None:
         d = bounds.DerivEndpoints(1 / a, 1 / b)
     else:
-        d = bounds.DerivEndpoints(abs(s) * a ** (s - 1), abs(s) * b ** (s - 1))
+        d = bounds.DerivEndpoints.of(lambda x: abs(s) * x ** (s - 1), a, b)
     return bounds.bound(rule_from_lm(LMRule(m, ell)), d, Interval(a, b), q, p)[0]
 
 

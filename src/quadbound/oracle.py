@@ -46,6 +46,8 @@ class Interval:
     def __post_init__(self):
         if not -math.inf < self.a < self.b < math.inf:
             raise ValueError(f"interval requires finite a < b, got [{self.a}, {self.b}]")
+        if not self.b - self.a < math.inf:
+            raise ValueError(f"interval width b - a overflows on [{self.a}, {self.b}]")
 
     @property
     def width(self):

@@ -173,6 +173,33 @@ def test_bound_rejects_q_below_one():
         bound(RuleParams(0.5, 0.5), D, IV, 0.9, 1.0)
 
 
+_HUGE_END = DerivEndpoints(0.0, 1e200)  # finite, and so is its first power; its square is not
+_INFINITE_END = DerivEndpoints(709.0, math.inf)
+_NOT_FINITE = "|f'| is not finite at the ends of [0.0, 1.0]: |f'(a)|, |f'(b)| = 709.0, inf"
+
+
+@pytest.mark.parametrize("d, q, error", [
+    (_HUGE_END, 1.0, None),
+    (_HUGE_END, 0.5, "q must be finite and >= 1, got 0.5"),
+    (_HUGE_END, math.inf, "q must be finite and >= 1, got inf"),
+    (_HUGE_END, 2.0, "|f'|^q overflows at the ends of [0.0, 1.0] at q = 2.0: "
+                     "|f'(a)|, |f'(b)| = 0.0, 1e+200"),
+    (_INFINITE_END, 1.0, _NOT_FINITE),
+    (_INFINITE_END, math.inf, _NOT_FINITE),
+    (_INFINITE_END, math.nan, _NOT_FINITE),
+], ids=["q1", "q-below-1", "q-inf", "q-overflows", "inf", "inf-q-inf", "inf-q-nan"])
+def test_bound_checks_the_ends_then_q_then_the_power(d, q, error):
+    # the power is tried only at a q the bound takes, and above 1
+    rule = RuleParams(0.2, 0.8)
+    if error is None:
+        assert bound(rule, d, Interval(0.0, 1.0), q) == (bound_q1(rule, d, Interval(0.0, 1.0)),
+                                                         None)
+    else:
+        with pytest.raises(ValueError) as exc:
+            bound(rule, d, Interval(0.0, 1.0), q, 1.0)
+        assert str(exc.value) == error
+
+
 def test_bound_pq_reduces_to_lm_display():
     for m, ell in [(1, 0), (2, 1), (3, 1), (4, 1), (5, 1), (5, 2), (6, 1), (7, 3)]:
         rule = rule_from_lm(LMRule(m, ell))

@@ -4,7 +4,7 @@ process, judged by its exit code, stdout and stderr.
 Exit 0 prints a report and nothing on stderr; exit 1 prints one ``error:``
 line and nothing on stdout; exit 2 is a ``bound`` report whose certificate
 failed, or an argparse usage error with nothing on stdout.  No command
-lets a numpy RuntimeWarning through.
+lets a numpy RuntimeWarning or a bare overflow errno through.
 """
 
 import json
@@ -66,6 +66,24 @@ CASES = [
     (["optimize", "--f", "exp(400*x)", "--a", "0", "--b", "1", "--rule", "simpson", "--q", "2"], 1),
     (["sweep", "--f", "exp(400*x)", "--a", "0", "--b", "1", "--axis", "lambda", "--from", "0",
       "--to", "0.5", "--step", "0.5", "--q", "2"], 1),
+    # a float power past the largest float, at an end of f' or in a means gap
+    (["means", "--theorem", "4.2-pq", "--m", "2", "--ell", "1", "--s", "-2", "--a", "1e-100",
+      "--b", "1", "--q", "2"], 1),
+    (["bound", "--f", "x^-2", "--a", "1e-200", "--b", "1", "--rule", "simpson"], 1),
+    (["bound", "--f", "10^400*x", "--a", "0", "--b", "1", "--rule", "simpson"], 1),
+    (["bound", "--f", "x^400", "--a", "1", "--b", "1e10", "--rule", "simpson"], 1),
+    (["sweep", "--axis", "s", "--a", "1e-200", "--b", "1", "--rule", "simpson", "--from", "-2",
+      "--to", "-2", "--step", "1"], 1),
+    (["optimize", "--what", "p", "--q", "2", "--f", "x^-2", "--a", "1e-200", "--b", "1",
+      "--rule", "simpson"], 1),
+    (["means", "--theorem", "4.2-p1", "--m", "2", "--ell", "1", "--s", "3", "--a", "1",
+      "--b", "1e200"], 1),
+    (["means", "--theorem", "4.2-p1", "--m", "2", "--ell", "1", "--s", "-2", "--a", "1e-200",
+      "--b", "1"], 1),
+    # an interval whose width b - a overflows
+    (["optimize", "--what", "p", "--rule", "simpson", "--q", "2", "--f", "x", "--a", "-1e308",
+      "--b", "1e308"], 1),
+    (["bound", "--f", "x", "--a", "-1e308", "--b", "1e308", "--rule", "simpson"], 1),
 ]
 
 
@@ -80,6 +98,7 @@ def test_entry_point(argv, code):
     elif code == 1:
         assert r.stdout == ""
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
+        assert "Numerical result out of range" not in r.stderr
     elif r.stdout:  # a failed certificate: the report, with no bound asserted
         assert json.loads(r.stdout)["certificate"]["valid"] is False and r.stderr == ""
     else:

@@ -52,6 +52,27 @@ def test_means_reject_non_finite_s(s):
         means_bound("4.2-p1", 6, 1, 1.0, 2.0, s=s)
 
 
+@pytest.mark.parametrize("s, a, b", [(3.0, 1.0, 1e200), (-2.0, 1e-200, 1.0)])
+def test_means_gap_overflow_names_f_s_and_the_interval(s, a, b):
+    # b**s or a**s is past the largest float
+    with pytest.raises(ValueError) as exc:
+        means_gap("4.2-p1", 2, 1, a, b, s=s)
+    assert str(exc.value) == f"the gap of f = x^s overflows on [{a}, {b}] at s = {s}"
+
+
+@pytest.mark.parametrize("theorem, a, q, message", [
+    ("4.2-p1", 1e-200, 1.0, "|f'| is not finite at the ends of [1e-200, 1.0]: "
+                            "|f'(a)|, |f'(b)| = inf, 2.0"),
+    ("4.2-pq", 1e-100, 2.0, "|f'|^q overflows at the ends of [1e-100, 1.0] at q = 2.0: "
+                            "|f'(a)|, |f'(b)| = 1.9999999999999998e+300, 2.0"),
+], ids=["inf", "q-overflows"])
+def test_means_bound_overflow_is_named_by_bound(theorem, a, q, message):
+    # |f'| = 2 x^-3 of f = x^-2 overflows a float power at a, or its square does
+    with pytest.raises(ValueError) as exc:
+        means_bound(theorem, 2, 1, a, 1.0, s=-2.0, q=q)
+    assert str(exc.value) == message
+
+
 def test_all_means_collapse_at_equal_arguments():
     for kind in ("A", "G", "H", "L", "I"):
         assert compute_mean(kind, 1.7, 1.7) == 1.7

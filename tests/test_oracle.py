@@ -26,6 +26,12 @@ def test_interval_requires_finite_endpoints(a, b):
         Interval(a, b)
 
 
+def test_interval_requires_a_finite_width():
+    with pytest.raises(ValueError) as exc:
+        Interval(-1e308, 1e308)
+    assert str(exc.value) == "interval width b - a overflows on [-1e+308, 1e+308]"
+
+
 def test_integrate_x_squared():
     r = integrate(as_function(parse("x^2")), Interval(1, 2), tol=1e-12)
     assert abs(r.value - 7 / 3) <= 1e-12
