@@ -252,34 +252,25 @@ def _kernel(node: ExprNode, found):
     return np.exp if node.fn == "exp" else np.abs
 
 
-def _fold(node: ExprNode, fn):
-    """Evaluate a sub-expression without x once, at a number and at an array:
-    the two can differ in the last bit (an array base is raised as |x|^e by
-    numpy, a number by C pow).
-    If either fails it stays as it is, and fails when called."""
-    if isinstance(node, Const):
+def _operand(node: ExprNode, other: ExprNode, found):
+    """Compile an operand of + - * /: a literal beside a non-literal is its
+    float, which acts as its array in x's shape, except in domain_check
+    (``found`` a list), whose zero-crossing check needs the array."""
+    if found is None and isinstance(node, Const) and not isinstance(other, Const):
         v = node.value
         return lambda x: v
-    try:
-        scalar, array = fn(0.0), fn(np.zeros(1))[0]
-    except (EvalDomainError, OverflowError):
-        return fn
-    return lambda x: array if isinstance(x, np.ndarray) else scalar
+    return _compile(node, found)
 
 
 def _compile(node: ExprNode, found=None):
-    """Compile ``node`` to ``(fn, constant)``: ``fn(x)`` evaluates it at a
-    number or an array; ``constant`` says that it does not depend on x.
-
-    A sub-expression without x is computed with each literal as an array of
-    x's shape when x is an array, and is folded once where it meets x;
-    domain_check (``found`` a list) folds nothing.
-    """
+    """Compile ``node`` to a function of x, a number or an array.  A literal
+    is an array of x's shape when x is an array, and a sub-expression
+    without x is computed as it stands at each call."""
     if isinstance(node, Const):
         v = node.value
-        return (lambda x: np.full(x.shape, v) if isinstance(x, np.ndarray) else v), True
+        return lambda x: np.full(x.shape, v) if isinstance(x, np.ndarray) else v
     if isinstance(node, Var):
-        return (lambda x: x), False
+        return lambda x: x
     if not isinstance(node, (BinOp, Pow, Call)):
         raise TypeError(f"not an expression node: {node!r}")
     kernel = _kernel(node, found)
@@ -289,23 +280,22 @@ def _compile(node: ExprNode, found=None):
         def kernel(*values):
             return None if any(v is None for v in values) else unguarded(*values)
     if isinstance(node, BinOp):
-        (lf, lc), (rf, rc) = _compile(node.left, found), _compile(node.right, found)
-        if lc != rc and found is None:
-            lf, rf = (_fold(node.left, lf), rf) if lc else (lf, _fold(node.right, rf))
-        return (lambda x: kernel(lf(x), rf(x))), lc and rc
-    f, constant = _compile(node.base if isinstance(node, Pow) else node.arg, found)
-    return (lambda x: kernel(f(x))), constant
+        lf = _operand(node.left, node.right, found)
+        rf = _operand(node.right, node.left, found)
+        return lambda x: kernel(lf(x), rf(x))
+    f = _compile(node.base if isinstance(node, Pow) else node.arg, found)
+    return lambda x: kernel(f(x))
 
 
 def as_function(node: ExprNode):
     """Compile ``node`` once into a callable of x (a float or a float64
     array) that raises :class:`EvalDomainError` on a domain violation."""
-    return _compile(node)[0]
+    return _compile(node)
 
 
 def evaluate(node: ExprNode, x):
     """Evaluate ``node`` at ``x`` (a float or numpy array); see as_function."""
-    return _compile(node)[0](x)
+    return _compile(node)(x)
 
 
 _DOMAIN_GRID_POINTS = 1025
@@ -322,7 +312,7 @@ def domain_check(node: ExprNode, interval) -> DomainReport:
     xs = np.linspace(float(interval.a), float(interval.b), _DOMAIN_GRID_POINTS)
     found: list[DomainViolation] = []
     with np.errstate(over="ignore", invalid="ignore"):
-        _compile(node, found)[0](xs)
+        _compile(node, found)(xs)
     return DomainReport(not found, tuple(found))
 
 
