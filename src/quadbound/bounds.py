@@ -184,19 +184,14 @@ def _pq_curve(rule: RuleParams, q: float, d: DerivEndpoints, interval: Interval)
 
     Everything that does not depend on p (the check of the rule, the
     half-interval distances, |f'(a)|**q, |f'(b)|**q, 1/q and b - a) is
-    computed here once; each p computes only its own terms, and raises what
-    ``bound_pq`` at that p raises.  Both callers have checked q and p.
+    computed here once, so an overflow of |f'|^q is raised here, before any
+    p; each p computes only its own terms.  Both callers have checked q and p.
     """
     _require_bound_admissible(rule)
     lam, mu = rule.lam, rule.mu
     near_left, near_right, far_right = 0.5 - lam, mu - 0.5, 1 - mu
     two_q, q_minus_1 = 2 * q, q - 1
-    overflow = None
-    try:
-        daq, dbq = d.da ** q, d.db ** q
-    except OverflowError as exc:
-        # raised at each p after that p's own checks, where bound_pq raised it
-        overflow, daq, dbq = exc.args, None, None
+    daq, dbq = d.da ** q, d.db ** q
     factor_exp, weight_exp = 1 - 1 / q, 1 / q
     width = interval.b - interval.a
 
@@ -208,8 +203,6 @@ def _pq_curve(rule: RuleParams, q: float, d: DerivEndpoints, interval: Interval)
         hr, war, wbr = _right_half(mu, near_right, far_right, terms)
         if hr == 0:
             raise _factor_underflow(q, p)
-        if overflow is not None:
-            raise OverflowError(*overflow)
         return width * (hl ** factor_exp * (wal * daq + wbl * dbq) ** weight_exp
                         + hr ** factor_exp * (war * daq + wbr * dbq) ** weight_exp)
 
@@ -329,9 +322,10 @@ def optimize_p(rule: RuleParams, q: float, d: DerivEndpoints,
     """Minimize ``bound_pq`` over p in (0, q].
 
     Brackets the minimum on a log-spaced grid (p = 1 and p = q are always
-    included), then refines by golden-section search, all on one curve.  A p
-    whose bound underflows or overflows scores +inf; if every grid point
-    does, the first grid point's error is raised.
+    included), then refines by golden-section search, all on one curve.  An
+    |f'|^q that overflows is raised before any p.  A p whose bound
+    underflows or overflows scores +inf; if every grid point does, the
+    first grid point's error is raised.
     """
     if not q > 1:
         raise ValueError(f"optimize_p requires q > 1, got {q}")

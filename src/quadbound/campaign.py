@@ -95,6 +95,9 @@ class Instance:
         if not all(map(math.isfinite, fx)):
             raise ValueError(f"f overflows on [{iv.a}, {iv.b}]: "
                              f"f(a), f((a+b)/2), f(b) = {', '.join(map(str, fx))}")
+        if not iv.width * max(map(abs, fx)) < math.inf:
+            raise ValueError(f"the integral of f on [{iv.a}, {iv.b}] is past the float range: "
+                             "(b - a) * max(|f(a)|, |f((a+b)/2)|, |f(b)|) overflows")
         return oracle.integrate(f, iv, QUAD_RTOL * iv.width * (max(fx) - min(fx)))
 
     def deficit(self, rule: RuleParams) -> float:

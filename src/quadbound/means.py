@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import bounds
 from .convexity import admissible_power
-from .oracle import Interval
+from .oracle import Interval, midpoint
 from .rules import LMRule, rule_from_lm
 
 __all__ = [
@@ -69,11 +69,13 @@ def _ls_power(s: float, a: float, b: float) -> float:
 def compute_mean(kind: str, a: float, b: float, s: Optional[float] = None) -> float:
     _check_positive(a, b)
     if kind == "A":
-        return (a + b) / 2
+        return midpoint(a, b)
     if kind == "G":
         return math.sqrt(a) * math.sqrt(b)
     if kind == "H":
-        return 2 * a * b / (a + b)
+        h = 2 * a * b / (a + b)
+        # 2ab overflows or underflows where a and b are near the float limits
+        return h if 0 < h < math.inf else a * (b / midpoint(a, b))
     if kind == "L":
         if a == b:
             return a
@@ -89,7 +91,13 @@ def compute_mean(kind: str, a: float, b: float, s: Optional[float] = None) -> fl
             return compute_mean("L", a, b)
         if s == 0:
             return compute_mean("I", a, b)
-        return _ls_power(s, a, b) ** (1 / s)
+        try:
+            power = _ls_power(s, a, b)
+        except OverflowError:
+            power = math.inf
+        if not 0 < power < math.inf:
+            raise ValueError(f"Ls(a, b)^s at s = {s} is past the float range on [{a}, {b}]")
+        return power ** (1 / s)
     raise ValueError(f"kind must be one of {MEAN_KINDS}, got {kind!r}")
 
 
@@ -120,7 +128,7 @@ def means_gap_log(m: float, ell: float, a: float, b: float) -> float:
     _check_positive(a, b)
     _check_lm(m, ell)
     combo = (2 * ell * (math.log(a) + math.log(b)) / 2
-             + (m - 2 * ell) * math.log((a + b) / 2)) / m
+             + (m - 2 * ell) * math.log(midpoint(a, b))) / m
     return combo - _log_identric(a, b)
 
 

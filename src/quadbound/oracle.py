@@ -23,6 +23,7 @@ import numpy as np
 
 __all__ = [
     "Interval",
+    "midpoint",
     "QuadratureResult",
     "IntegrationError",
     "integrate",
@@ -36,6 +37,13 @@ MAX_EVALS = 10**6  # integrand evaluations before integrate gives up
 
 class IntegrationError(Exception):
     pass
+
+
+def midpoint(a, b):
+    """(a + b)/2, or a/2 + b/2 where a + b overflows: so the midpoint of two
+    finite numbers is finite, and equals (a + b)/2 wherever that is."""
+    total = a + b
+    return total / 2 if math.isfinite(total) else a / 2 + b / 2
 
 
 @dataclass(frozen=True)
@@ -55,7 +63,7 @@ class Interval:
 
     @property
     def midpoint(self):
-        return (self.a + self.b) / 2
+        return midpoint(self.a, self.b)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from quadbound.bounds import (
     HolderParams,
     KernelMoments,
     _golden_min,
+    _pq_curve,
     _require_bound_admissible,
     bound,
     bound_pq,
@@ -347,6 +348,19 @@ def test_optimize_p_scores_an_underflowing_p_as_inf():
     assert v_star <= bound_pq(rule, HolderParams(q, q), d, iv)
 
 
+def test_holder_bound_is_convex_in_p():
+    # Each half's term is H(p)^(1-1/q) W(p)^(1/q), where H and W integrate
+    # |shift - t|^r against a nonnegative weight with r affine in p; by
+    # Hoelder's inequality r -> log of such an integral is convex, so each
+    # term is log-convex, hence convex, and so is their sum.  Second
+    # differences on a uniform grid are >= 0 up to rounding.
+    for rule, hp, d, iv in _reference_draws(2000, seed=43):
+        curve = _pq_curve(rule, hp.q, d, iv)
+        values = np.array([curve(p) for p in np.linspace(hp.q * 1e-6, hp.q, 257).tolist()])
+        second = values[:-2] - 2 * values[1:-1] + values[2:]
+        assert second.min() >= -8 * np.finfo(float).eps * values.max(), (rule, hp.q, d)
+
+
 # -- reference: the Hoelder bound before it was one curve per instance --------
 # Verbatim copies of kernel_moments_closed, bound_pq and optimize_p as they
 # were when bound_pq rebuilt its moments for every p.  The curve must
@@ -482,15 +496,11 @@ _Q_NEAR_1 = float(np.nextafter(1.0, 2.0))
 
 
 @pytest.mark.parametrize("rule, hp, d", [
-    # the factor underflows; with |f'(a)|^q overflowing too, the underflow
-    # is still what is raised
+    # the factor underflows
     (RuleParams(0.2, 0.8), HolderParams(0.5, _Q_NEAR_1), D),
-    (RuleParams(0.2, 0.8), HolderParams(1.001e-6, 1.001), DerivEndpoints(1e308, 1.0)),
     (RuleParams(0.5, 0.8), HolderParams(1e-6, 1.001), D),
     # |f'|^q overflows
     (RuleParams(0.2, 0.8), HolderParams(1.0, 2.0), DerivEndpoints(1.0, 1e300)),
-    # the exponent overflows, and |f'(a)|^q with it
-    (RuleParams(0.2, 0.8), HolderParams(1.0, 1e308), DerivEndpoints(2.0, 1.0)),
     # an inadmissible rule
     (RuleParams(0.7, 0.9), HolderParams(1.0, 2.0), D),
 ])
@@ -504,10 +514,27 @@ def test_bound_pq_errors_equal_reference(rule, hp, d):
 @pytest.mark.parametrize("rule, q, d", [
     # every grid point raises: the first grid point's error is raised
     (RuleParams(0.2, 0.8), 1.5, DerivEndpoints(1e300, 1.0)),
-    (RuleParams(0.2, 0.8), 1.001, DerivEndpoints(1e308, 1.0)),
     (RuleParams(0.7, 0.9), 2.0, D),
     (RuleParams(0.2, 0.8), 1.0, D),
 ])
 def test_optimize_p_errors_equal_reference(rule, q, d):
     assert (_raised(optimize_p, rule, q, d, IV)
             == _raised(_reference_optimize_p, rule, q, d, IV))
+
+
+@pytest.mark.parametrize("fn, rule, exponents, d", [
+    # the factor underflows at p, or the exponent overflows
+    (bound_pq, RuleParams(0.2, 0.8), HolderParams(1.001e-6, 1.001), DerivEndpoints(1e308, 1.0)),
+    (bound_pq, RuleParams(0.2, 0.8), HolderParams(1.0, 1e308), DerivEndpoints(2.0, 1.0)),
+    (optimize_p, RuleParams(0.2, 0.8), 1.001, DerivEndpoints(1e308, 1.0)),
+])
+def test_power_overflow_is_raised_before_any_p(fn, rule, exponents, d):
+    # |f'(a)|^q overflows too.  The curve computes it before any p, as bound
+    # checks it first, so it is raised where the reference raised the
+    # factor's or the exponent's error at p.
+    assert _raised(fn, rule, exponents, d, IV) == (
+        OverflowError, "(34, 'Numerical result out of range')")
+    if fn is bound_pq:  # the kernel moments, which do not take d, are unchanged
+        for side, shift in (("left", rule.lam), ("right", rule.mu)):
+            assert (_outcome(kernel_moments_closed, shift, side, exponents)
+                    == _outcome(_reference_kernel_moments_closed, shift, side, exponents))

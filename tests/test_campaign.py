@@ -205,6 +205,21 @@ def test_instance_takes_an_overflowing_end_as_inf(source, a, d):
     assert (inst.d.da, inst.d.db) == d
 
 
+@pytest.mark.parametrize("a, b", [(1e308, 1.7e308), (1e300, 1.7e300), (-1e300, 1e300),
+                                  (1e154, 1e155)])
+def test_integral_past_the_float_range_is_named(a, b):
+    # f = x is finite at a, (a+b)/2 and b, but (b - a) * max|f| is not
+    from quadbound.campaign import Instance
+    from quadbound.expr import Const, Var
+    from quadbound.oracle import Interval
+
+    inst = Instance(Var(), Const(1.0), Interval(a, b))
+    with pytest.raises(ValueError) as exc:
+        inst.quad
+    assert str(exc.value) == (f"the integral of f on [{a}, {b}] is past the float range: "
+                              "(b - a) * max(|f(a)|, |f((a+b)/2)|, |f(b)|) overflows")
+
+
 def test_trial_341_q_certificate_is_rejected():
     from quadbound.convexity import certify_convex
     from quadbound.expr import as_function, differentiate, parse

@@ -12,6 +12,7 @@ changed, so an intended change shows as exactly its entries.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -131,6 +132,28 @@ def test_cli_output_matches_golden(i, golden):
     code, stdout = run(golden[i]["argv"])
     assert code == golden[i]["exit"]
     assert stdout == golden[i]["stdout"]
+
+
+# The stdout sha1 of the full seeded campaigns, too long to keep in the
+# fixture.  On a mismatch the assertion prints the new sha1.
+VERIFY_SHA1 = {
+    ("verify", "--trials", "5000", "--seed", "0"): "b2bc1c79235b0129d3da00b82a56ec76d42d5b1b",
+    **{("verify", "--trials", "1500", "--seed", "4", "--family", family): sha1
+       for family, sha1 in (("mixed", "249e640caa0057bf7c7bf9cc35db70de7449237f"),
+                            ("poly", "0da6e71ea89d2ef8314775280debedd96c01af21"),
+                            ("power", "c02d0c30a2832fc6bb924951b1f9d2d36b7b927b"),
+                            ("log", "e4e19a86b7f616f3d3f4098383e4cf8bfffb441f"),
+                            ("concave-test", "2d8c45d8e39bd9a95ccd441b06ec7722b9d7a429"))},
+}
+
+
+@pytest.mark.parametrize("argv, sha1", VERIFY_SHA1.items(),
+                         ids=[" ".join(argv) for argv in VERIFY_SHA1])
+def test_verify_stdout_sha1(argv, sha1):
+    code, stdout = run(argv)
+    assert code == 0
+    assert hashlib.sha1(stdout.encode()).hexdigest() == sha1, (
+        f"stdout sha1 of {' '.join(argv)} is now {hashlib.sha1(stdout.encode()).hexdigest()}")
 
 
 def _record():

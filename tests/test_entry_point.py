@@ -84,6 +84,14 @@ CASES = [
     (["optimize", "--what", "p", "--rule", "simpson", "--q", "2", "--f", "x", "--a", "-1e308",
       "--b", "1e308"], 1),
     (["bound", "--f", "x", "--a", "-1e308", "--b", "1e308", "--rule", "simpson"], 1),
+    # f is finite at a, (a+b)/2 and b, but its integral is past the float range
+    (["bound", "--f", "x", "--a", "1e308", "--b", "1.7e308", "--rule", "simpson"], 1),
+    (["bound", "--f", "x", "--a", "1e300", "--b", "1.7e300", "--rule", "simpson"], 1),
+    (["bound", "--f", "x", "--a", "-1e300", "--b", "1e300", "--rule", "simpson"], 1),
+    (["bound", "--f", "x", "--a", "1e154", "--b", "1e155", "--rule", "simpson"], 1),
+    # (a+b)/2 overflows, but the mean A(a, b) does not
+    (["means", "--theorem", "4.5-p1", "--m", "2", "--ell", "1", "--a", "1e308", "--b",
+      "1.7e308"], 0),
 ]
 
 

@@ -26,6 +26,26 @@ def test_mean_values():
     assert abs(compute_mean("Ls", 1, 2, s=2) ** 2 - 7 / 3) <= 1e-14
 
 
+def test_means_of_large_or_small_floats_lie_between_them():
+    assert compute_mean("A", 1e308, 1.7e308) == 1.35e308
+    assert compute_mean("H", 1e200, 1e200) == 1e200
+    assert compute_mean("H", 1e-200, 1e-200) == 1e-200
+    assert compute_mean("H", 1e308, 1.7e308) == 1e308 * (1.7e308 / 1.35e308)
+
+
+def test_ls_past_the_float_range_names_ls_s_and_the_interval():
+    # Ls itself is about 6.3e199, but [Ls(a, b)]^3 overflows on the way
+    with pytest.raises(ValueError) as exc:
+        compute_mean("Ls", 1.0, 1e200, s=3)
+    assert str(exc.value) == "Ls(a, b)^s at s = 3 is past the float range on [1.0, 1e+200]"
+
+
+def test_log_gap_at_the_float_limit_is_finite():
+    gap = means_gap("4.5-p1", 2, 1, 1e308, 1.7e308)
+    assert abs(gap - -0.023354484191258962) <= 1e-15
+    assert abs(gap) <= means_bound("4.5-p1", 2, 1, 1e308, 1.7e308)
+
+
 def test_means_reject_nonpositive():
     with pytest.raises(ValueError):
         compute_mean("A", -1, 2)

@@ -9,6 +9,7 @@ from quadbound.oracle import (
     IntegrationError,
     integrate,
     kernel_moment_numeric,
+    midpoint,
 )
 
 
@@ -30,6 +31,16 @@ def test_interval_requires_a_finite_width():
     with pytest.raises(ValueError) as exc:
         Interval(-1e308, 1e308)
     assert str(exc.value) == "interval width b - a overflows on [-1e+308, 1e+308]"
+
+
+def test_midpoint_is_finite_past_the_float_range():
+    assert Interval(1e308, 1.7e308).midpoint == 1.35e308
+    assert midpoint(-1.7e308, -1e308) == -1.35e308
+    # where a + b is finite, the midpoint is (a + b)/2 to the bit
+    rng = np.random.default_rng(5)
+    for a, b in 10.0 ** rng.uniform(-300, 307, (2000, 2)) * rng.choice([-1, 1], (2000, 2)):
+        a, b = float(a), float(b)
+        assert midpoint(a, b) == (a + b) / 2
 
 
 def test_integrate_x_squared():
