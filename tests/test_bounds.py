@@ -364,7 +364,9 @@ def test_holder_bound_is_convex_in_p():
 # -- reference: the Hoelder bound before it was one curve per instance --------
 # Verbatim copies of kernel_moments_closed, bound_pq and optimize_p as they
 # were when bound_pq rebuilt its moments for every p.  The curve must
-# reproduce them bit for bit.  _require_bound_admissible, _golden_min and
+# reproduce them bit for bit, except that it raises an overflow of |f'|^q
+# before any p (test_power_overflow_is_raised_before_any_p).
+# _require_bound_admissible, _golden_min and
 # _P_GRID_POINTS did not change, so the copies use the module's.
 
 def _reference_kernel_moments_closed(shift: float, side: str, hp: HolderParams) -> KernelMoments:
