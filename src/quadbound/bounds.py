@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 from .oracle import Interval
 from .rules import LMRule, RuleParams
@@ -29,6 +29,7 @@ from .rules import LMRule, RuleParams
 __all__ = [
     "HolderParams",
     "DerivEndpoints",
+    "overflow_as_inf",
     "KernelMoments",
     "q1_coefficients",
     "bound_q1",
@@ -75,12 +76,15 @@ class DerivEndpoints:
     @classmethod
     def of(cls, fp, a, b) -> "DerivEndpoints":
         """|fp| at a and b; inf at an end where a float power overflows, for ``bound`` to name."""
-        def end(x):
-            try:
-                return abs(fp(x))
-            except OverflowError:
-                return math.inf
-        return cls(end(a), end(b))
+        return cls(abs(overflow_as_inf(fp, a)), abs(overflow_as_inf(fp, b)))
+
+
+def overflow_as_inf(fn, x):
+    """fn(x), or inf where a float power in fn overflows (Python raises there)."""
+    try:
+        return fn(x)
+    except OverflowError:
+        return math.inf
 
 
 def _require_bound_admissible(rule: RuleParams) -> None:
@@ -289,11 +293,11 @@ _FORMULA_IDS = {
 }
 
 
-def formula_id(q: float, p: Optional[float], name: Optional[str] = None,
-               lm: Optional[LMRule] = None) -> str:
-    """Identifier of the theorem/corollary a bound instance was produced by."""
-    given = 2 if name is not None else 1 if lm is not None else 0
-    return _FORMULA_IDS[form(q, p)][given].format(name)
+def formula_id(q: float, p: Optional[float], given: Union[str, LMRule, None] = None) -> str:
+    """Identifier of the theorem/corollary a bound instance was produced by;
+    ``given`` is how its rule was given: its name, an LMRule, or None for (lam, mu)."""
+    column = 2 if isinstance(given, str) else 1 if given is not None else 0
+    return _FORMULA_IDS[form(q, p)][column].format(given)
 
 
 def _golden_min(f, lo: float, hi: float, tol: float):

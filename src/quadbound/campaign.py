@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -67,14 +67,14 @@ class Claim:
 
 
 class Instance:
-    """One f on one [a, b], with f' compiled once: ``d`` (|f'| at the ends),
-    ``quad`` (f integrated on first use), ``deficit(rule)``,
-    ``certificate(q)`` and ``claim(rule, q, p)``, every bound claim about f."""
+    """One f on one [a, b]: f' compiled once, and f once on first use.  ``d``
+    (|f'| at the ends), ``nodes`` (f at a, (a+b)/2, b), ``quad`` (f integrated),
+    ``deficit(rule)``, ``certificate(q)``, ``claim(rule, q, p, given)``."""
 
     def __init__(self, ast: ExprNode, deriv: ExprNode, interval: Interval):
         self.ast, self.interval = ast, interval
         self._fp = as_function(deriv)
-        self._last = self._deficit = None, None
+        self._last = None, None
         # f' needs only the endpoints and the certificate grid (an interior
         # abs kink is fine: |f'| convex covers V-shaped derivatives), so it is
         # checked where it is used rather than over the whole interval.  An
@@ -88,31 +88,41 @@ class Instance:
             raise ValueError(f"f' is not evaluable at the interval endpoints: {exc}")
 
     @functools.cached_property
-    def quad(self) -> QuadratureResult:
-        f, iv = as_function(self.ast), self.interval
+    def _f(self):
+        return as_function(self.ast)
+
+    @functools.cached_property
+    def nodes(self) -> tuple[float, float, float]:
+        """f(a), f((a+b)/2), f(b), each a float; inf where a float power overflows."""
+        iv = self.interval
         with np.errstate(over="ignore", invalid="ignore"):
-            fx = f(np.array([iv.a, iv.midpoint, iv.b])).tolist()
+            return tuple(float(bounds.overflow_as_inf(self._f, float(x)))
+                         for x in (iv.a, iv.midpoint, iv.b))
+
+    @functools.cached_property
+    def quad(self) -> QuadratureResult:
+        fx, iv = self.nodes, self.interval
         if not all(map(math.isfinite, fx)):
             raise ValueError(f"f overflows on [{iv.a}, {iv.b}]: "
                              f"f(a), f((a+b)/2), f(b) = {', '.join(map(str, fx))}")
         if not iv.width * max(map(abs, fx)) < math.inf:
             raise ValueError(f"the integral of f on [{iv.a}, {iv.b}] is past the float range: "
                              "(b - a) * max(|f(a)|, |f((a+b)/2)|, |f(b)|) overflows")
-        return oracle.integrate(f, iv, QUAD_RTOL * iv.width * (max(fx) - min(fx)))
+        return oracle.integrate(self._f, iv, QUAD_RTOL * iv.width * (max(fx) - min(fx)))
 
     def deficit(self, rule: RuleParams) -> float:
-        """Signed deficit of ``rule`` against the mean integral of f; the last one is kept."""
-        if rule != self._deficit[0]:
-            mean = self.quad.value / self.interval.width
-            self._deficit = rule, float(lhs_value(rule, self.ast, self.interval, mean))
-        return self._deficit[1]
+        """Signed deficit of ``rule`` against the mean integral of f."""
+        mean = self.quad.value / self.interval.width
+        fa, fm, fb = self.nodes
+        return float(lhs_value(rule, fa, fb, fm, mean))
 
     def claim(self, rule: RuleParams, q: float, p: Optional[float],
-              name: Optional[str] = None, lm: Optional[LMRule] = None) -> Claim:
-        """The claim of ``rule`` at (q, p); ``name``/``lm`` name its formula id."""
+              given: Union[str, LMRule, None] = None) -> Claim:
+        """The claim of ``rule`` at (q, p); ``given`` (how the rule was given:
+        its name, an LMRule, or None) names its formula id."""
         lhs = self.deficit(rule)
         rhs, p = bounds.bound(rule, self.d, self.interval, q, p)
-        return Claim(lhs, rhs, p, bounds.formula_id(q, p, name, lm))
+        return Claim(lhs, rhs, p, bounds.formula_id(q, p, given))
 
     def _abs_fp(self, x):
         # The certificate's grid is cached and read-only, so the same object
@@ -229,7 +239,6 @@ def run_verify(trials: int, seed: int = 0, family: str = "mixed") -> dict:
         family_counts[draw.family] = family_counts.get(draw.family, 0) + 1
         rule = RuleParams(lam, mu)
         inst = Instance(draw.ast, draw.deriv, draw.interval)
-        inst.deficit(rule)  # before the certificates, as the claims reuse it
 
         # |f'| convex makes |f'|^q convex, as t -> t^q is convex and
         # nondecreasing on t >= 0 for q >= 1; so the q certificate is built

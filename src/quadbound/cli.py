@@ -25,7 +25,7 @@ import json
 import math
 import re
 import sys
-from typing import Optional
+from typing import Optional, Union
 
 from . import bounds, campaign, means
 # certify_convex, as_function, integrate and lhs_value are unused here but stay
@@ -48,9 +48,10 @@ def _config_dict(cfg: argparse.Namespace) -> dict:
 
 
 def _resolve_rule(cfg: argparse.Namespace, optimized: bool = False,
-                  ) -> tuple[Optional[RuleParams], Optional[str], Optional[LMRule]]:
-    """Enforce that exactly one rule spec form was provided, or none when the
-    rule is ``optimized``."""
+                  ) -> tuple[Optional[RuleParams], Union[str, LMRule, None]]:
+    """The rule and how it was given (its name, an LMRule, or None for
+    (lam, mu)); exactly one rule spec form must be provided, or none when
+    the rule is ``optimized``."""
     given = {"named": cfg.rule is not None,
              "lambda/mu": cfg.lam is not None or cfg.mu is not None,
              "m/ell": cfg.m is not None or cfg.ell is not None}
@@ -59,21 +60,21 @@ def _resolve_rule(cfg: argparse.Namespace, optimized: bool = False,
         if forms:
             raise ValueError("--what rule optimizes over the rule; do not pass "
                              "--rule, --lambda/--mu or --m/--ell")
-        return None, None, None
+        return None, None
     if len(forms) > 1:
         raise ValueError(f"give exactly one rule spec form, got {' and '.join(forms)}")
     if not forms:
         raise ValueError("a rule spec is required: --rule, --lambda/--mu, or --m/--ell")
     if given["named"]:
-        return rule_from_lm(named_rule(cfg.rule)), cfg.rule, None
+        return rule_from_lm(named_rule(cfg.rule)), cfg.rule
     if given["lambda/mu"]:
         if cfg.lam is None or cfg.mu is None:
             raise ValueError("--lambda and --mu must be given together")
-        return RuleParams(cfg.lam, cfg.mu), None, None
+        return RuleParams(cfg.lam, cfg.mu), None
     if cfg.m is None or cfg.ell is None:
         raise ValueError("--m and --ell must be given together")
     lm = LMRule(cfg.m, cfg.ell)
-    return rule_from_lm(lm), None, lm
+    return rule_from_lm(lm), lm
 
 
 def _instance(source: Optional[str], a: float, b: float) -> campaign.Instance:
@@ -108,10 +109,10 @@ def _emit(cfg: argparse.Namespace, fields: dict) -> None:
 
 # Each command returns its report fields and exit code; main writes the report.
 def cmd_bound(cfg: argparse.Namespace) -> tuple[dict, int]:
-    rule, name, lm = _resolve_rule(cfg)
+    rule, given = _resolve_rule(cfg)
     inst = _instance(cfg.f, cfg.a, cfg.b)
     # the claim checks (q, p) before the certificate raises f' to q
-    claim = inst.claim(rule, cfg.q, cfg.p, name, lm)
+    claim = inst.claim(rule, cfg.q, cfg.p, given)
     cert = inst.certificate(cfg.q)
     fields = {
         "lhs": claim.lhs,
@@ -172,9 +173,9 @@ def cmd_sweep(cfg: argparse.Namespace) -> tuple[dict, int]:
         if cfg.rule is not None or cfg.m is not None or cfg.ell is not None:
             raise ValueError(f"axis {cfg.axis!r} sweeps the rule weights; "
                              "give at most the complementary --lambda/--mu")
-        rule, name, lm = None, None, None
+        rule = given = None
     else:
-        rule, name, lm = _resolve_rule(cfg)
+        rule, given = _resolve_rule(cfg)
     # argparse keeps a default object as it is and makes a new float of a
     # given value, so --q was given iff cfg.q is not its default object
     fixed = {"lambda": cfg.lam is not None, "mu": cfg.mu is not None,
@@ -201,7 +202,7 @@ def cmd_sweep(cfg: argparse.Namespace) -> tuple[dict, int]:
             p = v
         elif cfg.axis == "q":
             q = v
-        claim = inst.claim(point_rule, q, p, name, lm)
+        claim = inst.claim(point_rule, q, p, given)
         rows.append({"axis": cfg.axis, "value": v, "lhs_abs": abs(claim.lhs),
                      "rhs": float(claim.rhs), "slack": float(claim.slack),
                      "formula_id": claim.formula_id})
@@ -228,7 +229,7 @@ def cmd_means(cfg: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_optimize(cfg: argparse.Namespace) -> tuple[dict, int]:
-    rule, name, lm = _resolve_rule(cfg, optimized=cfg.what == "rule")
+    rule, given = _resolve_rule(cfg, optimized=cfg.what == "rule")
     inst = _instance(cfg.f, cfg.a, cfg.b)
     d = inst.d
     fields = {"what": cfg.what}
@@ -241,7 +242,7 @@ def cmd_optimize(cfg: argparse.Namespace) -> tuple[dict, int]:
         rhs_star, p_star = bounds.bound(rule, d, inst.interval, cfg.q)
         fields["p_star"] = float(p_star)
         fields["rhs_star"] = float(rhs_star)
-        fields["formula_id"] = bounds.formula_id(cfg.q, p_star, name, lm)
+        fields["formula_id"] = bounds.formula_id(cfg.q, p_star, given)
     else:
         p = cfg.q if cfg.p is None else cfg.p
         rule_star, rhs_star = bounds.optimize_rule(cfg.q, p, d, inst.interval)

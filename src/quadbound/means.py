@@ -62,7 +62,13 @@ def _ls_power(s: float, a: float, b: float) -> float:
     if abs(u) < 0.5:
         num = math.expm1(u * lb) - math.expm1(u * la)
     else:
-        num = b**u - a**u
+        try:
+            num = b**u - a**u
+        except OverflowError:
+            # b**u overflows (or a**u at u < 0): b^s (1 - r^u) / (u (1 - r)), r = a/b
+            t = (b - a) / b  # 1 - r
+            lr = math.log1p(-t) if t < 0.5 else la - lb  # log r; t is 1.0 where r < eps
+            return b**s * -math.expm1(u * lr) / (u * t)
     return num / (u * (b - a))
 
 

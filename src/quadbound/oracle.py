@@ -27,7 +27,6 @@ __all__ = [
     "QuadratureResult",
     "IntegrationError",
     "integrate",
-    "average_value",
     "kernel_moment_numeric",
 ]
 
@@ -175,11 +174,6 @@ def integrate(f: Callable, interval: Interval, tol: float = DEFAULT_TOL) -> Quad
 def _budget_message(tol: float) -> str:
     return (f"node budget exceeded ({MAX_EVALS} evaluations) before "
             f"reaching tol={tol}")
-
-
-def average_value(f: Callable, interval: Interval) -> float:
-    """(1/(b-a)) * integral of f over [a, b], to ``DEFAULT_TOL``."""
-    return integrate(f, interval).value / (interval.b - interval.a)
 
 
 _WEIGHTS = {

@@ -1,16 +1,14 @@
-"""The three-point quadrature rule family and its integral identities.
+"""The three-point quadrature rule family and its signed deficit.
 
 A rule Q(lam, mu) approximates the mean integral of f over [a, b] by
 
     (1 - mu) f(a) + lam f(b) + (mu - lam) f((a+b)/2),
 
-and ``lhs_value`` returns the signed deficit Q - mean integral.  The deficit
-equals two half-interval integrals of (weight - t) f'(ta + (1-t)b) --
-``identity_rhs_half``, computed numerically so the identity is a testable
-equality.
-
-Note the substitution orientation: t = 0 maps to b and t = 1 to a.  This is
-deliberate; do not "fix" it.
+and ``lhs_value`` returns the signed deficit Q - mean integral from f(a),
+f(b), f((a+b)/2) and the mean.  The deficit equals two half-interval
+integrals of (weight - t) f'(ta + (1-t)b), with t = 0 mapping to b and
+t = 1 to a (deliberate; do not "fix" it); the tests compute that identity
+numerically as a fixture.
 """
 
 from __future__ import annotations
@@ -18,9 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# evaluate is unused here but stays a module attribute: perfbench/spans.py traces it.
-from .expr import ExprNode, as_function, evaluate
-from .oracle import Interval, integrate
+# as_function, evaluate and integrate are unused here but stay module
+# attributes: perfbench/spans.py traces them.
+from .expr import as_function, evaluate
+from .oracle import integrate
 
 __all__ = [
     "RuleParams",
@@ -29,7 +28,6 @@ __all__ = [
     "named_rule",
     "rule_from_lm",
     "lhs_value",
-    "identity_rhs_half",
 ]
 
 
@@ -89,26 +87,7 @@ def rule_from_lm(lm: LMRule) -> RuleParams:
     return RuleParams(lam, 1 - lam)
 
 
-def lhs_value(rule: RuleParams, f: ExprNode, interval: Interval,
+def lhs_value(rule: RuleParams, fa: float, fb: float, fm: float,
               mean_integral: float) -> float:
     """Signed deficit (1-mu) f(a) + lam f(b) + (mu-lam) f(mid) - mean_integral."""
-    fn = as_function(f)
-    fa, fb, fm = fn(float(interval.a)), fn(float(interval.b)), fn(float(interval.midpoint))
     return (1 - rule.mu) * fa + rule.lam * fb + (rule.mu - rule.lam) * fm - mean_integral
-
-
-def identity_rhs_half(rule: RuleParams, fprime: ExprNode, interval: Interval) -> float:
-    """Half-interval identity right-hand side for the deficit of ``rule``,
-    each half integrated to ``DEFAULT_TOL``."""
-    a, b = float(interval.a), float(interval.b)
-    fp = as_function(fprime)
-
-    def left(t):
-        return (rule.lam - t) * fp(t * a + (1 - t) * b)
-
-    def right(t):
-        return (rule.mu - t) * fp(t * a + (1 - t) * b)
-
-    li = integrate(left, Interval(0.0, 0.5))
-    ri = integrate(right, Interval(0.5, 1.0))
-    return (b - a) * (li.value + ri.value)

@@ -1,15 +1,49 @@
-"""Test fixture: the rule family in a second ("folded") parametrization.
+"""Test fixtures: the rule family's integral identities, numerically.
 
-The deficit of (lam f(a) + mu f(b))/2 + ((2-lam-mu)/2) f(mid) equals a
-single-interval integral of f'.  No bound or command uses this form; the
-tests use it as an independent check of ``rules.lhs_value`` and the
-half-interval identity, through the substitution lam -> mu/2,
-mu -> 1 - lam/2.
+The deficit ``rules.lhs_value`` equals two half-interval integrals of
+(weight - t) f'(ta + (1-t)b), ``identity_rhs_half``; ``average_value`` is
+the mean integral it is taken against.  Note the substitution orientation:
+t = 0 maps to b and t = 1 to a.  This is deliberate; do not "fix" it.
+
+The rule family in a second ("folded") parametrization: the deficit of
+(lam f(a) + mu f(b))/2 + ((2-lam-mu)/2) f(mid) equals a single-interval
+integral of f'.  No bound or command uses this form; the tests use it as an
+independent check of ``rules.lhs_value`` and the half-interval identity,
+through the substitution lam -> mu/2, mu -> 1 - lam/2.
 """
+
+from typing import Callable
 
 from quadbound.expr import ExprNode, as_function, evaluate
 from quadbound.oracle import DEFAULT_TOL, Interval, integrate
 from quadbound.rules import RuleParams
+
+
+def average_value(f: Callable, interval: Interval) -> float:
+    """(1/(b-a)) * integral of f over [a, b], to ``DEFAULT_TOL``."""
+    return integrate(f, interval).value / (interval.b - interval.a)
+
+
+def node_values(f: ExprNode, interval: Interval) -> tuple[float, float, float]:
+    """f(a), f(b), f(mid) at floats, in the order ``rules.lhs_value`` takes them."""
+    return tuple(evaluate(f, float(x)) for x in (interval.a, interval.b, interval.midpoint))
+
+
+def identity_rhs_half(rule: RuleParams, fprime: ExprNode, interval: Interval) -> float:
+    """Half-interval identity right-hand side for the deficit of ``rule``,
+    each half integrated to ``DEFAULT_TOL``."""
+    a, b = float(interval.a), float(interval.b)
+    fp = as_function(fprime)
+
+    def left(t):
+        return (rule.lam - t) * fp(t * a + (1 - t) * b)
+
+    def right(t):
+        return (rule.mu - t) * fp(t * a + (1 - t) * b)
+
+    li = integrate(left, Interval(0.0, 0.5))
+    ri = integrate(right, Interval(0.5, 1.0))
+    return (b - a) * (li.value + ri.value)
 
 
 def lhs_value_folded(lam: float, mu: float, f: ExprNode, interval: Interval,

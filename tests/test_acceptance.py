@@ -11,9 +11,12 @@ import numpy as np
 
 import display_fixtures as fx
 from folded_fixtures import (
+    average_value,
     folded_params_for_rule,
     identity_rhs_folded,
+    identity_rhs_half,
     lhs_value_folded,
+    node_values,
 )
 from quadbound.bounds import (
     DerivEndpoints,
@@ -30,12 +33,11 @@ from quadbound.campaign import draw_function, run_verify
 from quadbound.convexity import admissible_power
 from quadbound.expr import as_function
 from quadbound.means import MEANS_THEOREMS, compute_mean, means_bound, means_gap
-from quadbound.oracle import Interval, average_value, kernel_moment_numeric
+from quadbound.oracle import Interval, kernel_moment_numeric
 from quadbound.rules import (
     LMRule,
     NAMED_RULES,
     RuleParams,
-    identity_rhs_half,
     lhs_value,
     named_rule,
     rule_from_lm,
@@ -53,7 +55,7 @@ def test_criterion_1_identity_suite():
         rule = RuleParams(lam, mu)
         mean = average_value(as_function(draw.ast), draw.interval)
 
-        lhs = lhs_value(rule, draw.ast, draw.interval, mean)
+        lhs = lhs_value(rule, *node_values(draw.ast, draw.interval), mean)
         rhs = identity_rhs_half(rule, draw.deriv, draw.interval)
         dev = abs(lhs - rhs) / max(1.0, abs(lhs))
         worst = max(worst, dev)

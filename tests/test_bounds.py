@@ -270,12 +270,12 @@ def test_formula_ids():
     assert formula_id(2.0, 0.7) == "thm3.2"
     assert formula_id(2.0, 1.0) == "cor3.1-p1"
     assert formula_id(2.0, 2.0) == "cor3.1-pq"
-    assert formula_id(2.0, 0.7, lm=LMRule(7, 2)) == "cor3.2"
-    assert formula_id(2.0, 1.0, lm=LMRule(7, 2)) == "cor3.3-p1"
-    assert formula_id(1.0, None, name="simpson") == "cor3.7-simpson"
-    assert formula_id(2.0, 1.0, name="simpson") == "cor3.6-simpson"
-    assert formula_id(2.0, 2.0, name="avg3") == "cor3.5-avg3"
-    assert formula_id(2.0, 0.5, name="avg3") == "cor3.4-avg3"
+    assert formula_id(2.0, 0.7, LMRule(7, 2)) == "cor3.2"
+    assert formula_id(2.0, 1.0, LMRule(7, 2)) == "cor3.3-p1"
+    assert formula_id(1.0, None, "simpson") == "cor3.7-simpson"
+    assert formula_id(2.0, 1.0, "simpson") == "cor3.6-simpson"
+    assert formula_id(2.0, 2.0, "avg3") == "cor3.5-avg3"
+    assert formula_id(2.0, 0.5, "avg3") == "cor3.4-avg3"
 
 
 def test_optimize_p_contracts():

@@ -75,20 +75,25 @@ def test_run_verify_reports_a_bound_just_below_the_deficit(low_rhs, monkeypatch)
     # that path.  An absolute slack floor of 1e-9 would pass both.
     from quadbound import campaign
 
-    lhs_value, bound = campaign.lhs_value, campaign.bounds.bound
-    deficits, paths = [], []
+    lhs_value, bound, draw = campaign.lhs_value, campaign.bounds.bound, campaign.draw_function
+    draws, deficits, paths = [], {}, []  # deficits and paths keyed by the trial checked
+
+    def counted_draw(*args):
+        draws.append(draw(*args))
+        return draws[-1]
 
     def recorded_lhs_value(*args):
-        deficits.append(float(lhs_value(*args)))
-        return deficits[-1]
+        deficits[len(draws) - 1] = float(lhs_value(*args))
+        return deficits[len(draws) - 1]
 
     def low_bound(rule, d, interval, q, p=None):
         rhs, p = bound(rule, d, interval, q, p)
-        paths.append((len(deficits) - 1, campaign.bounds.formula_id(q, p)))
+        paths.append((len(draws) - 1, campaign.bounds.formula_id(q, p)))
         if len(paths) == 2:
-            rhs = low_rhs(abs(deficits[-1]))
+            rhs = low_rhs(abs(deficits[len(draws) - 1]))
         return rhs, p
 
+    monkeypatch.setattr(campaign, "draw_function", counted_draw)
     monkeypatch.setattr(campaign, "lhs_value", recorded_lhs_value)
     monkeypatch.setattr(campaign.bounds, "bound", low_bound)
     summary = run_verify(trials=3, seed=0)
@@ -152,6 +157,74 @@ def test_bound_evaluates_f_prime_once_per_certificate_point(monkeypatch, capsys)
     argv = ["bound", "--f", "x^3", "--a", "1", "--b", "2", "--rule", "simpson", "--q", "2"]
     points = _f_prime_points(monkeypatch, lambda: main(argv))
     assert points == 4097 + 2
+
+
+def _instance_work(monkeypatch, run):
+    """Run ``run()`` and return the Instances it builds, the compiles of each
+    node, the floats each node was evaluated at, and the integrations."""
+    from quadbound import campaign, rules
+
+    instances, compiles, floats, integrations = [], {}, {}, []
+    as_function, integrate = campaign.as_function, campaign.oracle.integrate
+
+    def counted_as_function(node):
+        compiles[id(node)] = compiles.get(id(node), 0) + 1
+        fn = as_function(node)
+
+        def counted(x):
+            if np.ndim(x) == 0:
+                floats.setdefault(id(node), []).append(x)
+            return fn(x)
+
+        return counted
+
+    class CountedInstance(campaign.Instance):
+        def __init__(self, ast, deriv, interval):
+            instances.append(self)  # kept alive, so node ids stay unique
+            self.deriv, self.claims = deriv, 0
+            super().__init__(ast, deriv, interval)
+
+        def claim(self, *args):
+            self.claims += 1
+            return super().claim(*args)
+
+    def counted_integrate(*args):
+        integrations.append(args)
+        return integrate(*args)
+
+    for module in (campaign, rules):  # rules too, so that lhs_value compiling f is counted
+        monkeypatch.setattr(module, "as_function", counted_as_function)
+    monkeypatch.setattr(campaign, "Instance", CountedInstance)
+    monkeypatch.setattr(campaign.oracle, "integrate", counted_integrate)
+    run()
+    return instances, compiles, floats, len(integrations)
+
+
+def _sweep_lambda():
+    from quadbound.cli import main
+
+    assert main(["sweep", "--f", "x^3", "--a", "1", "--b", "2", "--axis", "lambda",
+                 "--from", "0", "--to", "0.5", "--step", "0.1"]) == 0
+
+
+@pytest.mark.parametrize("run, claim_counts", [
+    (lambda: run_verify(trials=60, seed=0), {0, 3, 4}),
+    (lambda: run_verify(trials=20, seed=0, family="concave-test"), {0}),
+    (_sweep_lambda, {6}),
+], ids=["mixed", "concave-test", "sweep-lambda"])
+def test_instance_compiles_evaluates_and_integrates_f_once(monkeypatch, run, claim_counts):
+    # the deficit depends on f only through f(a), f((a+b)/2), f(b) and the
+    # mean: f and f' are compiled once per instance, f is evaluated at the
+    # three nodes once however many claims there are, and an instance that
+    # makes no claim compiles, evaluates and integrates no f
+    instances, compiles, floats, integrations = _instance_work(monkeypatch, run)
+    assert {inst.claims for inst in instances} == claim_counts
+    for inst in instances:
+        iv = inst.interval
+        assert compiles[id(inst.deriv)] == 1
+        assert compiles.get(id(inst.ast), 0) == (inst.claims > 0)
+        assert floats.get(id(inst.ast), []) == ([iv.a, iv.midpoint, iv.b] if inst.claims else [])
+    assert integrations == sum(inst.claims > 0 for inst in instances)
 
 
 @pytest.mark.parametrize("family, certificates, paths", [

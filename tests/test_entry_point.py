@@ -92,6 +92,9 @@ CASES = [
     # (a+b)/2 overflows, but the mean A(a, b) does not
     (["means", "--theorem", "4.5-p1", "--m", "2", "--ell", "1", "--a", "1e308", "--b",
       "1.7e308"], 0),
+    # b^1.5 overflows, but [Ls(a, b)]^0.5 does not
+    (["means", "--theorem", "4.2-p1", "--m", "2", "--ell", "1", "--s", "0.5", "--a", "1e308",
+      "--b", "1.7e308"], 0),
 ]
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from folded_fixtures import average_value, node_values
 from quadbound.bounds import DerivEndpoints, HolderParams, bound, bound_pq
 from quadbound.convexity import admissible_power
 from quadbound.expr import as_function, differentiate, evaluate, parse
@@ -14,7 +15,7 @@ from quadbound.means import (
     means_gap_log,
     means_gap_power,
 )
-from quadbound.oracle import Interval, average_value
+from quadbound.oracle import Interval
 from quadbound.rules import LMRule, rule_from_lm
 
 
@@ -38,6 +39,16 @@ def test_ls_past_the_float_range_names_ls_s_and_the_interval():
     with pytest.raises(ValueError) as exc:
         compute_mean("Ls", 1.0, 1e200, s=3)
     assert str(exc.value) == "Ls(a, b)^s at s = 3 is past the float range on [1.0, 1e+200]"
+
+
+def test_ls_where_b_to_the_s_plus_1_overflows_scales_from_in_range():
+    # b^1.5 overflows at b = 1.7e308, but Ls is homogeneous of degree 1:
+    # Ls(ka, kb) = k Ls(a, b), with k = 1e208 from an in-range interval
+    ls = compute_mean("Ls", 1e308, 1.7e308, s=0.5)
+    assert math.isclose(ls, 1e208 * compute_mean("Ls", 1e100, 1.7e100, s=0.5), rel_tol=1e-14)
+    assert math.isclose(ls ** 0.5, 1.1585988740656193e154, rel_tol=1e-15)
+    # a/b below eps, where 1 - a/b rounds to 1: [Ls]^0.5 is b^0.5/1.5 to rounding
+    assert math.isclose(compute_mean("Ls", 1.0, 1.7e308, s=0.5), 1.7e308 / 2.25, rel_tol=1e-15)
 
 
 def test_log_gap_at_the_float_limit_is_finite():
@@ -162,7 +173,7 @@ def test_gap_power_is_rule_deficit_of_power_function():
         mean = average_value(as_function(f), iv)
         from quadbound.rules import lhs_value
 
-        deficit = lhs_value(rule_from_lm(LMRule(m, ell)), f, iv, mean)
+        deficit = lhs_value(rule_from_lm(LMRule(m, ell)), *node_values(f, iv), mean)
         assert abs(means_gap_power(m, ell, s, a, b) - deficit) <= 1e-9 * max(1.0, abs(deficit))
 
 

@@ -6,19 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folded_fixtures import (
+    average_value,
     folded_params_for_rule,
     identity_rhs_folded,
+    identity_rhs_half,
     lhs_value_folded,
+    node_values,
     rule_for_folded,
 )
 from quadbound.campaign import draw_function
 from quadbound.expr import differentiate, parse, as_function
-from quadbound.oracle import Interval, average_value
+from quadbound.oracle import Interval
 from quadbound.rules import (
     LMRule,
     NAMED_RULES,
     RuleParams,
-    identity_rhs_half,
     lhs_value,
     named_rule,
     rule_from_lm,
@@ -64,8 +66,8 @@ def test_lhs_value_examples():
     f = parse("x^2")
     iv = Interval(1.0, 2.0)
     mean = average_value(as_function(f), iv)
-    assert abs(lhs_value(RuleParams(0.5, 0.5), f, iv, mean) - 1 / 6) <= 1e-12
-    assert abs(lhs_value(RuleParams(0.0, 1.0), f, iv, mean) + 1 / 12) <= 1e-12
+    assert abs(lhs_value(RuleParams(0.5, 0.5), *node_values(f, iv), mean) - 1 / 6) <= 1e-12
+    assert abs(lhs_value(RuleParams(0.0, 1.0), *node_values(f, iv), mean) + 1 / 12) <= 1e-12
 
 
 @given(
@@ -86,14 +88,14 @@ def test_lhs_exact_on_affine(lam, c0, c1, a, width):
     iv = Interval(a, a + width)
     mean = c0 + c1 * (iv.a + iv.b) / 2
     scale = max(1.0, abs(c0) + abs(c1) * (abs(a) + width))
-    assert abs(lhs_value(RuleParams(lam, 1 - lam), f, iv, mean)) <= 1e-12 * scale
+    assert abs(lhs_value(RuleParams(lam, 1 - lam), *node_values(f, iv), mean)) <= 1e-12 * scale
 
 
 def test_lhs_affine_deficit_off_symmetry():
     # sanity check of the formula above for an asymmetric rule
     f = parse("x")
     iv = Interval(0.0, 1.0)
-    got = lhs_value(RuleParams(0.0, 0.0), f, iv, 0.5)
+    got = lhs_value(RuleParams(0.0, 0.0), *node_values(f, iv), 0.5)
     assert math.isclose(got, -0.5)
 
 
@@ -110,7 +112,7 @@ def test_identity_examples():
     f3 = parse("x^3")
     mean = average_value(as_function(f3), Interval(0.0, 1.0))
     simpson = rule_from_lm(NAMED_RULES["simpson"])
-    lhs = lhs_value(simpson, f3, Interval(0.0, 1.0), mean)
+    lhs = lhs_value(simpson, *node_values(f3, Interval(0.0, 1.0)), mean)
     rhs = identity_rhs_half(simpson, differentiate(f3), Interval(0.0, 1.0))
     assert abs(lhs - rhs) <= 1e-10
 
@@ -123,7 +125,7 @@ def test_identity_random_instances():
         mu = float(rng.uniform(0.0, 1.5))
         rule = RuleParams(lam, mu)
         mean = average_value(as_function(draw.ast), draw.interval)
-        lhs = lhs_value(rule, draw.ast, draw.interval, mean)
+        lhs = lhs_value(rule, *node_values(draw.ast, draw.interval), mean)
         rhs = identity_rhs_half(rule, draw.deriv, draw.interval)
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs)), draw.source
 
@@ -150,7 +152,7 @@ def test_second_parametrization_and_equivalence():
         assert abs(lhs_f - rhs_f) <= 1e-9 * max(1.0, abs(lhs_f))
         # the two parametrizations agree through the substitution
         rule = rule_for_folded(lam_f, mu_f)
-        lhs_h = lhs_value(rule, draw.ast, draw.interval, mean)
+        lhs_h = lhs_value(rule, *node_values(draw.ast, draw.interval), mean)
         assert abs(lhs_h - lhs_f) <= 1e-12 * max(1.0, abs(lhs_f))
         back = folded_params_for_rule(rule)
         assert math.isclose(back[0], lam_f, abs_tol=1e-12)
@@ -164,6 +166,6 @@ def test_named_rule_identities():
         rule = rule_from_lm(lm)
         draw = draw_function(rng, "poly", q=1.0)
         mean = average_value(as_function(draw.ast), draw.interval)
-        lhs = lhs_value(rule, draw.ast, draw.interval, mean)
+        lhs = lhs_value(rule, *node_values(draw.ast, draw.interval), mean)
         rhs = identity_rhs_half(rule, draw.deriv, draw.interval)
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs)), name
