@@ -93,11 +93,18 @@ class Instance:
 
     @functools.cached_property
     def nodes(self) -> tuple[float, float, float]:
-        """f(a), f((a+b)/2), f(b), each a float; inf where a float power overflows."""
+        """f(a), f((a+b)/2), f(b), each a float.  Where a float power
+        overflows (Python raises there), the node's value is f's on a
+        one-element array, which overflows to a signed inf as numpy does."""
         iv = self.interval
         with np.errstate(over="ignore", invalid="ignore"):
-            return tuple(float(bounds.overflow_as_inf(self._f, float(x)))
-                         for x in (iv.a, iv.midpoint, iv.b))
+            return tuple(map(self._node, (iv.a, iv.midpoint, iv.b)))
+
+    def _node(self, x: float) -> float:
+        try:
+            return float(self._f(float(x)))
+        except OverflowError:
+            return float(self._f(np.array([x]))[0])
 
     @functools.cached_property
     def quad(self) -> QuadratureResult:

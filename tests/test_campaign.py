@@ -278,6 +278,22 @@ def test_instance_takes_an_overflowing_end_as_inf(source, a, d):
     assert (inst.d.da, inst.d.db) == d
 
 
+@pytest.mark.parametrize("source, nodes", [
+    ("0-x^400", (-1.0, -math.inf, -math.inf)),
+    ("x^400", (1.0, math.inf, math.inf)),
+    ("(0-x)^401", (-1.0, -math.inf, -math.inf)),
+])
+def test_instance_nodes_keep_the_sign_of_an_overflow(source, nodes):
+    # a float power raises OverflowError; the node then overflows as numpy
+    # does, to an inf of f's sign
+    from quadbound.campaign import Instance
+    from quadbound.expr import differentiate, parse
+    from quadbound.oracle import Interval
+
+    ast = parse(source)
+    assert Instance(ast, differentiate(ast), Interval(1.0, 1e10)).nodes == nodes
+
+
 @pytest.mark.parametrize("a, b", [(1e308, 1.7e308), (1e300, 1.7e300), (-1e300, 1e300),
                                   (1e154, 1e155)])
 def test_integral_past_the_float_range_is_named(a, b):

@@ -72,6 +72,7 @@ CASES = [
     (["bound", "--f", "x^-2", "--a", "1e-200", "--b", "1", "--rule", "simpson"], 1),
     (["bound", "--f", "10^400*x", "--a", "0", "--b", "1", "--rule", "simpson"], 1),
     (["bound", "--f", "x^400", "--a", "1", "--b", "1e10", "--rule", "simpson"], 1),
+    (["bound", "--f", "0-x^400", "--a", "1", "--b", "1e10", "--rule", "simpson"], 1),
     (["sweep", "--axis", "s", "--a", "1e-200", "--b", "1", "--rule", "simpson", "--from", "-2",
       "--to", "-2", "--step", "1"], 1),
     (["optimize", "--what", "p", "--q", "2", "--f", "x^-2", "--a", "1e-200", "--b", "1",
