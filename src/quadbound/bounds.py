@@ -29,7 +29,6 @@ from .rules import LMRule, RuleParams
 __all__ = [
     "HolderParams",
     "DerivEndpoints",
-    "overflow_as_inf",
     "KernelMoments",
     "q1_coefficients",
     "bound_q1",
@@ -72,19 +71,6 @@ class DerivEndpoints:
     def __post_init__(self):
         if self.da < 0 or self.db < 0:
             raise ValueError("derivative magnitudes must be nonnegative")
-
-    @classmethod
-    def of(cls, fp, a, b) -> "DerivEndpoints":
-        """|fp| at a and b; inf at an end where a float power overflows, for ``bound`` to name."""
-        return cls(abs(overflow_as_inf(fp, a)), abs(overflow_as_inf(fp, b)))
-
-
-def overflow_as_inf(fn, x):
-    """fn(x), or inf where a float power in fn overflows (Python raises there)."""
-    try:
-        return fn(x)
-    except OverflowError:
-        return math.inf
 
 
 def _require_bound_admissible(rule: RuleParams) -> None:

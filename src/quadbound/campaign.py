@@ -66,6 +66,13 @@ class Claim:
         return self.slack >= 0
 
 
+def _at(fn, *xs: float) -> tuple[float, ...]:
+    """The compiled ``fn`` at each of ``xs``, as floats, with numpy's
+    overflow and invalid-value warnings off."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return tuple(float(fn(float(x))) for x in xs)
+
+
 class Instance:
     """One f on one [a, b]: f' compiled once, and f once on first use.  ``d``
     (|f'| at the ends), ``nodes`` (f at a, (a+b)/2, b), ``quad`` (f integrated),
@@ -78,12 +85,10 @@ class Instance:
         # f' needs only the endpoints and the certificate grid (an interior
         # abs kink is fine: |f'| convex covers V-shaped derivatives), so it is
         # checked where it is used rather than over the whole interval.  An
-        # f' that overflows at an end (a float power raises, numpy warns)
-        # leaves d infinite, with no warning: bounds.bound names it.
+        # f' that overflows at an end leaves d infinite, with no warning:
+        # bounds.bound names it.
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                self.d = bounds.DerivEndpoints.of(lambda x: float(self._fp(float(x))),
-                                                  interval.a, interval.b)
+            self.d = bounds.DerivEndpoints(*map(abs, _at(self._fp, interval.a, interval.b)))
         except ExprError as exc:
             raise ValueError(f"f' is not evaluable at the interval endpoints: {exc}")
 
@@ -93,18 +98,10 @@ class Instance:
 
     @functools.cached_property
     def nodes(self) -> tuple[float, float, float]:
-        """f(a), f((a+b)/2), f(b), each a float.  Where a float power
-        overflows (Python raises there), the node's value is f's on a
-        one-element array, which overflows to a signed inf as numpy does."""
+        """f(a), f((a+b)/2), f(b), each a float; a power past the float
+        range in f is a signed inf there, as on an array."""
         iv = self.interval
-        with np.errstate(over="ignore", invalid="ignore"):
-            return tuple(map(self._node, (iv.a, iv.midpoint, iv.b)))
-
-    def _node(self, x: float) -> float:
-        try:
-            return float(self._f(float(x)))
-        except OverflowError:
-            return float(self._f(np.array([x]))[0])
+        return _at(self._f, iv.a, iv.midpoint, iv.b)
 
     @functools.cached_property
     def quad(self) -> QuadratureResult:

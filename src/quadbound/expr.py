@@ -12,7 +12,9 @@ Exponents are numeric literals only, which keeps differentiation total.
 Every AST is an immutable value; evaluation accepts either a float or a
 numpy array and refuses to return NaN silently: domain problems (log of a
 nonpositive value, division by zero, negative base under a fractional
-power) raise :class:`EvalDomainError` instead.
+power) raise :class:`EvalDomainError` instead.  A power past the float
+range is a signed inf at a number as on an array; numpy warns, and
+``np.errstate`` silences it.
 """
 
 from __future__ import annotations
@@ -241,7 +243,12 @@ def _kernel(node: ExprNode, found):
                           or integral and _crosses_zero(found, node, base, "pole")):
                 return None
             if not integral or not isinstance(base, np.ndarray):
-                return base ** e
+                # A number keeps C pow's bits; past the float range, where
+                # Python raises, numpy's scalar power gives a signed inf.
+                try:
+                    return base ** e
+                except OverflowError:
+                    return np.float64(base) ** e
             # numpy raises a negative array base ~35x slower than a positive
             # one, so an integral power is taken of |base| and the sign put back.
             v = np.abs(base) ** e

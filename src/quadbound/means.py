@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+import numpy as np
+
 from . import bounds
 from .convexity import admissible_power
 from .oracle import Interval, midpoint
@@ -189,7 +191,10 @@ def means_bound(theorem: str, m: float, ell: float, a: float, b: float,
     if s is None:
         d = bounds.DerivEndpoints(1 / a, 1 / b)
     else:
-        d = bounds.DerivEndpoints.of(lambda x: abs(s) * x ** (s - 1), a, b)
+        # an end past the float range is inf, for bounds.bound to name
+        with np.errstate(over="ignore"):
+            d = bounds.DerivEndpoints(*(float(abs(s) * np.float64(x) ** (s - 1))
+                                        for x in (a, b)))
     return bounds.bound(rule_from_lm(LMRule(m, ell)), d, Interval(a, b), q, p)[0]
 
 

@@ -284,14 +284,67 @@ def test_instance_takes_an_overflowing_end_as_inf(source, a, d):
     ("(0-x)^401", (-1.0, -math.inf, -math.inf)),
 ])
 def test_instance_nodes_keep_the_sign_of_an_overflow(source, nodes):
-    # a float power raises OverflowError; the node then overflows as numpy
-    # does, to an inf of f's sign
+    # a power past the float range at a number is numpy's signed inf, so
+    # the node is an inf of f's sign
     from quadbound.campaign import Instance
     from quadbound.expr import differentiate, parse
     from quadbound.oracle import Interval
 
     ast = parse(source)
     assert Instance(ast, differentiate(ast), Interval(1.0, 1e10)).nodes == nodes
+
+
+def _earlier_point(node, x: float) -> float:
+    """node at x as points were evaluated before a power past the float range
+    was an inf: the reference walk with C pow, and where a float power
+    raised, the walk on a one-element array instead."""
+    import test_expr
+
+    try:
+        return float(test_expr._reference_evaluate(node, float(x)))
+    except OverflowError:
+        return float(test_expr._reference_evaluate(node, np.array([x]))[0])
+
+
+def _points():
+    """(f, f', interval) of 2,000 seeded draws of each family, then 10^400*x
+    on [-2, -1] and [0, 1]."""
+    from quadbound.expr import differentiate, parse
+    from quadbound.oracle import Interval
+
+    for family in FAMILIES:
+        rng = np.random.default_rng(26)
+        for _ in range(2000):
+            draw = draw_function(rng, family, float(rng.uniform(1.05, 3.0)))
+            yield draw.ast, draw.deriv, draw.interval
+    ast = parse("10^400*x")
+    for a, b in ((-2.0, -1.0), (0.0, 1.0)):
+        yield ast, differentiate(ast), Interval(a, b)
+
+
+def test_instance_points_are_the_earlier_points_bit_for_bit(monkeypatch):
+    # The nodes and |f'| ends keep C pow's bits, and an overflow keeps the
+    # signed inf (or nan) that the one-element-array retry gave.
+    import test_expr
+    from quadbound.campaign import Instance
+
+    array_power = test_expr._reference_power
+
+    def raising_power(base, e):  # the reference power before: a number's overflow raises
+        return array_power(base, e) if isinstance(base, np.ndarray) else base ** e
+
+    monkeypatch.setattr(test_expr, "_reference_power", raising_power)
+    nodes = []
+    for ast, deriv, iv in _points():
+        inst = Instance(ast, deriv, iv)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_nodes = [_earlier_point(ast, x) for x in (iv.a, iv.midpoint, iv.b)]
+            want_d = [abs(_earlier_point(deriv, x)) for x in (iv.a, iv.b)]
+        assert list(map(float.hex, inst.nodes)) == list(map(float.hex, want_nodes)), (ast, iv)
+        assert [float.hex(inst.d.da), float.hex(inst.d.db)] == list(map(float.hex, want_d))
+        nodes.append(inst.nodes)
+    assert len(nodes) == 10_002
+    assert list(map(str, nodes[-2] + nodes[-1])) == ["-inf"] * 3 + ["nan", "inf", "inf"]
 
 
 @pytest.mark.parametrize("a, b", [(1e308, 1.7e308), (1e300, 1.7e300), (-1e300, 1e300),

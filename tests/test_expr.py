@@ -249,11 +249,16 @@ def test_to_source_examples():
 
 def _reference_power(base, e):
     """The documented power: an array base with an integral e is raised as
-    |base|^e with the sign of base put back for odd e; a number by C pow."""
+    |base|^e with the sign of base put back for odd e; a number by C pow,
+    and past the float range, where Python raises, by numpy's scalar power,
+    a signed inf."""
     if float(e).is_integer() and isinstance(base, np.ndarray):
         v = np.abs(base) ** e
         return np.copysign(v, base) if e % 2 == 1 else v
-    return base ** e
+    try:
+        return base ** e
+    except OverflowError:
+        return np.float64(base) ** e
 
 
 def _reference_evaluate(node, x):

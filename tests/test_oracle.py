@@ -90,7 +90,8 @@ def test_integrate_tol_zero_stops_at_the_rounding_floor():
 
 
 def test_integrate_zero_error_estimate_is_positive_zero():
-    r = integrate(np.exp, Interval(0, 1), tol=0.0)
+    # every panel's |K15 - G7| is exactly 0 here, on any numpy kernels
+    r = integrate(lambda x: 0.0 * x, Interval(0, 1), tol=0.0)
     assert r.error_estimate == 0.0 and math.copysign(1.0, r.error_estimate) == 1.0
 
 
