@@ -42,7 +42,6 @@ __all__ = [
     "optimize_rule",
 ]
 
-_P_GRID_POINTS = 64  # log-spaced p values tried before the golden refinement
 _RULE_TOL = 1.25e-7  # golden-section tolerance on each rule weight
 _GOLDEN_MAX_ITER = 200  # golden-section steps at most, far above any tolerance's need
 
@@ -287,7 +286,8 @@ def formula_id(q: float, p: Optional[float], given: Union[str, LMRule, None] = N
 
 
 def _golden_min(f, lo: float, hi: float, tol: float):
-    """Golden-section search for the minimum of f on [lo, hi]."""
+    """Golden-section search for the minimum of f on [lo, hi].  A tie at
+    +inf moves the search toward hi."""
     invphi = (math.sqrt(5.0) - 1) / 2
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
@@ -295,7 +295,7 @@ def _golden_min(f, lo: float, hi: float, tol: float):
     for _ in range(_GOLDEN_MAX_ITER):
         if hi - lo <= tol:
             break
-        if f1 <= f2:
+        if f1 < f2 or f1 == f2 < math.inf:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)
             f1 = f(x1)
@@ -311,35 +311,35 @@ def optimize_p(rule: RuleParams, q: float, d: DerivEndpoints,
                interval: Interval) -> tuple[float, float]:
     """Minimize ``bound_pq`` over p in (0, q].
 
-    Brackets the minimum on a log-spaced grid (p = 1 and p = q are always
-    included), then refines by golden-section search, all on one curve.  An
-    |f'|^q that overflows is raised before any p.  A p whose bound
-    underflows or overflows scores +inf; if every grid point does, the
-    first grid point's error is raised.
+    The bound is convex in p, so one golden-section search on [q 1e-6, q]
+    finds its minimum; p = 1 and p = q are tried as well, all on one curve.
+    An |f'|^q that overflows is raised before any p.  A p whose bound
+    underflows or overflows scores +inf (this happens only at small p, so
+    a tie at +inf moves the search toward larger p); if every p evaluated
+    does, the first one's error is raised.
     """
     if not q > 1:
         raise ValueError(f"optimize_p requires q > 1, got {q}")
     curve = _pq_curve(rule, q, d, interval)
     errors = []
+    evaluations = 0
 
     def f(p):
+        nonlocal evaluations
+        evaluations += 1
         try:
             return curve(p)
         except OverflowError as exc:
             errors.append(exc)
             return math.inf
 
-    n = _P_GRID_POINTS
-    grid = sorted({q * 10 ** (-6 * (1 - i / (n - 1))) for i in range(n)} | {1.0, q})
-    values = [f(p) for p in grid]
-    if len(errors) == len(grid):
+    p_star, v_star = _golden_min(f, q * 1e-6, q, tol=1e-9 * q)
+    for p in (1.0, q):
+        v = f(p)
+        if v < v_star:
+            p_star, v_star = p, v
+    if len(errors) == evaluations:
         raise errors[0]
-    i = min(range(len(grid)), key=values.__getitem__)
-    lo = grid[i - 1] if i > 0 else grid[i]
-    hi = grid[i + 1] if i + 1 < len(grid) else grid[i]
-    p_star, v_star = _golden_min(f, lo, hi, tol=1e-9 * q)
-    if values[i] < v_star:
-        p_star, v_star = grid[i], values[i]
     return p_star, v_star
 
 

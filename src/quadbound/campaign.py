@@ -112,7 +112,9 @@ class Instance:
         if not iv.width * max(map(abs, fx)) < math.inf:
             raise ValueError(f"the integral of f on [{iv.a}, {iv.b}] is past the float range: "
                              "(b - a) * max(|f(a)|, |f((a+b)/2)|, |f(b)|) overflows")
-        return oracle.integrate(self._f, iv, QUAD_RTOL * iv.width * (max(fx) - min(fx)))
+        # a power inside f may overflow between the nodes while f stays finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            return oracle.integrate(self._f, iv, QUAD_RTOL * iv.width * (max(fx) - min(fx)))
 
     def deficit(self, rule: RuleParams) -> float:
         """Signed deficit of ``rule`` against the mean integral of f."""

@@ -67,7 +67,13 @@ def _ls_power(s: float, a: float, b: float) -> float:
         try:
             num = b**u - a**u
         except OverflowError:
-            # b**u overflows (or a**u at u < 0): b^s (1 - r^u) / (u (1 - r)), r = a/b
+            if u < 0:
+                # a**u overflows, and so would r**u or b**s below:
+                # a^u expm1(u ln(b/a)) / (u (b - a)) from its log, with a < b
+                lo, hi = min(a, b), max(a, b)
+                return math.exp(u * math.log(lo) - math.log(hi - lo)
+                                + math.log(math.expm1(u * math.log1p((hi - lo) / lo)) / u))
+            # b**u overflows: b^s (1 - r^u) / (u (1 - r)), r = a/b
             t = (b - a) / b  # 1 - r
             lr = math.log1p(-t) if t < 0.5 else la - lb  # log r; t is 1.0 where r < eps
             return b**s * -math.expm1(u * lr) / (u * t)

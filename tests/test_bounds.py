@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import display_fixtures as fx
+from quadbound import bounds
 from quadbound.bounds import (
-    _P_GRID_POINTS,
     DerivEndpoints,
     HolderParams,
     KernelMoments,
@@ -29,6 +29,7 @@ from quadbound.rules import LMRule, NAMED_RULES, RuleParams, named_rule, rule_fr
 IV = Interval(0.4, 2.1)
 W = IV.b - IV.a
 D = DerivEndpoints(0.7, 1.9)
+EPS = np.finfo(float).eps
 
 
 def test_holder_params_validation():
@@ -336,7 +337,7 @@ def test_simpson_weighted_crosscheck():
 
 
 def test_optimize_p_scores_an_underflowing_p_as_inf():
-    # at q = 1.001 the Hoelder factor underflows for the smallest grid p's;
+    # at q = 1.001 the Hoelder factor underflows for the smallest p's;
     # those points lose, and p = 1 and p = q stay in play
     rule, d, iv = RuleParams(1 / 6, 5 / 6), DerivEndpoints(2.0, 4.0), Interval(1.0, 2.0)
     q = 1.001
@@ -346,6 +347,58 @@ def test_optimize_p_scores_an_underflowing_p_as_inf():
     assert abs(p_star - 1) <= 1e-6
     assert v_star <= bound_pq(rule, HolderParams(1.0, q), d, iv)
     assert v_star <= bound_pq(rule, HolderParams(q, q), d, iv)
+
+
+def test_optimize_p_searches_past_a_tie_at_inf():
+    # q this close to 1: the factor underflows for p below ~0.9, and both
+    # golden points of a bracket such as [0.80, q] score +inf; the search
+    # must walk away from that end, to the minimum just below p = 1
+    q = 1.000121563341551
+    rule = RuleParams(0.07775864292592716, 0.7316134162512145)
+    d = DerivEndpoints(2.7395729360677734, 0.9922787511680556)
+    iv = Interval(0.0, 1.0)
+    curve = _pq_curve(rule, q, d, iv)
+    with pytest.raises(OverflowError, match="underflow"):
+        curve(0.8)
+    p_star, v_star = optimize_p(rule, q, d, iv)
+    assert v_star < 0.29425776650204477  # the grid-and-bracket search's p = 1.0
+    assert abs(p_star - 0.99998) <= 1e-5
+    assert v_star <= min(curve(p) for p in np.linspace(0.9999, 1.0, 1001).tolist())
+
+
+def _record_curve_calls(monkeypatch):
+    """A list that gets, per curve optimize_p builds, the list of p's it
+    evaluates the curve at."""
+    calls = []
+
+    def recording_curve(*args):
+        curve = _pq_curve(*args)
+        calls.append([])
+
+        def recorded(p):
+            calls[-1].append(p)
+            return curve(p)
+
+        return recorded
+
+    monkeypatch.setattr(bounds, "_pq_curve", recording_curve)
+    return calls
+
+
+def test_optimize_p_raises_the_first_error_when_every_p_raises(monkeypatch):
+    # 2q overflows, so the Hoelder exponent does at every p
+    calls = _record_curve_calls(monkeypatch)
+    with pytest.raises(OverflowError) as exc:
+        optimize_p(RuleParams(0.2, 0.8), 1e308, DerivEndpoints(1.0, 1.0), IV)
+    assert str(exc.value) == f"Hoelder exponent overflow for q=1e+308, p={calls[0][0]}"
+
+
+def test_optimize_p_evaluates_the_curve_at_most_55_times(monkeypatch):
+    calls = _record_curve_calls(monkeypatch)
+    for rule, hp, d, iv in _reference_draws(300, seed=47):
+        optimize_p(rule, hp.q, d, iv)
+    assert len(calls) == 300
+    assert max(map(len, calls)) <= 55, max(map(len, calls))
 
 
 def test_holder_bound_is_convex_in_p():
@@ -358,16 +411,19 @@ def test_holder_bound_is_convex_in_p():
         curve = _pq_curve(rule, hp.q, d, iv)
         values = np.array([curve(p) for p in np.linspace(hp.q * 1e-6, hp.q, 257).tolist()])
         second = values[:-2] - 2 * values[1:-1] + values[2:]
-        assert second.min() >= -8 * np.finfo(float).eps * values.max(), (rule, hp.q, d)
+        assert second.min() >= -8 * EPS * values.max(), (rule, hp.q, d)
 
 
 # -- reference: the Hoelder bound before it was one curve per instance --------
 # Verbatim copies of kernel_moments_closed, bound_pq and optimize_p as they
-# were when bound_pq rebuilt its moments for every p.  The curve must
-# reproduce them bit for bit, except that it raises an overflow of |f'|^q
-# before any p (test_power_overflow_is_raised_before_any_p).
-# _require_bound_admissible, _golden_min and
-# _P_GRID_POINTS did not change, so the copies use the module's.
+# were when bound_pq rebuilt its moments for every p and optimize_p
+# bracketed p on a 64-point log grid.  The curve must reproduce the first
+# two bit for bit, except that it raises an overflow of |f'|^q before any p
+# (test_power_overflow_is_raised_before_any_p); optimize_p, one golden
+# search since, must match the reference's minimum to rounding.
+# _require_bound_admissible did not change, so the copies use the module's;
+# _golden_min is the module's, whose one change (a tie at +inf moves toward
+# larger p) the reference never reaches, as it raises instead of scoring inf.
 
 def _reference_kernel_moments_closed(shift: float, side: str, hp: HolderParams) -> KernelMoments:
     p, q = hp.p, hp.q
@@ -426,7 +482,7 @@ def _reference_optimize_p(rule: RuleParams, q: float, d: DerivEndpoints,
     def f(p):
         return _reference_bound_pq(rule, HolderParams(p, q), d, interval)
 
-    n = _P_GRID_POINTS
+    n = 64
     grid = sorted({q * 10 ** (-6 * (1 - i / (n - 1))) for i in range(n)} | {1.0, q})
     values = [f(p) for p in grid]
     i = min(range(len(grid)), key=values.__getitem__)
@@ -485,8 +541,10 @@ def test_bound_pq_curve_equals_reference():
             assert (kernel_moments_closed(shift, side, hp)
                     == _reference_kernel_moments_closed(shift, side, hp)), (side, shift, hp)
         assert bound_pq(rule, hp, d, iv) == _reference_bound_pq(rule, hp, d, iv), (rule, hp, d, iv)
-        assert (optimize_p(rule, hp.q, d, iv)
-                == _reference_optimize_p(rule, hp.q, d, iv)), (rule, hp.q, d, iv)
+        p_star, v_star = optimize_p(rule, hp.q, d, iv)
+        p_ref, v_ref = _reference_optimize_p(rule, hp.q, d, iv)
+        assert v_star <= v_ref * (1 + 8 * EPS), (rule, hp.q, d, iv)
+        assert abs(p_star - p_ref) <= 1e-6 * hp.q, (rule, hp.q, d, iv)
         edges["lam"] += rule.lam in (0.0, 0.5)
         edges["mu"] += rule.mu in (0.5, 1.0)
         edges["p"] += hp.p in (1.0, hp.q)
@@ -514,7 +572,7 @@ def test_bound_pq_errors_equal_reference(rule, hp, d):
 
 
 @pytest.mark.parametrize("rule, q, d", [
-    # every grid point raises: the first grid point's error is raised
+    # raised before any p is evaluated
     (RuleParams(0.2, 0.8), 1.5, DerivEndpoints(1e300, 1.0)),
     (RuleParams(0.7, 0.9), 2.0, D),
     (RuleParams(0.2, 0.8), 1.0, D),

@@ -231,8 +231,8 @@ def test_sweep_p_minimum_matches_optimizer():
     assert abs(opt["rhs_star"] - sweep_min) <= 1e-6 * sweep_min
 
 
-# q = 1.001: the Hoelder factor underflows at the smallest p's of the
-# optimizer's grid, which must not end the search
+# q = 1.001: the Hoelder factor underflows at the smallest p's the
+# optimizer tries, which must not end the search
 _Q_NEAR_1 = ("--f", "x^2", "--a", "1", "--b", "2", "--rule", "simpson")
 
 

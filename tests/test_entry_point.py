@@ -96,6 +96,8 @@ CASES = [
     # b^1.5 overflows, but [Ls(a, b)]^0.5 does not
     (["means", "--theorem", "4.2-p1", "--m", "2", "--ell", "1", "--s", "0.5", "--a", "1e308",
       "--b", "1.7e308"], 0),
+    # x^400 overflows inside [a, b] while f = 1/x^400 stays finite
+    (["bound", "--f", "1/x^400", "--a", "1", "--b", "1e10", "--rule", "simpson"], 1),
 ]
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from quadbound.means import (
 )
 from quadbound.oracle import Interval
 from quadbound.rules import LMRule, rule_from_lm
+
+EPS = np.finfo(float).eps
 
 
 def test_mean_values():
@@ -49,6 +52,28 @@ def test_ls_where_b_to_the_s_plus_1_overflows_scales_from_in_range():
     assert math.isclose(ls ** 0.5, 1.1585988740656193e154, rel_tol=1e-15)
     # a/b below eps, where 1 - a/b rounds to 1: [Ls]^0.5 is b^0.5/1.5 to rounding
     assert math.isclose(compute_mean("Ls", 1.0, 1.7e308, s=0.5), 1.7e308 / 2.25, rel_tol=1e-15)
+
+
+def test_ls_where_a_to_the_s_plus_1_overflows_at_negative_s_plus_1():
+    # a^u overflows at u = s + 1 < 0, and so does (a/b)^u; [Ls]^s is taken
+    # from its log, so its relative error is a few eps times |ln [Ls]^s|
+    rng = np.random.default_rng(53)
+    cases = [(-3, 1e-160, 1e100), (-3, 1e100, 1e-160)]
+    for _ in range(2000):
+        s, a = -int(rng.integers(2, 8)), 10 ** float(rng.uniform(-320, -1))
+        cases.append((s, a, 10 ** float(rng.uniform(math.log10(a), 300))))
+    checked = 0
+    for s, a, b in cases:
+        A, B, u = Fraction(a), Fraction(b), s + 1
+        exact = (B**u - A**u) / (u * (B - A))
+        if A**u <= 1e308 or not 1e-300 < exact < 1e300:
+            continue
+        power = compute_mean("Ls", a, b, s=s) ** s
+        assert abs(Fraction(power) / exact - 1) <= 8 * EPS * abs(math.log(power)), (s, a, b)
+        checked += 1
+    assert checked >= 100, checked
+    # [Ls]^-3 = (a^-2 - b^-2)/(2(b - a)), about 5e219
+    assert math.isclose(compute_mean("Ls", 1e-160, 1e100, s=-3) ** -3, 5e219, rel_tol=1e-13)
 
 
 def test_log_gap_at_the_float_limit_is_finite():
