@@ -20,6 +20,7 @@ asserting equality with this dispatch.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -180,9 +181,13 @@ def _pq_curve(rule: RuleParams, q: float, d: DerivEndpoints, interval: Interval)
     lam, mu = rule.lam, rule.mu
     near_left, near_right, far_right = 0.5 - lam, mu - 0.5, 1 - mu
     two_q, q_minus_1 = 2 * q, q - 1
-    daq, dbq = d.da ** q, d.db ** q
+    # the bound is homogeneous of degree 1 in |f'|: where |f'|^q underflows,
+    # |f'| is taken relative to its larger end and the bound scaled back
+    scale = max(d.da, d.db)
+    scale = scale if 0 < scale and scale ** q < sys.float_info.min else 1.0
+    daq, dbq = (d.da / scale) ** q, (d.db / scale) ** q
     factor_exp, weight_exp = 1 - 1 / q, 1 / q
-    width = interval.b - interval.a
+    width = (interval.b - interval.a) * scale
 
     def rhs(p):
         terms = _p_terms(p, q, two_q, q_minus_1)

@@ -5,16 +5,17 @@ I (identric/exponential), and the generalized logarithmic family Ls, with
 the usual dispatch Ls -> L at s = -1 and Ls -> I at s = 0.  All means return
 ``a`` when a == b.
 
-``means_gap_power`` / ``means_gap_log`` are the signed mean-combination gaps
-whose absolute values the bound theorems control; ``means_bound`` produces
-those bounds by routing f(x) = x**s or f(x) = ln x (via their endpoint
-derivative magnitudes) into the generic bounds module, so the mean
-inequalities are never a second copy of the algebra.
+Each inequality is the three-point rule (m, ell) applied to f(x) = x**s or
+f(x) = ln x, whose mean on [a, b] is [Ls(a, b)]**s or ln I(a, b).  So
+``means_gap`` is that rule's deficit, taken by ``rules.lhs_value``, and
+``means_bound`` its bound, taken by ``bounds.bound`` from |f'| at the ends:
+the mean inequalities are never a second copy of the algebra.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Optional
 
 import numpy as np
@@ -22,13 +23,11 @@ import numpy as np
 from . import bounds
 from .convexity import admissible_power
 from .oracle import Interval, midpoint
-from .rules import LMRule, rule_from_lm
+from .rules import LMRule, lhs_value, rule_from_lm
 
 __all__ = [
     "MEAN_KINDS",
     "compute_mean",
-    "means_gap_power",
-    "means_gap_log",
     "means_bound",
     "means_gap",
     "MEANS_THEOREMS",
@@ -42,42 +41,37 @@ def _check_positive(a: float, b: float) -> None:
         raise ValueError(f"means are defined for finite positive numbers, got a={a}, b={b}")
 
 
+def _log_ratio(a: float, b: float) -> float:
+    """ln(b/a) as log1p((b - a)/a), or ln b - ln a where (b - a)/a overflows."""
+    d = (b - a) / a
+    return math.log1p(d) if d < math.inf else math.log(b) - math.log(a)
+
+
 def _log_identric(a: float, b: float) -> float:
     # ln I = (b ln b - a ln a)/(b - a) - 1, rewritten to avoid cancellation:
-    # b ln b - a ln a = a*log1p((b-a)/a) + (b-a) ln b.
+    # b ln b - a ln a = a ln(b/a) + (b-a) ln b.
     if a == b:
         return math.log(a)
-    w = b - a
-    return a * math.log1p(w / a) / w + math.log(b) - 1.0
+    return a * _log_ratio(a, b) / (b - a) + math.log(b) - 1.0
 
 
 def _ls_power(s: float, a: float, b: float) -> float:
-    """[Ls(a, b)]**s computed directly (the mean value of x**s on [a, b])."""
-    if s == 0:
-        raise ValueError("s must be nonzero")
-    if a == b:
-        return a**s
-    if s == -1:
-        return math.log1p((b - a) / a) / (b - a)
+    """[Ls(a, b)]**s, the mean of x**s on [a, b] for a != b, with no cancellation.
+
+    With u = s + 1 and x0 the end where x**u is larger, it is
+    x0^s expm1(u L) / (u d), with d = (x1 - x0)/x0 and L = ln(x1/x0); the
+    expm1 quotient is L itself at u = 0.  Where x0 = lo and lo^s or d is past
+    the float range, it is taken from its log,
+    u ln lo + ln(expm1(u L)/u) - ln(hi - lo)."""
+    lo, hi = min(a, b), max(a, b)
     u = s + 1
-    la, lb = math.log(a), math.log(b)
-    if abs(u) < 0.5:
-        num = math.expm1(u * lb) - math.expm1(u * la)
-    else:
-        try:
-            num = b**u - a**u
-        except OverflowError:
-            if u < 0:
-                # a**u overflows, and so would r**u or b**s below:
-                # a^u expm1(u ln(b/a)) / (u (b - a)) from its log, with a < b
-                lo, hi = min(a, b), max(a, b)
-                return math.exp(u * math.log(lo) - math.log(hi - lo)
-                                + math.log(math.expm1(u * math.log1p((hi - lo) / lo)) / u))
-            # b**u overflows: b^s (1 - r^u) / (u (1 - r)), r = a/b
-            t = (b - a) / b  # 1 - r
-            lr = math.log1p(-t) if t < 0.5 else la - lb  # log r; t is 1.0 where r < eps
-            return b**s * -math.expm1(u * lr) / (u * t)
-    return num / (u * (b - a))
+    x0, x1 = (hi, lo) if u > 0 else (lo, hi)
+    d = (x1 - x0) / x0
+    lr = math.copysign(_log_ratio(lo, hi), d)  # ln(x1/x0)
+    q = math.expm1(u * lr) / u if u else lr
+    if u <= 0 and not (d < math.inf and s * math.log(lo) < math.log(sys.float_info.max)):
+        return math.exp(u * math.log(lo) + math.log(q) - math.log(hi - lo))
+    return x0**s * (q / d)
 
 
 def compute_mean(kind: str, a: float, b: float, s: Optional[float] = None) -> float:
@@ -93,7 +87,7 @@ def compute_mean(kind: str, a: float, b: float, s: Optional[float] = None) -> fl
     if kind == "L":
         if a == b:
             return a
-        return (b - a) / math.log1p((b - a) / a)
+        return (b - a) / _log_ratio(a, b)
     if kind == "I":
         return math.exp(_log_identric(a, b))
     if kind == "Ls":
@@ -120,32 +114,6 @@ def _check_lm(m: float, ell: float) -> None:
         raise ValueError(f"need m > 0 and m >= 2*ell >= 0, got m={m}, ell={ell}")
 
 
-def means_gap_power(m: float, ell: float, s: float, a: float, b: float) -> float:
-    """Signed gap (2l A(a^s,b^s) + (m-2l) A(a,b)^s)/m - Ls(a,b)^s."""
-    _check_positive(a, b)
-    _check_lm(m, ell)
-    if s == 0:
-        raise ValueError("s must be nonzero")
-    try:
-        combo = (2 * ell * compute_mean("A", a**s, b**s)
-                 + (m - 2 * ell) * compute_mean("A", a, b) ** s) / m
-        gap = combo - _ls_power(s, a, b)
-    except OverflowError:  # a float power past the largest float
-        gap = math.inf
-    if not math.isfinite(gap):
-        raise ValueError(f"the gap of f = x^s overflows on [{a}, {b}] at s = {s}")
-    return gap
-
-
-def means_gap_log(m: float, ell: float, a: float, b: float) -> float:
-    """Signed gap (2l ln G + (m-2l) ln A)/m - ln I."""
-    _check_positive(a, b)
-    _check_lm(m, ell)
-    combo = (2 * ell * (math.log(a) + math.log(b)) / 2
-             + (m - 2 * ell) * math.log(midpoint(a, b))) / m
-    return combo - _log_identric(a, b)
-
-
 # theorem id -> (gap family, bound form (see bounds.form_p)).  Each gap is
 # that of f(x) = x**s, at s = -1 for the harmonic family, or of f(x) = ln x.
 MEANS_THEOREMS = {
@@ -169,10 +137,13 @@ def _theorem(theorem: str, s: Optional[float]) -> tuple[Optional[float], str]:
         raise ValueError(
             f"unknown theorem {theorem!r}; expected one of {', '.join(MEANS_THEOREMS)}"
         )
-    if family == "power" and s is None:
-        raise ValueError(f"theorem {theorem} requires s")
-    if family == "power" and not math.isfinite(s):
-        raise ValueError(f"s must be finite, got {s}")
+    if family == "power":
+        if s is None:
+            raise ValueError(f"theorem {theorem} requires s")
+        if not math.isfinite(s):
+            raise ValueError(f"s must be finite, got {s}")
+        if s == 0:
+            raise ValueError("s must be nonzero")
     return {"power": s, "harmonic": -1.0, "log": None}[family], form
 
 
@@ -206,8 +177,22 @@ def means_bound(theorem: str, m: float, ell: float, a: float, b: float,
 
 def means_gap(theorem: str, m: float, ell: float, a: float, b: float,
               s: Optional[float] = None) -> float:
-    """The signed gap matching ``means_bound`` for the given theorem."""
+    """The signed gap matching ``means_bound``: the deficit of rule (m, ell)
+    on f(x) = x**s, or on f(x) = ln x, over [a, b]."""
     s = _theorem(theorem, s)[0]
-    if s is None:
-        return means_gap_log(m, ell, a, b)
-    return means_gap_power(m, ell, s, a, b)
+    _check_positive(a, b)
+    _check_lm(m, ell)
+    if a == b:
+        return 0.0
+    nodes = (a, b, midpoint(a, b))
+    try:
+        if s is None:
+            fs, mean = [math.log(x) for x in nodes], _log_identric(a, b)
+        else:
+            fs, mean = [x**s for x in nodes], _ls_power(s, a, b)
+        gap = lhs_value(rule_from_lm(LMRule(m, ell)), *fs, mean)
+    except OverflowError:  # a float power past the largest float
+        gap = math.inf
+    if not math.isfinite(gap):
+        raise ValueError(f"the gap of f = x^s overflows on [{a}, {b}] at s = {s}")
+    return gap

@@ -96,6 +96,13 @@ CASES = [
     # b^1.5 overflows, but [Ls(a, b)]^0.5 does not
     (["means", "--theorem", "4.2-p1", "--m", "2", "--ell", "1", "--s", "0.5", "--a", "1e308",
       "--b", "1.7e308"], 0),
+    # a and b close: the means gap is the rule's deficit, with no cancellation
+    # in the mean of x^s
+    (["means", "--theorem", "4.2-p1", "--m", "2", "--ell", "1", "--s", "2.247178124835633",
+      "--a", "2.128500219781677e24", "--b", "2.1285002217710902e24"], 0),
+    # |f'|^2 underflows at the ends, but the bound does not
+    (["bound", "--f", "1e-200*x^2", "--a", "1", "--b", "2", "--rule", "trapezoid", "--q", "2",
+      "--p", "1"], 0),
     # x^400 overflows inside [a, b] while f = 1/x^400 stays finite
     (["bound", "--f", "1/x^400", "--a", "1", "--b", "1e10", "--rule", "simpson"], 1),
 ]

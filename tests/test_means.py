@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -10,11 +12,10 @@ from quadbound.convexity import admissible_power
 from quadbound.expr import as_function, differentiate, evaluate, parse
 from quadbound.means import (
     MEANS_THEOREMS,
+    _ls_power,
     compute_mean,
     means_bound,
     means_gap,
-    means_gap_log,
-    means_gap_power,
 )
 from quadbound.oracle import Interval
 from quadbound.rules import LMRule, rule_from_lm
@@ -177,10 +178,23 @@ def test_mean_ordering_chain():
         assert H < G < L < I < A  # strict for a != b
 
 
+def test_means_where_b_over_a_overflows_lie_between_a_and_b():
+    # (b - a)/a is past the float range, so ln(b/a) is taken as ln b - ln a:
+    # L = (b - a)/ln(b/a) is about 1.40e7, and I = b/e to rounding
+    a, b = 1e-300, 1e10
+    H, G, L, I, A = (compute_mean(kind, a, b) for kind in "HGLIA")
+    assert a < H < G < L < I < A < b
+    assert math.isclose(L, 1e10 / (310 * math.log(10)), rel_tol=1e-14)
+    assert math.isclose(I, b / math.e, rel_tol=1e-14)
+    assert compute_mean("Ls", a, b, s=-1) == L and compute_mean("Ls", a, b, s=0) == I
+    for s in (-2.0, -0.5, 0.5, 2.0):
+        assert a < compute_mean("Ls", a, b, s=s) < b, s
+
+
 def test_gap_power_hand_values():
-    assert abs(means_gap_power(2, 1, 2, 1, 2) - 1 / 6) <= 1e-14
-    assert abs(means_gap_power(1, 0, 2, 1, 2) + 1 / 12) <= 1e-14
-    assert means_gap_power(3, 1, 2, 1.4, 1.4) == 0.0
+    assert abs(means_gap("4.2-p1", 2, 1, 1, 2, s=2) - 1 / 6) <= 1e-14
+    assert abs(means_gap("4.2-p1", 1, 0, 1, 2, s=2) + 1 / 12) <= 1e-14
+    assert means_gap("4.2-p1", 3, 1, 1.4, 1.4, s=2) == 0.0
 
 
 def test_gap_power_is_rule_deficit_of_power_function():
@@ -199,7 +213,8 @@ def test_gap_power_is_rule_deficit_of_power_function():
         from quadbound.rules import lhs_value
 
         deficit = lhs_value(rule_from_lm(LMRule(m, ell)), *node_values(f, iv), mean)
-        assert abs(means_gap_power(m, ell, s, a, b) - deficit) <= 1e-9 * max(1.0, abs(deficit))
+        gap = means_gap("4.2-p1", m, ell, a, b, s=s)
+        assert abs(gap - deficit) <= 1e-9 * max(1.0, abs(deficit))
 
 
 def test_gap_log_against_oracle():
@@ -208,21 +223,21 @@ def test_gap_log_against_oracle():
         ln_i = average_value(f, Interval(a, b))
         combo = (2 * ell * math.log(math.sqrt(a * b))
                  + (m - 2 * ell) * math.log((a + b) / 2)) / m
-        assert abs(means_gap_log(m, ell, a, b) - (combo - ln_i)) <= 1e-11
+        assert abs(means_gap("4.5-p1", m, ell, a, b) - (combo - ln_i)) <= 1e-11
 
 
 def test_gap_validation():
     with pytest.raises(ValueError):
-        means_gap_power(2, 3, 2, 1, 2)  # m < 2 ell
+        means_gap("4.2-p1", 2, 3, 1, 2, s=2)  # m < 2 ell
     with pytest.raises(ValueError):
-        means_gap_power(2, 1, 0, 1, 2)  # s = 0
+        means_gap("4.2-p1", 2, 1, 1, 2, s=0)  # s = 0
     with pytest.raises(ValueError):
-        means_gap_log(-1, 0, 1, 2)
+        means_gap("4.5-p1", -1, 0, 1, 2)
 
 
 def test_means_bound_worked_instance():
     # (m, ell, s, a, b) = (2, 1, 2, 1, 2): gap 1/6, q = 1 bound 3/4
-    gap = means_gap_power(2, 1, 2, 1, 2)
+    gap = means_gap("4.2-p1", 2, 1, 1, 2, s=2)
     rhs = means_bound("4.2-p1", 2, 1, 1, 2, s=2, q=1.0)
     assert abs(gap - 1 / 6) <= 1e-14
     assert abs(rhs - 0.75) <= 1e-14
@@ -331,3 +346,51 @@ def test_means_soundness_sampled():
             rhs = means_bound(theorem, m, ell, a, b, s=s, p=p, q=q)
             assert abs(gap) <= rhs + 1e-9, (theorem, m, ell, s, a, b, q, p)
             checked += 1
+
+
+def test_power_gaps_against_a_60_digit_reference():
+    # Theorems 4.1-4.3 on intervals of every width down to b - a = 1e-13 a,
+    # at scales 1e-30 to 1e30, against the deficit taken in 60-digit decimal
+    # arithmetic.  The gap may err by the rounding of its own terms, and must
+    # never exceed the bound.
+    rng = np.random.default_rng(59)
+    theorems = [t for t, (family, _) in MEANS_THEOREMS.items() if family != "log"]
+    ctx = decimal.Context(prec=60)
+    worst = 0.0
+    for _ in range(2000):
+        theorem = theorems[int(rng.integers(len(theorems)))]
+        family, form = MEANS_THEOREMS[theorem]
+        m = float(rng.uniform(1, 8))
+        ell = float(rng.uniform(0, m / 2))
+        a = 10 ** float(rng.uniform(-30, 30))
+        b = a * (1 + 10 ** float(rng.uniform(-13, 1)))
+        q = 1.0 if form == "p1" and rng.random() < 0.5 else float(rng.uniform(1.05, 3))
+        p = q * float(rng.uniform(0.05, 1)) if form == "general" else None
+        s = -1.0  # f(x) = 1/x for the harmonic theorems
+        if family == "power":
+            s = float(rng.uniform(-3, 4))
+            while not admissible_power(s, q):
+                s = float(rng.uniform(-3, 4))
+
+        A, B, S = Decimal(a), Decimal(b), Decimal(s)
+        U = ctx.add(S, 1)
+        if U:
+            mean = ctx.divide(ctx.subtract(ctx.power(B, U), ctx.power(A, U)),
+                              ctx.multiply(U, ctx.subtract(B, A)))
+        else:
+            mean = ctx.divide(ctx.subtract(ctx.ln(B), ctx.ln(A)), ctx.subtract(B, A))
+        fa, fb, fm = (ctx.power(x, S) for x in (A, B, ctx.divide(ctx.add(A, B), 2)))
+        lam = ctx.divide(Decimal(ell), Decimal(m))
+        exact = ctx.subtract(ctx.add(ctx.multiply(lam, ctx.add(fa, fb)),
+                                     ctx.multiply(ctx.subtract(1, ctx.multiply(2, lam)), fm)),
+                             mean)
+
+        draw = (theorem, m, ell, s, a, b, q, p)
+        assert abs(_ls_power(s, a, b) / float(mean) - 1) <= 8 * EPS, draw
+        gap = means_gap(theorem, m, ell, a, b, s=s)
+        terms = float(abs(fa) + abs(fb) + abs(fm) + abs(mean))
+        assert abs(gap - float(exact)) <= 8 * EPS * terms, draw
+        rhs = means_bound(theorem, m, ell, a, b, s=s, p=p, q=q)
+        assert abs(gap) <= rhs, draw
+        worst = max(worst, abs(gap - float(exact)) / rhs)
+    print(f"worst |gap - exact|/rhs over 2000 draws: {worst:.3g}")
