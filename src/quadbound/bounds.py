@@ -20,7 +20,6 @@ asserting equality with this dispatch.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -71,6 +70,13 @@ class DerivEndpoints:
     def __post_init__(self):
         if self.da < 0 or self.db < 0:
             raise ValueError("derivative magnitudes must be nonnegative")
+
+    def scale(self, q: float) -> float:
+        """m = max(|f'(a)|, |f'(b)|) where m^q is past 2^(+-1000), else 1.0: the
+        bound (homogeneous of degree 1 in |f'|) and the convexity of |f'|^q both
+        take |f'|/m, with headroom for a sum of two values of (|f'|/m)^q."""
+        m = max(self.da, self.db)
+        return m if 0 < m < math.inf and abs(q * math.log2(m)) > 1000 else 1.0
 
 
 def _require_bound_admissible(rule: RuleParams) -> None:
@@ -173,21 +179,18 @@ def _pq_curve(rule: RuleParams, q: float, d: DerivEndpoints, interval: Interval)
     """p -> the Hoelder bound at (p, q), for 0 < p <= q.
 
     Everything that does not depend on p (the check of the rule, the
-    half-interval distances, |f'(a)|**q, |f'(b)|**q, 1/q and b - a) is
-    computed here once, so an overflow of |f'|^q is raised here, before any
-    p; each p computes only its own terms.  Both callers have checked q and p.
+    half-interval distances, (|f'(a)|/m)**q, (|f'(b)|/m)**q, 1/q and
+    (b - a) m, with m the scale ``d.scale(q)``) is computed here once; each p
+    computes only its own terms.  Both callers have checked q and p.
     """
     _require_bound_admissible(rule)
     lam, mu = rule.lam, rule.mu
     near_left, near_right, far_right = 0.5 - lam, mu - 0.5, 1 - mu
     two_q, q_minus_1 = 2 * q, q - 1
-    # the bound is homogeneous of degree 1 in |f'|: where |f'|^q underflows,
-    # |f'| is taken relative to its larger end and the bound scaled back
-    scale = max(d.da, d.db)
-    scale = scale if 0 < scale and scale ** q < sys.float_info.min else 1.0
-    daq, dbq = (d.da / scale) ** q, (d.db / scale) ** q
+    m = d.scale(q)  # the bound is taken from |f'|/m and scaled back by m
+    daq, dbq = (d.da / m) ** q, (d.db / m) ** q
     factor_exp, weight_exp = 1 - 1 / q, 1 / q
-    width = (interval.b - interval.a) * scale
+    width = (interval.b - interval.a) * m
 
     def rhs(p):
         terms = _p_terms(p, q, two_q, q_minus_1)
@@ -220,19 +223,13 @@ def bound(rule: RuleParams, d: DerivEndpoints, interval: Interval,
     and None returned); q > 1 is the Hoelder bound at p, or at the p that
     minimizes it when p is None.
     """
-    # Every command's bound comes here: |f'| finite at the ends, 1 <= q < inf, |f'|^q finite.
+    # Every command's bound comes here: |f'| finite at the ends, 1 <= q < inf.
     da, db = d.da, d.db
     if not (math.isfinite(da) and math.isfinite(db)):
         raise ValueError(f"|f'| is not finite at the ends of [{interval.a}, {interval.b}]: "
                          f"|f'(a)|, |f'(b)| = {da}, {db}")
     if not 1 <= q < math.inf:
         raise ValueError(f"q must be finite and >= 1, got {q}")
-    if q > 1:  # d ** 1 is d
-        try:
-            max(da, db) ** q
-        except OverflowError:
-            raise ValueError(f"|f'|^q overflows at the ends of [{interval.a}, {interval.b}] "
-                             f"at q = {q}: |f'(a)|, |f'(b)| = {da}, {db}") from None
     if q == 1:
         rhs, p = bound_q1(rule, d, interval), None
     elif p is None:
@@ -318,10 +315,9 @@ def optimize_p(rule: RuleParams, q: float, d: DerivEndpoints,
 
     The bound is convex in p, so one golden-section search on [q 1e-6, q]
     finds its minimum; p = 1 and p = q are tried as well, all on one curve.
-    An |f'|^q that overflows is raised before any p.  A p whose bound
-    underflows or overflows scores +inf (this happens only at small p, so
-    a tie at +inf moves the search toward larger p); if every p evaluated
-    does, the first one's error is raised.
+    A p whose bound underflows or overflows scores +inf (this happens only
+    at small p, so a tie at +inf moves the search toward larger p); if every
+    p evaluated does, the first one's error is raised.
     """
     if not q > 1:
         raise ValueError(f"optimize_p requires q > 1, got {q}")
@@ -354,9 +350,7 @@ def optimize_rule(q: float, p: Optional[float], d: DerivEndpoints,
 
     Both bounds are a left-half term in lam plus a right-half term in mu, so
     the minimum over [0, 1/2] x [1/2, 1] is found by golden-section search
-    one half at a time: mu at lam = 0, lam at that mu, then mu at that lam.
-    In exact arithmetic the first mu search is redundant; running the lam
-    search at the minimizing mu fixes its rounding.
+    one half at a time: lam at mu = 3/4, then mu at that lam.
     """
     if q > 1 and p is None:
         raise ValueError(f"optimizing the rule at q = {q} > 1 requires p")
@@ -364,7 +358,6 @@ def optimize_rule(q: float, p: Optional[float], d: DerivEndpoints,
     def f(lam, mu):
         return bound(RuleParams(lam, mu), d, interval, q, p)[0]
 
-    mu, _ = _golden_min(lambda t: f(0.0, t), 0.5, 1.0, tol=_RULE_TOL)
-    lam, _ = _golden_min(lambda t: f(t, mu), 0.0, 0.5, tol=_RULE_TOL)
+    lam, _ = _golden_min(lambda t: f(t, 0.75), 0.0, 0.5, tol=_RULE_TOL)
     mu, value = _golden_min(lambda t: f(lam, t), 0.5, 1.0, tol=_RULE_TOL)
     return RuleParams(lam, mu), value

@@ -138,10 +138,12 @@ class Instance:
         return self._last[1]
 
     def certificate(self, q: float) -> ConvexityCertificate:
-        """Dyadic certificate that |f'|^q is convex.  Certificates of one
-        instance share one grid and one evaluation of f'.  At q = 1, g is the
-        remembered |f'| itself, since x ** 1.0 == x."""
-        g = self._abs_fp if q == 1 else lambda x: self._abs_fp(x) ** q
+        """Dyadic certificate that |f'|^q is convex, taken of (|f'|/m)^q as the
+        bound is (m = ``d.scale(q)``).  Certificates of one instance share one
+        grid and one evaluation of f'; at q = 1 and m = 1, g is |f'| itself."""
+        m = self.d.scale(q)
+        fp = self._abs_fp if m == 1 else lambda x: self._abs_fp(x) / m
+        g = fp if q == 1 else lambda x: fp(x) ** q
         return certify_convex(g, self.interval)
 
 

@@ -387,6 +387,9 @@ def differentiate(node: ExprNode) -> ExprNode:
     if isinstance(node, Var):
         return Const(1.0)
     if isinstance(node, BinOp):
+        if node.op == "/" and isinstance(node.right, Pow):
+            # l/u^e as l*u^-e: the quotient rule's (u^e)^2 overflows first
+            return differentiate(BinOp("*", node.left, Pow(node.right.base, -node.right.exponent)))
         dl = differentiate(node.left)
         dr = differentiate(node.right)
         if node.op == "+":

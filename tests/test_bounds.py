@@ -184,21 +184,25 @@ _NOT_FINITE = "|f'| is not finite at the ends of [0.0, 1.0]: |f'(a)|, |f'(b)| = 
     (_HUGE_END, 1.0, None),
     (_HUGE_END, 0.5, "q must be finite and >= 1, got 0.5"),
     (_HUGE_END, math.inf, "q must be finite and >= 1, got inf"),
-    (_HUGE_END, 2.0, "|f'|^q overflows at the ends of [0.0, 1.0] at q = 2.0: "
-                     "|f'(a)|, |f'(b)| = 0.0, 1e+200"),
+    (_HUGE_END, 2.0, None),
     (_INFINITE_END, 1.0, _NOT_FINITE),
     (_INFINITE_END, math.inf, _NOT_FINITE),
     (_INFINITE_END, math.nan, _NOT_FINITE),
-], ids=["q1", "q-below-1", "q-inf", "q-overflows", "inf", "inf-q-inf", "inf-q-nan"])
-def test_bound_checks_the_ends_then_q_then_the_power(d, q, error):
-    # the power is tried only at a q the bound takes, and above 1
-    rule = RuleParams(0.2, 0.8)
-    if error is None:
-        assert bound(rule, d, Interval(0.0, 1.0), q) == (bound_q1(rule, d, Interval(0.0, 1.0)),
-                                                         None)
+], ids=["q1", "q-below-1", "q-inf", "q-past-the-float-range", "inf", "inf-q-inf", "inf-q-nan"])
+def test_bound_checks_the_ends_then_q(d, q, error):
+    # an |f'|^q past the float range is no error: the bound is m times the
+    # bound at |f'|/m, m the larger end, the same floats as it is computed
+    rule, iv = RuleParams(0.2, 0.8), Interval(0.0, 1.0)
+    if error is None and q == 1:
+        assert bound(rule, d, iv, q) == (bound_q1(rule, d, iv), None)
+    elif error is None:
+        m = d.scale(q)
+        assert m == 1e200
+        assert bound(rule, d, iv, q, 1.0) == (
+            m * bound(rule, DerivEndpoints(d.da / m, d.db / m), iv, q, 1.0)[0], 1.0)
     else:
         with pytest.raises(ValueError) as exc:
-            bound(rule, d, Interval(0.0, 1.0), q, 1.0)
+            bound(rule, d, iv, q, 1.0)
         assert str(exc.value) == error
 
 
@@ -228,9 +232,10 @@ def test_bound_pq_homogeneity():
         base1 = bound_q1(rule, DerivEndpoints(da, db), Interval(0, 1))
         assert fx.relerr(bound_q1(rule, DerivEndpoints(c * da, c * db),
                                   Interval(0, c)), c * c * base1) <= 1e-12
-    # and where |f'|^q underflows to 0 or below the normal floats
+    # and where |f'|^q underflows to 0 or below the normal floats, or overflows
     rule = RuleParams(0.2, 0.8)
-    for q, c in ((2.0, 1e-200), (3.0, 1e-110), (1.5, 5e-300)):
+    for q, c in ((2.0, 1e-200), (3.0, 1e-110), (1.5, 5e-300),
+                 (2.0, 1e200), (3.0, 1e110), (1.5, 1e300), (1.05, 1e295), (1.001, 1e308)):
         base = bound(rule, DerivEndpoints(1.0, 0.5), IV, q, q / 2)[0]
         assert fx.relerr(bound(rule, DerivEndpoints(c, c / 2), IV, q, q / 2)[0],
                          c * base) <= 1e-14, (q, c)
@@ -427,9 +432,11 @@ def test_holder_bound_is_convex_in_p():
 # Verbatim copies of kernel_moments_closed, bound_pq and optimize_p as they
 # were when bound_pq rebuilt its moments for every p and optimize_p
 # bracketed p on a 64-point log grid.  The curve must reproduce the first
-# two bit for bit, except that it raises an overflow of |f'|^q before any p
-# (test_power_overflow_is_raised_before_any_p); optimize_p, one golden
-# search since, must match the reference's minimum to rounding.
+# two bit for bit, except that where |f'|^q is past 2^(+-1000) it takes |f'|
+# relative to its larger end
+# (test_power_past_the_float_range_is_the_reference_at_its_scale);
+# optimize_p, one golden search since, must match the reference's minimum
+# to rounding.
 # _require_bound_admissible did not change, so the copies use the module's;
 # _golden_min is the module's, whose one change (a tie at +inf moves toward
 # larger p) the reference never reaches, as it raises instead of scoring inf.
@@ -568,10 +575,12 @@ _Q_NEAR_1 = float(np.nextafter(1.0, 2.0))
     # the factor underflows
     (RuleParams(0.2, 0.8), HolderParams(0.5, _Q_NEAR_1), D),
     (RuleParams(0.5, 0.8), HolderParams(1e-6, 1.001), D),
-    # |f'|^q overflows
-    (RuleParams(0.2, 0.8), HolderParams(1.0, 2.0), DerivEndpoints(1.0, 1e300)),
+    # the factor underflows at p where |f'(a)|^q is past the float range
+    (RuleParams(0.2, 0.8), HolderParams(1.001e-6, 1.001), DerivEndpoints(1e308, 1.0)),
     # an inadmissible rule
     (RuleParams(0.7, 0.9), HolderParams(1.0, 2.0), D),
+    # the exponent overflows where |f'(a)|^q is past the float range
+    (RuleParams(0.2, 0.8), HolderParams(1.0, 1e308), DerivEndpoints(2.0, 1.0)),
 ])
 def test_bound_pq_errors_equal_reference(rule, hp, d):
     assert _raised(bound_pq, rule, hp, d, IV) == _raised(_reference_bound_pq, rule, hp, d, IV)
@@ -582,7 +591,6 @@ def test_bound_pq_errors_equal_reference(rule, hp, d):
 
 @pytest.mark.parametrize("rule, q, d", [
     # raised before any p is evaluated
-    (RuleParams(0.2, 0.8), 1.5, DerivEndpoints(1e300, 1.0)),
     (RuleParams(0.7, 0.9), 2.0, D),
     (RuleParams(0.2, 0.8), 1.0, D),
 ])
@@ -591,19 +599,22 @@ def test_optimize_p_errors_equal_reference(rule, q, d):
             == _raised(_reference_optimize_p, rule, q, d, IV))
 
 
-@pytest.mark.parametrize("fn, rule, exponents, d", [
-    # the factor underflows at p, or the exponent overflows
-    (bound_pq, RuleParams(0.2, 0.8), HolderParams(1.001e-6, 1.001), DerivEndpoints(1e308, 1.0)),
-    (bound_pq, RuleParams(0.2, 0.8), HolderParams(1.0, 1e308), DerivEndpoints(2.0, 1.0)),
-    (optimize_p, RuleParams(0.2, 0.8), 1.001, DerivEndpoints(1e308, 1.0)),
+@pytest.mark.parametrize("rule, hp, d", [
+    (RuleParams(0.2, 0.8), HolderParams(1.0, 2.0), DerivEndpoints(1.0, 1e300)),
+    (RuleParams(0.2, 0.8), HolderParams(0.7, 1.5), DerivEndpoints(1e300, 1.0)),
+    (RuleParams(0.5, 1.0), HolderParams(2.5, 2.5), DerivEndpoints(3e-200, 1e-200)),
 ])
-def test_power_overflow_is_raised_before_any_p(fn, rule, exponents, d):
-    # |f'(a)|^q overflows too.  The curve computes it before any p, as bound
-    # checks it first, so it is raised where the reference raised the
-    # factor's or the exponent's error at p.
-    assert _raised(fn, rule, exponents, d, IV) == (
-        OverflowError, "(34, 'Numerical result out of range')")
-    if fn is bound_pq:  # the kernel moments, which do not take d, are unchanged
-        for side, shift in (("left", rule.lam), ("right", rule.mu)):
-            assert (_outcome(kernel_moments_closed, shift, side, exponents)
-                    == _outcome(_reference_kernel_moments_closed, shift, side, exponents))
+def test_power_past_the_float_range_is_the_reference_at_its_scale(rule, hp, d):
+    # |f'|^q is past 2^(+-1000) at the larger end m, so the curve takes |f'|/m
+    # on an interval m times as wide: the reference's floats there, and m
+    # times the reference at |f'|/m to rounding
+    m = d.scale(hp.q)
+    assert m == max(d.da, d.db)
+    unit, wide = DerivEndpoints(d.da / m, d.db / m), Interval(0.0, W * m)
+    assert bound_pq(rule, hp, d, IV) == _reference_bound_pq(rule, hp, unit, wide)
+    assert fx.relerr(bound_pq(rule, hp, d, IV),
+                     m * _reference_bound_pq(rule, hp, unit, IV)) <= 4 * EPS
+    p_star, v_star = optimize_p(rule, hp.q, d, IV)
+    p_ref, v_ref = _reference_optimize_p(rule, hp.q, unit, wide)
+    assert v_star <= v_ref * (1 + 8 * EPS)
+    assert abs(p_star - p_ref) <= 1e-6 * hp.q

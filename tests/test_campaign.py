@@ -410,3 +410,37 @@ def test_trial_802_end_concave_poly_is_rejected_at_q_1():
     assert through["skipped_q1_certificate"] == before["skipped_q1_certificate"] + 1
     assert through["skipped_q_certificate"] == before["skipped_q_certificate"]
     assert through["paths_checked"] == before["paths_checked"] + 3
+
+
+_SCALES = range(-900, 901, 100)
+
+
+def test_verdict_and_bound_do_not_depend_on_the_scale_of_f():
+    # 300 seeded draws, each run as 2^k f: |f'| scales by 2^k exactly, so the
+    # certificate of |f'|^q must give the same verdict and the bound 2^k times
+    # the bound, with |f'|^q below or above the float range as well as in it
+    from quadbound import bounds
+    from quadbound.campaign import Instance
+    from quadbound.expr import BinOp, Const, differentiate
+    from quadbound.rules import RuleParams
+
+    rng = np.random.default_rng(11)
+    families = ("poly", "power", "log", "concave-test")
+    passes = 0
+    for i in range(300):
+        q = float(rng.uniform(1.05, 3.0))
+        rule = RuleParams(float(rng.uniform(0, 0.5)), float(rng.uniform(0.5, 1)))
+        p = q * float(rng.uniform(0.01, 1.0))
+        draw = draw_function(rng, families[i % 4], q)
+        base = Instance(draw.ast, draw.deriv, draw.interval)
+        valid = base.certificate(q).valid
+        rhs = bounds.bound(rule, base.d, draw.interval, q, p)[0]
+        passes += valid
+        for k in _SCALES:
+            ast = BinOp("*", Const(2.0 ** k), draw.ast)
+            inst = Instance(ast, differentiate(ast), draw.interval)
+            case = (draw.source, draw.interval, q, p, k)
+            assert inst.certificate(q).valid == valid, case
+            scaled = bounds.bound(rule, inst.d, draw.interval, q, p)[0]
+            assert abs(scaled - 2.0 ** k * rhs) <= 1e-12 * 2.0 ** k * rhs, case
+    assert 150 <= passes < 300  # both verdicts are drawn

@@ -7,8 +7,10 @@ import time
 import numpy as np
 import pytest
 
-from quadbound import cli
+from quadbound import bounds, cli
 from quadbound.cli import main
+from quadbound.oracle import Interval
+from quadbound.rules import RuleParams, named_rule, rule_from_lm
 
 CLI = [sys.executable, "-m", "quadbound"]
 
@@ -614,24 +616,38 @@ _EXP_709 = ["--f", "exp(709*x)", "--a", "0", "--b", "1"]
 _EXP_400 = ["--f", "exp(400*x)", "--a", "0", "--b", "1", "--q", "2"]
 _LAMBDA_AXIS = ["--axis", "lambda", "--from", "0", "--to", "0.5", "--step", "0.5"]
 _INFINITE_FP = "|f'| is not finite at the ends of [0.0, 1.0]: |f'(a)|, |f'(b)| = 709.0, inf"
-_OVERFLOWING_FP_Q = ("|f'|^q overflows at the ends of [0.0, 1.0] at q = 2.0: "
-                     "|f'(a)|, |f'(b)| = 400.0, 2.0885878759056576e+176")
+_SIMPSON = rule_from_lm(named_rule("simpson"))
 
 
 @pytest.mark.parametrize("argv, message", [
     (["sweep", *_EXP_709, *_LAMBDA_AXIS, "--format", "json"], _INFINITE_FP),
     (["bound", *_EXP_709, "--rule", "simpson"], _INFINITE_FP),
-    (["bound", *_EXP_400, "--rule", "simpson"], _OVERFLOWING_FP_Q),
-    (["optimize", *_EXP_400, "--what", "p", "--rule", "simpson"], _OVERFLOWING_FP_Q),
-    (["sweep", *_EXP_400, *_LAMBDA_AXIS], _OVERFLOWING_FP_Q),
-], ids=["sweep-inf", "bound-inf", "bound-q", "optimize-q", "sweep-q"])
+], ids=["sweep-inf", "bound-inf"])
 def test_derivative_overflow_at_the_ends_is_named_exit_1(argv, message):
-    # f is finite on [0, 1], but |f'(b)| or |f'(b)|^q is not, so every bound
-    # would be infinite, and JSON has no Infinity
+    # f is finite on [0, 1], but |f'(b)| is not, so every bound would be
+    # infinite, and JSON has no Infinity
     r = run_cli(*argv, timeout=5)
     assert r.returncode == 1
     assert r.stdout == ""
     assert r.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, key, rules", [
+    (["bound", *_EXP_400, "--rule", "simpson"], "rhs", [_SIMPSON]),
+    (["optimize", *_EXP_400, "--what", "p", "--rule", "simpson"], "rhs_star", [_SIMPSON]),
+    (["sweep", *_EXP_400, *_LAMBDA_AXIS], "rhs", [RuleParams(0.0, 1.0), RuleParams(0.5, 0.5)]),
+], ids=["bound-q", "optimize-q", "sweep-q"])
+def test_derivative_q_past_the_float_range_is_taken_at_its_scale(capsys, argv, key, rules):
+    # |f'(b)| = 400 e^400 is finite but its square is not: each bound is the
+    # bound at |f'|/m on [0, m], m = |f'(b)|, the same floats as it is computed
+    d = cli._instance("exp(400*x)", 0.0, 1.0).d
+    m = d.scale(2.0)
+    assert m == d.db > 1e155
+    unit = bounds.DerivEndpoints(d.da / m, 1.0)
+    assert main([*argv, "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    got = [row[key] for row in out["rows"]] if "rows" in out else [out[key]]
+    assert got == [bounds.bound(r, unit, Interval(0.0, m), 2.0)[0] for r in rules]
 
 
 def test_domain_check_of_inf_minus_inf_warns_nothing():

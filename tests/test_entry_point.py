@@ -58,17 +58,22 @@ CASES = [
     (["optimize", "--what", "rule", "--q", "2", "--f", "exp(1000*x)", "--a", "0", "--b", "1"], 1),
     # inf - inf on the domain check's grid is an error line, not a warning
     (["bound", "--f", "exp(1000*x)-exp(1000*x)", "--a", "0", "--b", "1", "--rule", "simpson"], 1),
-    # an |f'| that is not finite at an end, or an |f'|^q that overflows there
+    # an |f'| that is not finite at an end
     (["sweep", "--f", "exp(709*x)", "--a", "0", "--b", "1", "--axis", "lambda", "--from", "0",
       "--to", "0.5", "--step", "0.5", "--format", "json"], 1),
     (["bound", "--f", "exp(709*x)", "--a", "0", "--b", "1", "--rule", "simpson"], 1),
-    (["bound", "--f", "exp(400*x)", "--a", "0", "--b", "1", "--rule", "simpson", "--q", "2"], 1),
-    (["optimize", "--f", "exp(400*x)", "--a", "0", "--b", "1", "--rule", "simpson", "--q", "2"], 1),
+    # an |f'|^q past the float range at an end: the bound and the certificate
+    # take |f'| relative to its larger end
+    (["bound", "--f", "exp(400*x)", "--a", "0", "--b", "1", "--rule", "simpson", "--q", "2"], 0),
+    (["optimize", "--f", "exp(400*x)", "--a", "0", "--b", "1", "--rule", "simpson", "--q", "2"], 0),
     (["sweep", "--f", "exp(400*x)", "--a", "0", "--b", "1", "--axis", "lambda", "--from", "0",
-      "--to", "0.5", "--step", "0.5", "--q", "2"], 1),
-    # a float power past the largest float, at an end of f' or in a means gap
+      "--to", "0.5", "--step", "0.5", "--q", "2"], 0),
     (["means", "--theorem", "4.2-pq", "--m", "2", "--ell", "1", "--s", "-2", "--a", "1e-100",
-      "--b", "1", "--q", "2"], 1),
+      "--b", "1", "--q", "2"], 0),
+    # |f'|^3 underflows, and the concave |f'| is still rejected
+    (["bound", "--f", "1e-110*exp(0-x^2)", "--a", "0.5", "--b", "1.1", "--rule", "midpoint",
+      "--q", "3", "--p", "1"], 2),
+    # a float power past the largest float, at an end of f' or in a means gap
     (["bound", "--f", "x^-2", "--a", "1e-200", "--b", "1", "--rule", "simpson"], 1),
     (["bound", "--f", "10^400*x", "--a", "0", "--b", "1", "--rule", "simpson"], 1),
     (["bound", "--f", "x^400", "--a", "1", "--b", "1e10", "--rule", "simpson"], 1),
@@ -103,8 +108,8 @@ CASES = [
     # |f'|^2 underflows at the ends, but the bound does not
     (["bound", "--f", "1e-200*x^2", "--a", "1", "--b", "2", "--rule", "trapezoid", "--q", "2",
       "--p", "1"], 0),
-    # x^400 overflows inside [a, b] while f = 1/x^400 stays finite
-    (["bound", "--f", "1/x^400", "--a", "1", "--b", "1e10", "--rule", "simpson"], 1),
+    # x^400 overflows inside [a, b] while f = 1/x^400 and f' = -400 x^-401 stay finite
+    (["bound", "--f", "1/x^400", "--a", "1", "--b", "1e10", "--rule", "simpson"], 0),
 ]
 
 

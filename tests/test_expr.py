@@ -217,6 +217,46 @@ def test_derivative_matches_central_difference():
         checked += 1
 
 
+def _quotient_rule(node):
+    """The derivative of l/r by the quotient rule, (l'r - lr')/r^2."""
+    l, r = node.left, node.right
+    return BinOp("/", BinOp("-", BinOp("*", differentiate(l), r),
+                            BinOp("*", l, differentiate(r))), Pow(r, 2.0))
+
+
+def test_reciprocal_power_derivative_matches_the_quotient_rule():
+    # l/u^e is differentiated as l*u^-e: where the quotient rule's form is
+    # finite, the two agree to rounding of the larger of their two terms
+    assert to_source(differentiate(parse("1/x^400"))) == "-400.0*x^-401.0"
+    rng = np.random.default_rng(61)
+    compared = 0
+    for _ in range(2000):
+        c0, c1 = rng.uniform(-2, 2, 2).tolist()
+        d0, d1 = rng.uniform(0.1, 2, 2).tolist()
+        e = float(rng.choice([rng.integers(-6, 7), rng.uniform(-6, 6)]))
+        l, u = parse(f"{c0!r}+{c1!r}*x"), parse(f"{d0!r}+{d1!r}*x^2")
+        node = BinOp("/", l, Pow(u, e))
+        x = float(rng.uniform(0.1, 5))
+        new, old = evaluate(differentiate(node), x), evaluate(_quotient_rule(node), x)
+        uv, duv = evaluate(u, x), evaluate(differentiate(u), x)
+        scale = abs(c1 * uv ** -e) + abs(evaluate(l, x) * e * uv ** (-e - 1) * duv)
+        assert abs(new - old) <= 16 * math.ulp(1.0) * scale, (to_source(node), x)
+        compared += 1
+    assert compared == 2000
+
+
+def test_reciprocal_power_derivative_is_finite_where_the_quotient_rule_is_nan():
+    # u^e and the numerator both overflow, their quotient is -inf/inf
+    rng = np.random.default_rng(67)
+    for _ in range(200):
+        e = float(rng.uniform(150, 400))
+        x = float(np.exp(rng.uniform(711, 740) / e))  # x^e is past the float range
+        node = parse(f"1/x^{e!r}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(evaluate(_quotient_rule(node), x)), (e, x)
+        assert evaluate(differentiate(node), x) == -e * x ** (-e - 1), (e, x)
+
+
 def test_differentiate_is_linear():
     rng = np.random.default_rng(1)
     xs = np.linspace(1.1, 2.3, 41)

@@ -120,14 +120,25 @@ def test_means_gap_overflow_names_f_s_and_the_interval(s, a, b):
 @pytest.mark.parametrize("theorem, a, q, message", [
     ("4.2-p1", 1e-200, 1.0, "|f'| is not finite at the ends of [1e-200, 1.0]: "
                             "|f'(a)|, |f'(b)| = inf, 2.0"),
-    ("4.2-pq", 1e-100, 2.0, "|f'|^q overflows at the ends of [1e-100, 1.0] at q = 2.0: "
-                            "|f'(a)|, |f'(b)| = 1.9999999999999998e+300, 2.0"),
-], ids=["inf", "q-overflows"])
+], ids=["inf"])
 def test_means_bound_overflow_is_named_by_bound(theorem, a, q, message):
-    # |f'| = 2 x^-3 of f = x^-2 overflows a float power at a, or its square does
+    # |f'| = 2 x^-3 of f = x^-2 overflows a float power at a
     with pytest.raises(ValueError) as exc:
         means_bound(theorem, 2, 1, a, 1.0, s=-2.0, q=q)
     assert str(exc.value) == message
+
+
+def test_means_bound_takes_f_prime_relative_to_its_larger_end():
+    # |f'(a)| = 2 a^-3 = 2e300 is finite but its square is not: the bound,
+    # homogeneous of degree 1 in |f'|, is m times the bound at |f'|/m
+    d = DerivEndpoints(1.9999999999999998e+300, 2.0)
+    m = d.scale(2.0)
+    assert m == d.da
+    rhs = means_bound("4.2-pq", 2, 1, 1e-100, 1.0, s=-2.0, q=2.0)
+    unit = bound(rule_from_lm(LMRule(2, 1)), DerivEndpoints(1.0, d.db / m),
+                 Interval(1e-100, 1.0), 2.0, 2.0)[0]
+    assert abs(rhs - m * unit) <= 4 * EPS * rhs
+    assert means_gap("4.2-pq", 2, 1, 1e-100, 1.0, s=-2.0) < rhs
 
 
 def test_all_means_collapse_at_equal_arguments():
