@@ -4,7 +4,7 @@ Two master formulas are implemented and ``bound`` dispatches to them on (q, p):
 
 * ``bound_q1`` -- the |f'|-convex bound, a pair of cubic polynomials in
   (lam, mu).  Written in plain rational arithmetic so Fraction inputs stay
-  exact.
+  exact in the float range.
 * ``bound_pq`` -- the Hoelder (p, q) bound for q > 1, 0 < p <= q, assembled
   per half-interval from the closed-form kernel moments, whose per-half
   forms ``kernel_moments_closed`` shares.  It is one point of the curve
@@ -95,10 +95,14 @@ def q1_coefficients(lam, mu):
 
 
 def bound_q1(rule: RuleParams, d: DerivEndpoints, interval: Interval):
-    """|f'|-convex bound.  Exact under Fraction inputs."""
+    """|f'|-convex bound, exact under Fraction inputs in the float range; past
+    2^(+-1000) it takes |f'|/m, m = ``d.scale(1.0)``, and scales the width by m."""
     _require_bound_admissible(rule)
     ca, cb = q1_coefficients(rule.lam, rule.mu)
-    return (interval.b - interval.a) * (ca * d.da + cb * d.db) / 24
+    m = d.scale(1.0)
+    if m == 1:
+        return (interval.b - interval.a) * (ca * d.da + cb * d.db) / 24
+    return (interval.b - interval.a) * m / 24 * (ca * (d.da / m) + cb * (d.db / m))
 
 
 class KernelMoments(NamedTuple):

@@ -81,7 +81,6 @@ class Instance:
     def __init__(self, ast: ExprNode, deriv: ExprNode, interval: Interval):
         self.ast, self.interval = ast, interval
         self._fp = as_function(deriv)
-        self._last = None, None
         # f' needs only the endpoints and the certificate grid (an interior
         # abs kink is fine: |f'| convex covers V-shaped derivatives), so it is
         # checked where it is used rather than over the whole interval.  An
@@ -130,20 +129,12 @@ class Instance:
         rhs, p = bounds.bound(rule, self.d, self.interval, q, p)
         return Claim(lhs, rhs, p, bounds.formula_id(q, p, given))
 
-    def _abs_fp(self, x):
-        # The certificate's grid is cached and read-only, so the same object
-        # means the same points.
-        if x is not self._last[0]:
-            self._last = x, np.abs(self._fp(x))
-        return self._last[1]
-
     def certificate(self, q: float) -> ConvexityCertificate:
         """Dyadic certificate that |f'|^q is convex, taken of (|f'|/m)^q as the
-        bound is (m = ``d.scale(q)``).  Certificates of one instance share one
-        grid and one evaluation of f'; at q = 1 and m = 1, g is |f'| itself."""
-        m = self.d.scale(q)
-        fp = self._abs_fp if m == 1 else lambda x: self._abs_fp(x) / m
-        g = fp if q == 1 else lambda x: fp(x) ** q
+        bound is (m = ``d.scale(q)``); at q = 1 and m = 1, g is |f'| itself."""
+        m, fp = self.d.scale(q), self._fp
+        abs_fp = (lambda x: np.abs(fp(x))) if m == 1 else lambda x: np.abs(fp(x)) / m
+        g = abs_fp if q == 1 else lambda x: abs_fp(x) ** q
         return certify_convex(g, self.interval)
 
 
@@ -250,7 +241,7 @@ def run_verify(trials: int, seed: int = 0, family: str = "mixed") -> dict:
 
         # |f'| convex makes |f'|^q convex, as t -> t^q is convex and
         # nondecreasing on t >= 0 for q >= 1; so the q certificate is built
-        # only when the q = 1 one fails, on the same grid and |f'| values.
+        # only when the q = 1 one fails.
         q1_valid = inst.certificate(1.0).valid
         q_valid = q1_valid or inst.certificate(q).valid
 

@@ -15,7 +15,6 @@ is definitive.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -29,6 +28,9 @@ __all__ = ["ConvexityCertificate", "certify_convex", "admissible_power"]
 
 _LEVELS = 12
 _INTERVALS = 1 << _LEVELS  # the grid has 4,097 points
+# k/2^12 for k = 0..2^12: times b - a, the same floats as k(b-a)/2^12
+_UNIT = np.arange(_INTERVALS + 1) / _INTERVALS
+_UNIT.flags.writeable = False
 # A residual passes while at most this many eps * max|g| over the certificate:
 # near a zero of f', g's rounding error scales with the terms of f', not with
 # |f'| (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).  Valid
@@ -53,14 +55,11 @@ _TRIPLES = np.concatenate([np.arange(0, _INTERVALS - 2 * s + 1, s) + np.array([[
 _TRIPLES.flags.writeable = False
 
 
-@functools.lru_cache(maxsize=4)
 def _grid(a: float, b: float) -> np.ndarray:
-    """The certificate's points a + k(b-a)/2^12, with the last one b, as one
-    read-only array per (a, b): certificates on [a, b] share the array itself."""
-    x = np.arange(_INTERVALS + 1) * ((b - a) / _INTERVALS)
+    """The certificate's points a + k(b-a)/2^12, with the last one b."""
+    x = _UNIT * (b - a)
     x += a
     x[-1] = b
-    x.flags.writeable = False
     return x
 
 
@@ -92,9 +91,11 @@ def certify_convex(g: Callable, interval: Interval) -> ConvexityCertificate:
     """
     a, b = float(interval.a), float(interval.b)
     x = _grid(a, b)
-    g_all, nudged = _evaluate_nudged(g, x, a, b)
-    left, mid, right = g_all[_TRIPLES]
-    residuals = mid - (left + right) * 0.5
+    # an overflow in g or in a residual is named below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_all, nudged = _evaluate_nudged(g, x, a, b)
+        left, mid, right = g_all[_TRIPLES]
+        residuals = mid - (left + right) * 0.5
     # argmax stops at the first NaN, so a NaN or +inf shows in the max
     worst = int(np.argmax(residuals))
     max_violation = float(residuals[worst])

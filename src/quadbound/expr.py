@@ -362,8 +362,6 @@ def _mul(l: ExprNode, r: ExprNode) -> ExprNode:
 def _div(l: ExprNode, r: ExprNode) -> ExprNode:
     if isinstance(l, Const) and l.value == 0:
         return Const(0.0)
-    if isinstance(r, Const) and r.value == 1:
-        return l
     return BinOp("/", l, r)
 
 

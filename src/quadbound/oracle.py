@@ -114,14 +114,19 @@ def _panel(f: Callable, *edges: float) -> list[tuple[float, float]]:
     # (n, 15) @ (15,) product can round differently.
     y = y.reshape(-1, 15)
     k15s = np.vecdot(y, _WGK).tolist()
-    # The Kronrod weights are positive, so a non-finite value makes its
-    # panel's sum non-finite: the values are scanned only then.
-    if not all(map(math.isfinite, k15s)):
+    g7s = np.vecdot(y[:, 1::2], _WG).tolist()
+    # The weights are positive, so a non-finite value makes its panel's sums
+    # non-finite: the values are scanned only then.
+    if not (all(map(math.isfinite, k15s)) and all(map(math.isfinite, g7s))):
         finite = np.isfinite(y.ravel())
         if not finite.all():
             k = int(np.argmin(finite)) // 15
             raise IntegrationError(f"non-finite integrand value on [{edges[k]}, {edges[k + 1]}]")
-    g7s = np.vecdot(y[:, 1::2], _WG).tolist()
+        # Each set of weights sums to 2, so finite values near the largest
+        # float can sum past it: then the panels sum half their values with
+        # twice their h, exact scalings, so an integral that is a float stays one.
+        y, halves = 0.5 * y, [(c, 2 * h) for c, h in halves]
+        k15s, g7s = np.vecdot(y, _WGK).tolist(), np.vecdot(y[:, 1::2], _WG).tolist()
     out = []
     for (_, h), k15, g7 in zip(halves, k15s, g7s):
         k15 *= h
@@ -168,7 +173,7 @@ def integrate(f: Callable, interval: Interval, tol: float = DEFAULT_TOL,
     heapq.heapify(heap)
     kept: list[tuple[float, float, float, float]] = []
     # Zero running sums send the first pass to the exact sums below.
-    value_sum = err_sum = abs_sum = 0.0
+    err_sum = abs_sum = 0.0
     while True:
         # The running sums drift; confirm a stop with exact sums.
         if not heap or err_sum <= max(tol, 4 * _EPS * abs_sum):
@@ -189,7 +194,6 @@ def integrate(f: Callable, interval: Interval, tol: float = DEFAULT_TOL,
         (v1, e1), (v2, e2) = _panel(f, lo, mid, hi)
         heapq.heappush(heap, (-e1, lo, mid, v1))
         heapq.heappush(heap, (-e2, mid, hi, v2))
-        value_sum += v1 + v2 - value
         err_sum += e1 + e2 + neg_err
         abs_sum += abs(v1) + abs(v2) - abs(value)
 

@@ -232,13 +232,17 @@ def test_bound_pq_homogeneity():
         base1 = bound_q1(rule, DerivEndpoints(da, db), Interval(0, 1))
         assert fx.relerr(bound_q1(rule, DerivEndpoints(c * da, c * db),
                                   Interval(0, c)), c * c * base1) <= 1e-12
-    # and where |f'|^q underflows to 0 or below the normal floats, or overflows
+    # and where |f'|^q underflows to 0 or below the normal floats, or overflows;
+    # at q = 1, where |f'| itself is past 2^(+-1000)
     rule = RuleParams(0.2, 0.8)
     for q, c in ((2.0, 1e-200), (3.0, 1e-110), (1.5, 5e-300),
-                 (2.0, 1e200), (3.0, 1e110), (1.5, 1e300), (1.05, 1e295), (1.001, 1e308)):
+                 (2.0, 1e200), (3.0, 1e110), (1.5, 1e300), (1.05, 1e295), (1.001, 1e308),
+                 (1.0, 2.0**1010), (1.0, 2.0**-1010), (1.0, 1e305), (1.0, 1e308), (1.0, 1e-305)):
         base = bound(rule, DerivEndpoints(1.0, 0.5), IV, q, q / 2)[0]
         assert fx.relerr(bound(rule, DerivEndpoints(c, c / 2), IV, q, q / 2)[0],
                          c * base) <= 1e-14, (q, c)
+        if q == 1:
+            continue  # the q = 1 bound has no p
         v_star = optimize_p(rule, q, DerivEndpoints(1.0, 0.5), IV)[1]
         assert fx.relerr(optimize_p(rule, q, DerivEndpoints(c, c / 2), IV)[1],
                          c * v_star) <= 1e-12, (q, c)

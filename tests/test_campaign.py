@@ -143,11 +143,13 @@ def _f_prime_points(monkeypatch, run) -> int:
 
 @pytest.mark.parametrize("family", ["mixed", "concave-test"])
 def test_trial_evaluates_f_prime_once_per_certificate_point(monkeypatch, family):
-    # a trial's certificates share one 4,097-point dyadic grid, on which f'
-    # is evaluated once, whether one certificate is built or two; the two
-    # endpoints come from the same compiled f'
+    # each certificate evaluates f' once on its 4,097-point dyadic grid: a
+    # mixed trial builds one (|f'| passes), a concave-test trial two (|f'|
+    # fails, so |f'|^q is certified too); the two endpoints come from the
+    # same compiled f'
+    certificates = {"mixed": 1, "concave-test": 2}[family]
     points = _f_prime_points(monkeypatch, lambda: run_verify(trials=1, seed=3, family=family))
-    assert points == 4097 + 2
+    assert points == certificates * 4097 + 2
 
 
 def test_bound_evaluates_f_prime_once_per_certificate_point(monkeypatch, capsys):

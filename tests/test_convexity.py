@@ -61,6 +61,15 @@ def test_certify_propagates_evaluation_failure():
         certify_convex(g, Interval(-1, 1))
 
 
+def test_non_finite_g_is_named_without_a_warning():
+    # |f'| overflows near x = 1/2, and the residuals beside it are inf - inf:
+    # one named error, and no numpy warning (an error under pytest)
+    ast = parse("exp(709-1000*(x-0.5)^2)")
+    inst = Instance(ast, differentiate(ast), Interval(0.0, 1.0))
+    with pytest.raises(ValueError, match="^g produced non-finite values during certification$"):
+        inst.certificate(1.0)
+
+
 def test_exact_kink_hits_are_nudged_one_ulp():
     from quadbound.convexity import _evaluate_nudged
 
@@ -189,7 +198,7 @@ def _derivative_power(source, q):
 
 
 def test_grid_and_tree_are_dyadic():
-    from quadbound.convexity import _TRIPLES, _grid
+    from quadbound.convexity import _TRIPLES, _UNIT, _grid
 
     rng = np.random.default_rng(4096)
     for _ in range(4):
@@ -197,8 +206,8 @@ def test_grid_and_tree_are_dyadic():
         b = a + float(rng.uniform(1e-3, 4))
         got = _grid(a, b)
         assert got.tobytes() == _reference_grid(a, b).tobytes(), (a, b)
-        assert got[0] == a and got[-1] == b and not got.flags.writeable
-        assert _grid(a, b) is got  # cached: the certificates of [a, b] share it
+        assert got[0] == a and got[-1] == b
+    assert not _UNIT.flags.writeable  # every grid is scaled from it
     # (js, (j+1)s, (j+2)s) for s = 1, 2, ..., 2^11, level by level
     want = [(j * s, (j + 1) * s, (j + 2) * s)
             for s in (2**k for k in range(12)) for j in range(4096 // s - 1)]

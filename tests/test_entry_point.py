@@ -70,6 +70,12 @@ CASES = [
       "--to", "0.5", "--step", "0.5", "--q", "2"], 0),
     (["means", "--theorem", "4.2-pq", "--m", "2", "--ell", "1", "--s", "-2", "--a", "1e-100",
       "--b", "1", "--q", "2"], 0),
+    # |f'| near the largest float: the q = 1 bound takes it relative to its
+    # larger end too
+    (["bound", "--f", "5e307*x^2", "--a", "0.9", "--b", "1", "--rule", "simpson", "--q", "1"], 0),
+    # g overflows on the certificate's grid: the certificate names it, with
+    # no numpy warning
+    (["bound", "--f", "exp(709-1000*(x-0.5)^2)", "--a", "0", "--b", "1", "--rule", "simpson"], 1),
     # |f'|^3 underflows, and the concave |f'| is still rejected
     (["bound", "--f", "1e-110*exp(0-x^2)", "--a", "0.5", "--b", "1.1", "--rule", "midpoint",
       "--q", "3", "--p", "1"], 2),

@@ -122,6 +122,35 @@ def test_integrate_rejects_nonfinite_integrand():
         integrate(lambda x: np.where(x > 0.5, np.inf, 1.0), Interval(0, 1))
 
 
+_BIG = 1.7e308
+
+
+@pytest.mark.parametrize("f, top, exact, budget", [
+    (lambda x: np.exp(709.7 - 1000 * (x - 0.5) ** 2), math.exp(709.7),
+     math.exp(709.7) * math.sqrt(math.pi / 1000), 1000),
+    # some panels here overflow only their Gauss sum
+    (lambda x: _BIG * np.sin(123 * x) ** 2, _BIG, _BIG * (0.5 - math.sin(246) / 492), 10_000),
+], ids=["gaussian", "sin2"])
+def test_integrate_panel_sums_past_the_float_range(f, top, exact, budget):
+    # values near the largest float sum past it (each set of weights sums to
+    # 2) while the integral is a float: such a panel sums half its values
+    # with twice h, and integrate converges
+    tol = 1e-11 * top
+    with np.errstate(over="ignore"):  # numpy warns of the sums it replaces
+        r = integrate(f, Interval(0, 1), tol)
+    assert r.error_estimate <= tol and r.evaluations < budget
+    assert abs(r.value - exact) <= tol
+
+
+def test_integrate_keeps_panels_that_no_longer_split():
+    # sin(1e17 x) turns within an ulp of 1, so bisection reaches the eight
+    # one-ulp panels, whose midpoints round onto an end: they are kept, with
+    # the error they carry, and tol = 0 still returns
+    r = integrate(lambda x: np.sin(1e17 * x), Interval(1.0, 1.0 + 8 * math.ulp(1.0)), 0.0)
+    assert r.evaluations == 15 + 7 * 30
+    assert r.error_estimate > 4 * _EPS * abs(r.value)
+
+
 def test_kernel_moment_examples():
     assert abs(kernel_moment_numeric("left", 0.0, 1.0) - 1 / 8) <= 1e-12
     assert abs(kernel_moment_numeric("right", 1.0, 1.0) - 1 / 8) <= 1e-12
