@@ -96,13 +96,13 @@ def q1_coefficients(lam, mu):
 
 def bound_q1(rule: RuleParams, d: DerivEndpoints, interval: Interval):
     """|f'|-convex bound, exact under Fraction inputs in the float range; past
-    2^(+-1000) it takes |f'|/m, m = ``d.scale(1.0)``, and scales the width by m."""
+    2^(+-1000) it takes |f'|/m, m = ``d.scale(1.0)``, and scales (b - a)/24 by m."""
     _require_bound_admissible(rule)
     ca, cb = q1_coefficients(rule.lam, rule.mu)
     m = d.scale(1.0)
     if m == 1:
         return (interval.b - interval.a) * (ca * d.da + cb * d.db) / 24
-    return (interval.b - interval.a) * m / 24 * (ca * (d.da / m) + cb * (d.db / m))
+    return (interval.b - interval.a) / 24 * m * (ca * (d.da / m) + cb * (d.db / m))
 
 
 class KernelMoments(NamedTuple):

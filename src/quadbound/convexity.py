@@ -21,7 +21,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expr import EvalDomainError
 from .oracle import Interval
 
 __all__ = ["ConvexityCertificate", "certify_convex", "admissible_power"]
@@ -42,7 +41,7 @@ _ROUNDING_FACTOR = 1024
 @dataclass(frozen=True)
 class ConvexityCertificate:
     samples: int  # residuals checked
-    evaluations: int  # points g was evaluated on, nudged retries included
+    evaluations: int  # points g was evaluated on: the 4,097 of the grid
     max_violation: float
     valid: bool
     witness: Optional[tuple[float, float]] = None
@@ -63,37 +62,17 @@ def _grid(a: float, b: float) -> np.ndarray:
     return x
 
 
-def _evaluate_nudged(g: Callable, pts: np.ndarray, a: float, b: float) -> tuple[np.ndarray, int]:
-    # Derivative-of-abs kinks are defined away from a measure-zero set; a
-    # point that hits one exactly is retried one ulp toward the farther of a
-    # and b: inward at the ends, and off the midpoint, itself a grid point.
-    # Only the failing points move, so a neighbour one ulp beside a kink is
-    # not moved onto it.  A failing call is halved until each failing point
-    # is alone.  Genuine domain failures fail again and propagate.  Returns
-    # g's values and the number of points retried.
-    try:
-        return np.asarray(g(pts), dtype=float), 0
-    except EvalDomainError:
-        if pts.size == 1:
-            toward = b if pts[0] - a < b - pts[0] else a
-            return np.asarray(g(np.nextafter(pts, toward)), dtype=float), 1
-        halves = [_evaluate_nudged(g, half, a, b) for half in np.array_split(pts, 2)]
-        return np.concatenate([v for v, _ in halves]), sum(n for _, n in halves)
-
-
 def certify_convex(g: Callable, interval: Interval) -> ConvexityCertificate:
     """Certify that ``g`` is (midpoint) convex on ``interval`` on the dyadic tree.
 
-    ``g`` must be vectorized over numpy arrays and defined on [a, b] except
-    possibly at isolated derivative-of-abs kinks (exact hits are retried one
-    ulp away); any other evaluation failure propagates to the caller.  g is
-    called once, on the 4,097 grid points, unless a point hits a kink.
+    ``g`` must be vectorized over numpy arrays and defined on [a, b]; it is
+    called once, on the 4,097 grid points, and an evaluation failure
+    propagates to the caller.
     """
-    a, b = float(interval.a), float(interval.b)
-    x = _grid(a, b)
+    x = _grid(float(interval.a), float(interval.b))
     # an overflow in g or in a residual is named below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        g_all, nudged = _evaluate_nudged(g, x, a, b)
+        g_all = np.asarray(g(x), dtype=float)
         left, mid, right = g_all[_TRIPLES]
         residuals = mid - (left + right) * 0.5
     # argmax stops at the first NaN, so a NaN or +inf shows in the max
@@ -105,7 +84,7 @@ def certify_convex(g: Callable, interval: Interval) -> ConvexityCertificate:
     valid = max_violation <= _ROUNDING_FACTOR * math.ulp(1.0) * float(max(g_all.max(), -g_all.min()))
     return ConvexityCertificate(
         samples=residuals.size,
-        evaluations=x.size + nudged,
+        evaluations=x.size,
         max_violation=max_violation,
         valid=valid,
         witness=None if valid else (float(x[_TRIPLES[0, worst]]), float(x[_TRIPLES[2, worst]])),

@@ -5,10 +5,12 @@ The grammar (whitespace insignificant, ``x`` is the sole variable)::
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
     factor := atom ['^' number]
-    atom   := number | 'x' | '(' expr ')' | ('ln'|'exp'|'abs') '(' expr ')'
+    atom   := number | 'x' | '(' expr ')' | ('ln'|'exp'|'abs'|'sgn') '(' expr ')'
     number := decimal literal with optional sign and exponent
 
 Exponents are numeric literals only, which keeps differentiation total.
+``sgn(u)`` is copysign(1, u), so d|u| = sgn(u)·u' has a one-sided value at
+a kink of |u| and never raises there.
 Every AST is an immutable value; evaluation accepts either a float or a
 numpy array and refuses to return NaN silently: domain problems (log of a
 nonpositive value, division by zero, negative base under a fractional
@@ -88,13 +90,13 @@ class Pow:
 
 @dataclass(frozen=True)
 class Call:
-    fn: str  # one of ln exp abs
+    fn: str  # one of ln exp abs sgn
     arg: "ExprNode"
 
 
 ExprNode = Union[Const, Var, BinOp, Pow, Call]
 
-_FUNCTIONS = ("ln", "exp", "abs")
+_FUNCTIONS = ("ln", "exp", "abs", "sgn")
 
 # A token is a number literal, a name, or any other single character but
 # whitespace; finditer skips the whitespace between tokens.  A sign is a
@@ -203,6 +205,9 @@ _RULES = {
              "negative base with a non-integer exponent"),
     "ln": ("ln of a non-positive value",
            "argument of ln is not strictly positive on the interval"),
+    # domain_check only: sgn is defined everywhere, but a zero or a sign
+    # change on the grid is a jump of f, which no bound here covers.
+    "jump": ("", "argument of sgn vanishes or changes sign on the interval (a jump)"),
 }
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
@@ -256,6 +261,11 @@ def _kernel(node: ExprNode, found):
         return power
     if node.fn == "ln":
         return lambda v: None if _violated(found, node, v <= 0, "ln") else np.log(v)
+    if node.fn == "sgn":
+        if found is None:
+            return lambda v: np.copysign(1.0, v)
+        return lambda v: (None if _violated(found, node, v == 0, "jump")
+                          or _crosses_zero(found, node, v, "jump") else np.copysign(1.0, v))
     return np.exp if node.fn == "exp" else np.abs
 
 
@@ -376,9 +386,9 @@ def _pow(b: ExprNode, e: float) -> ExprNode:
 def differentiate(node: ExprNode) -> ExprNode:
     """Exact symbolic derivative of ``node`` with respect to x.
 
-    The derivative of ``abs(u)`` is represented as ``u/abs(u) * u'``; it is
-    defined away from zeros of ``u``, and evaluating it at a kink raises a
-    division-by-zero :class:`EvalDomainError` (the non-differentiability flag).
+    The derivative of ``abs(u)`` is ``sgn(u) * u'``: at a kink, where u is
+    ±0, it takes the one-sided value of the side the zero's sign names.  The
+    derivative of ``sgn(u)`` is 0, its value away from the jump.
     """
     if isinstance(node, Const):
         return Const(0.0)
@@ -411,7 +421,9 @@ def differentiate(node: ExprNode) -> ExprNode:
             return _div(da, node.arg)
         if node.fn == "exp":
             return _mul(Call("exp", node.arg), da)
-        return _mul(_div(node.arg, Call("abs", node.arg)), da)
+        if node.fn == "abs":
+            return _mul(Call("sgn", node.arg), da)
+        return Const(0.0)
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from quadbound.campaign import Instance, draw_function
 from quadbound.convexity import ConvexityCertificate, admissible_power, certify_convex
-from quadbound.expr import EvalDomainError, as_function, differentiate, parse
+from quadbound.expr import as_function, differentiate, parse
 from quadbound.oracle import Interval
 
 
@@ -70,38 +70,12 @@ def test_non_finite_g_is_named_without_a_warning():
         inst.certificate(1.0)
 
 
-def test_exact_kink_hits_are_nudged_one_ulp():
-    from quadbound.convexity import _evaluate_nudged
-
-    # |d/dx abs(x)| is undefined exactly at 0; a point landing there is
-    # retried one ulp toward the farther of a and b
+def test_v_shaped_derivative_magnitude_is_certified():
+    # |d/dx abs(x)| is 1 on both sides of the kink and at it, where sgn(+0.0)
+    # gives the one-sided value; on [-1, 1] the kink is the grid's midpoint
     fp = as_function(differentiate(parse("abs(x)")))
-    g = lambda x: np.abs(fp(x))
-    pts = np.array([-0.5, 0.0, 0.5])
-    got, nudged = _evaluate_nudged(g, pts, -1.0, 2.0)
-    assert np.all(got == 1.0) and nudged == 1
-    # at the midpoint of [a, b] itself, which is a grid point, the nudge
-    # still moves off the kink (toward the midpoint it would stay on it)
-    for a, b in ((-1.0, 1.0), (-0.5, 0.5), (-3.0, 3.0)):
-        got, nudged = _evaluate_nudged(g, np.array([-0.25, 0.0]), a, b)
-        assert np.all(got == 1.0) and nudged == 1
-    # at an end the nudge is inward
-    inward = as_function(differentiate(parse("abs(x-1)")))
-    got, nudged = _evaluate_nudged(lambda x: np.abs(inward(x)), np.array([0.5, 1.0]), 0.0, 1.0)
-    assert np.all(got == 1.0) and nudged == 1
-    # a genuine domain failure still fails after the nudge
-    with pytest.raises(EvalDomainError):
-        _evaluate_nudged(as_function(parse("ln(x)")), np.array([-0.5, 0.5]), -1.0, 1.0)
-    # only the failing point moves: a neighbour one ulp beyond the kink
-    # would otherwise be moved onto it
-    kinked = as_function(differentiate(parse("abs(x-0.3)")))
-    beside = np.nextafter(0.3, 1.0)
-    got, nudged = _evaluate_nudged(lambda x: np.abs(kinked(x)), np.array([beside, 0.3]), 0.0, 1.0)
-    assert np.all(got == 1.0) and nudged == 1
-    # end to end: the certificate of a V-shaped derivative magnitude passes,
-    # with the kink at the midpoint counted as one more evaluation
-    cert = certify_convex(g, Interval(-1.0, 1.0))
-    assert cert.valid and cert.evaluations == 4097 + 1
+    cert = certify_convex(lambda x: np.abs(fp(x)), Interval(-1.0, 1.0))
+    assert cert.valid and cert.evaluations == 4097
 
 
 def test_admissible_power_examples():
@@ -137,8 +111,7 @@ def test_certificate_agrees_with_power_predicate():
 # -- reference: the dyadic certificate, written plainly ----------------------
 # The grid a + k(b-a)/2^12 (k = 0..4096, the last point b) is built point by
 # point, and the residuals level by level from slices of every 2^k-th value.
-# A failing call is retried point by point, each failing point one ulp toward
-# the farther of a and b.  The certificate must reproduce it bit for bit.
+# The certificate must reproduce it bit for bit.
 
 _EPS = float(np.finfo(float).eps)
 
@@ -149,25 +122,10 @@ def _reference_grid(a, b):
     return x
 
 
-def _reference_values(g, x, a, b):
-    try:
-        return np.asarray(g(x), dtype=float), 0
-    except EvalDomainError:
-        values, nudged = [], 0
-        for p in x:
-            try:
-                values.append(float(g(np.array([p]))[0]))
-            except EvalDomainError:
-                toward = b if p - a < b - p else a
-                values.append(float(g(np.array([np.nextafter(p, toward)]))[0]))
-                nudged += 1
-        return np.array(values), nudged
-
-
 def _reference_certify_convex(g, interval):
     a, b = float(interval.a), float(interval.b)
     x = _reference_grid(a, b)
-    gx, nudged = _reference_values(g, x, a, b)
+    gx = np.asarray(g(x), dtype=float)
     residuals, pairs = [], []
     for k in range(12):
         sub, xs = gx[::2**k], x[::2**k]
@@ -177,7 +135,7 @@ def _reference_certify_convex(g, interval):
     worst = int(np.argmax(residuals))
     valid = residuals[worst] <= 1024 * _EPS * np.max(np.abs(gx))
     return ConvexityCertificate(
-        samples=len(residuals), evaluations=len(x) + nudged,
+        samples=len(residuals), evaluations=len(x),
         max_violation=float(residuals[worst]), valid=bool(valid),
         witness=None if valid else pairs[worst])
 
@@ -234,18 +192,16 @@ def test_certificate_equals_reference(source, a, b, q):
 
 
 # every 64th grid point (the ends, the midpoint and the quarter points among
-# them) and a few odd ones, on which every level of the halving differs
+# them) and a few odd ones
 @pytest.mark.parametrize("k", [*range(0, 4097, 64), 1, 7, 1365, 4095])
 def test_kink_on_a_grid_point_keeps_the_verdict(k):
-    # g fails exactly at grid point k, so that point alone is retried one
-    # ulp toward the farther end, as in the reference.  g = 3^1.5 |x - kink|^3
-    # is convex, so every certificate is valid.  A failing call is halved
-    # until the failing point is alone: O(log n) calls of g, not one a point.
+    # g has a kink exactly at grid point k, where sgn gives f' its one-sided
+    # value, so g is evaluated there as anywhere.  g = 3^1.5 |x - kink|^3 is
+    # convex, so every certificate is valid.
     interval = Interval(-0.8, 1.3)
     kink = float(_reference_grid(interval.a, interval.b)[k])
     g = _derivative_power(f"abs(x-{kink!r})^3", 1.5)
-    with pytest.raises(EvalDomainError):
-        g(np.array([kink]))
+    assert np.isfinite(g(np.array([kink]))).all()
     calls = []
 
     def counted(x):
@@ -253,10 +209,8 @@ def test_kink_on_a_grid_point_keeps_the_verdict(k):
         return g(x)
 
     cert = certify_convex(counted, interval)
-    assert cert.valid and cert.evaluations == 4097 + 1
-    # the whole grid, two calls per halving (4,097 points halve to one in
-    # 13), and the retry
-    assert len(calls) <= 1 + 2 * 13 + 1, len(calls)
+    assert cert.valid and cert.evaluations == 4097
+    assert calls == [4097]
     assert cert == _reference_certify_convex(g, interval)
 
 
@@ -287,8 +241,7 @@ def test_certificate_equals_reference_on_seeded_intervals():
         interval = Interval(a, a + float(rng.uniform(1e-3, 4)))
         kink = float(_reference_grid(interval.a, interval.b)[int(rng.integers(4097))])
         kinked = _derivative_power(f"abs(x-{kink!r})^3", 1.5)
-        with pytest.raises(EvalDomainError):
-            kinked(np.array([kink]))
+        assert np.isfinite(kinked(np.array([kink]))).all()
         for g in (lambda x: np.abs(x - a) ** 1.7, lambda x: -(x - a) ** 2, kinked):
             cert = certify_convex(g, interval)
             assert cert == _reference_certify_convex(g, interval)
@@ -308,14 +261,13 @@ def test_instance_certificate_equals_reference(q):
             inst = Instance(ast, differentiate(ast), draw.interval)
             want = _reference_certify_convex(_derivative_power(draw.source, q), draw.interval)
             assert inst.certificate(q) == want, (draw.source, q)
-    # a kink on grid point 9 takes the nudge path
+    # a kink on grid point 9, evaluated there
     interval = Interval(-0.8, 1.3)
     kink = float(_reference_grid(interval.a, interval.b)[9])
     source = f"abs(x-{kink!r})^3+x"
     ast = parse(source)
     inst = Instance(ast, differentiate(ast), interval)
-    with pytest.raises(EvalDomainError):
-        _derivative_power(source, q)(np.array([kink]))
+    assert np.isfinite(_derivative_power(source, q)(np.array([kink]))).all()
     assert inst.certificate(q) == _reference_certify_convex(_derivative_power(source, q), interval)
 
 

@@ -49,6 +49,10 @@ CASES = [
     (["bound", "--f", "x^4-x^3", "--a", "-2", "--b", "-0.5", "--rule", "simpson", "--q", "2"], 0),
     # a kink at the midpoint, itself a point of the certificate's grid
     (["bound", "--f", "abs(x-0.5)", "--a", "0", "--b", "1", "--rule", "trapezoid", "--q", "1"], 0),
+    # a kink at an end: f'(0) is sgn(0) = +1, the one-sided derivative on [0, 1]
+    (["bound", "--f", "abs(x)", "--a", "0", "--b", "1", "--rule", "simpson"], 0),
+    # a jump of f is a domain error
+    (["bound", "--f", "sgn(x-0.5)", "--a", "0", "--b", "1", "--rule", "simpson"], 1),
     # an f that overflows at b is an input error naming f
     (["bound", "--f", "exp(1000*x)", "--a", "0", "--b", "1", "--rule", "simpson"], 1),
     # optimize never integrates f, so an |f'| that overflows at b is named
@@ -73,6 +77,8 @@ CASES = [
     # |f'| near the largest float: the q = 1 bound takes it relative to its
     # larger end too
     (["bound", "--f", "5e307*x^2", "--a", "0.9", "--b", "1", "--rule", "simpson", "--q", "1"], 0),
+    # (b - a)*m overflows, but the optimal q = 1 bound, (b - a)/24*m*..., does not
+    (["optimize", "--what", "rule", "--q", "1", "--f", "1e307*x^2", "--a", "0", "--b", "5"], 0),
     # g overflows on the certificate's grid: the certificate names it, with
     # no numpy warning
     (["bound", "--f", "exp(709-1000*(x-0.5)^2)", "--a", "0", "--b", "1", "--rule", "simpson"], 1),

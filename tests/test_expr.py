@@ -120,12 +120,25 @@ def test_differentiate_cubic_at_one():
     assert abs(evaluate(d, 1.0) - central) < 1e-8
 
 
-def test_abs_derivative_flags_kink():
+def test_abs_derivative_is_one_sided_at_the_kink():
+    # d|u| = sgn(u)*u': at u = +0.0 the right derivative, at -0.0 the left
     d = differentiate(parse("abs(x)"))
+    assert to_source(d) == "sgn(x)"
     assert evaluate(d, 2.0) == 1.0
     assert evaluate(d, -2.0) == -1.0
-    with pytest.raises(EvalDomainError):
-        evaluate(d, 0.0)
+    assert evaluate(d, 0.0) == 1.0
+    assert evaluate(d, -0.0) == -1.0
+    assert evaluate(differentiate(parse("abs(1-x)")), 1.0) == -1.0
+
+
+def test_sgn_is_copysign_at_a_number_and_on_an_array():
+    sgn = as_function(parse("sgn(x)"))
+    xs = [0.0, -0.0, 2.0, -2.0]
+    want = [1.0, -1.0, 1.0, -1.0]
+    assert [sgn(x) for x in xs] == want
+    assert all(type(sgn(x)) is np.float64 for x in xs)
+    assert sgn(np.array(xs)).tolist() == want
+    assert differentiate(parse("sgn(x-1)")) == Const(0.0)
 
 
 def test_domain_check_cases():
@@ -137,6 +150,10 @@ def test_domain_check_cases():
     assert not domain_check(parse("x^0.5"), Interval(-1, 4)).ok
     # denominator zero crossing between grid points
     assert not domain_check(parse("1/(x-0.51234567)"), Interval(0, 1)).ok
+    # a jump of sgn, on a grid point or between two
+    assert domain_check(parse("sgn(x)*x^2"), Interval(1, 2)).ok
+    assert not domain_check(parse("sgn(x-0.5)"), Interval(0, 1)).ok
+    assert not domain_check(parse("sgn(x-0.51234567)"), Interval(0, 1)).ok
 
 
 _exprs = st.recursive(
@@ -147,7 +164,7 @@ _exprs = st.recursive(
     lambda children: st.one_of(
         st.builds(BinOp, st.sampled_from(["+", "-", "*", "/"]), children, children),
         st.builds(Pow, children, st.sampled_from([-2.0, -1.0, -0.5, 0.5, 2.0, 3.0])),
-        st.builds(Call, st.sampled_from(["ln", "exp", "abs"]), children),
+        st.builds(Call, st.sampled_from(["ln", "exp", "abs", "sgn"]), children),
     ),
     max_leaves=12,
 )
@@ -340,6 +357,8 @@ def _reference_evaluate(node, x):
             return np.log(v)
         if node.fn == "exp":
             return np.exp(v)
+        if node.fn == "sgn":
+            return np.copysign(1.0, v)
         return np.abs(v)
     raise TypeError(f"not an expression node: {node!r}")
 
@@ -403,6 +422,11 @@ def _reference_domain_check(node, interval, samples=1025):
             if n.fn == "exp":
                 with np.errstate(over="ignore"):
                     return np.exp(av)
+            if n.fn == "sgn":
+                if np.any(av == 0) or np.any(av[:-1] * av[1:] < 0):
+                    flag(n, "argument of sgn vanishes or changes sign on the interval (a jump)")
+                    return None
+                return np.copysign(1.0, av)
             return np.abs(av)
         raise TypeError(f"not an expression node: {n!r}")
 
