@@ -226,7 +226,10 @@ def _violated(found, node: ExprNode, bad, rule: str) -> bool:
 
 
 def _crosses_zero(found, node: ExprNode, v, rule: str) -> bool:
-    return found is not None and _violated(found, node, v[:-1] * v[1:] < 0, rule)
+    # A sign change between neighbours, by the product of their signs: the
+    # product of the values can underflow to -0.0.  A literal never crosses.
+    return (found is not None and isinstance(v, np.ndarray)
+            and _violated(found, node, np.sign(v[:-1]) * np.sign(v[1:]) < 0, rule))
 
 
 def _kernel(node: ExprNode, found):
@@ -271,9 +274,8 @@ def _kernel(node: ExprNode, found):
 
 def _operand(node: ExprNode, other: ExprNode, found):
     """Compile an operand of + - * /: a literal beside a non-literal is its
-    float, which acts as its array in x's shape, except in domain_check
-    (``found`` a list), whose zero-crossing check needs the array."""
-    if found is None and isinstance(node, Const) and not isinstance(other, Const):
+    float, which acts as its array in x's shape."""
+    if isinstance(node, Const) and not isinstance(other, Const):
         v = node.value
         return lambda x: v
     return _compile(node, found)

@@ -97,6 +97,9 @@ _WG = np.array([
     0.41795918367346938, 0.38183005050511894, 0.27970539148927664,
     0.12948496616886969,
 ])
+# Each set of weights sums to 2, so finite values near the largest float could
+# sum past it; halved, they sum to 1, and a sum of finite values is finite.
+_WGK_HALF, _WG_HALF = _WGK / 2, _WG / 2
 
 _EPS = float(np.finfo(float).eps)
 
@@ -104,8 +107,7 @@ _EPS = float(np.finfo(float).eps)
 def _panel(f: Callable, *edges: float) -> list[tuple[float, float]]:
     """K15 value and |K15 - G7| error of each panel between consecutive
     ``edges``, from one call of ``f`` on the nodes of all of them."""
-    halves = [(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in zip(edges, edges[1:])]
-    ch = np.array(halves)
+    ch = np.array([(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in zip(edges, edges[1:])])
     x = (ch[:, :1] + ch[:, 1:] * _XGK).ravel()
     y = np.asarray(f(x), dtype=float)
     if y.ndim == 0:
@@ -113,24 +115,20 @@ def _panel(f: Callable, *edges: float) -> list[tuple[float, float]]:
     # One BLAS dot per row, as a 1-D product takes per panel: a batched
     # (n, 15) @ (15,) product can round differently.
     y = y.reshape(-1, 15)
-    k15s = np.vecdot(y, _WGK).tolist()
-    g7s = np.vecdot(y[:, 1::2], _WG).tolist()
-    # The weights are positive, so a non-finite value makes its panel's sums
-    # non-finite: the values are scanned only then.
-    if not (all(map(math.isfinite, k15s)) and all(map(math.isfinite, g7s))):
-        finite = np.isfinite(y.ravel())
-        if not finite.all():
-            k = int(np.argmin(finite)) // 15
-            raise IntegrationError(f"non-finite integrand value on [{edges[k]}, {edges[k + 1]}]")
-        # Each set of weights sums to 2, so finite values near the largest
-        # float can sum past it: then the panels sum half their values with
-        # twice their h, exact scalings, so an integral that is a float stays one.
-        y, halves = 0.5 * y, [(c, 2 * h) for c, h in halves]
-        k15s, g7s = np.vecdot(y, _WGK).tolist(), np.vecdot(y[:, 1::2], _WG).tolist()
+    k15s = np.vecdot(y, _WGK_HALF).tolist()
+    g7s = np.vecdot(y[:, 1::2], _WG_HALF).tolist()
+    # Every node has a positive Kronrod weight, so a K15 sum is non-finite
+    # exactly where a value is: the values are scanned only then.
+    if not all(map(math.isfinite, k15s)):
+        k = int(np.argmin(np.isfinite(y.ravel()))) // 15
+        raise IntegrationError(f"non-finite integrand value on [{edges[k]}, {edges[k + 1]}]")
     out = []
-    for (_, h), k15, g7 in zip(halves, k15s, g7s):
-        k15 *= h
-        out.append((k15, abs(k15 - h * g7)))
+    # Halving and doubling are exact, so a sum against the halved weights
+    # times hi - lo (= 2h) is the sum against the weights times h, to the bit.
+    for lo, hi, k15, g7 in zip(edges, edges[1:], k15s, g7s):
+        w = hi - lo
+        k15 *= w
+        out.append((k15, abs(k15 - w * g7)))
     return out
 
 

@@ -53,6 +53,9 @@ CASES = [
     (["bound", "--f", "abs(x)", "--a", "0", "--b", "1", "--rule", "simpson"], 0),
     # a jump of f is a domain error
     (["bound", "--f", "sgn(x-0.5)", "--a", "0", "--b", "1", "--rule", "simpson"], 1),
+    # also where the argument is too small for the product of neighbours
+    (["bound", "--f", "sgn(1e-200*(x-0.51234567))", "--a", "0", "--b", "1", "--rule",
+      "simpson"], 1),
     # an f that overflows at b is an input error naming f
     (["bound", "--f", "exp(1000*x)", "--a", "0", "--b", "1", "--rule", "simpson"], 1),
     # optimize never integrates f, so an |f'| that overflows at b is named

@@ -154,6 +154,10 @@ def test_domain_check_cases():
     assert domain_check(parse("sgn(x)*x^2"), Interval(1, 2)).ok
     assert not domain_check(parse("sgn(x-0.5)"), Interval(0, 1)).ok
     assert not domain_check(parse("sgn(x-0.51234567)"), Interval(0, 1)).ok
+    # a crossing of values whose product underflows to -0.0
+    assert not domain_check(parse("1/(1e-200*(x-0.51234567))"), Interval(0, 1)).ok
+    assert not domain_check(parse("(1e-200*(x-0.51234567))^-1"), Interval(0, 1)).ok
+    assert not domain_check(parse("sgn(1e-200*(x-0.51234567))"), Interval(0, 1)).ok
 
 
 _exprs = st.recursive(
@@ -388,7 +392,7 @@ def _reference_domain_check(node, interval, samples=1025):
             if np.any(rv == 0):
                 flag(n, "denominator vanishes on the interval")
                 return None
-            if np.any(rv[:-1] * rv[1:] < 0):
+            if np.any(np.sign(rv[:-1]) * np.sign(rv[1:]) < 0):
                 flag(n, "denominator changes sign on the interval (zero crossing)")
                 return None
             return lv / rv
@@ -398,7 +402,8 @@ def _reference_domain_check(node, interval, samples=1025):
                 return None
             e = n.exponent
             if float(e).is_integer():
-                if e < 0 and (np.any(bv == 0) or np.any(bv[:-1] * bv[1:] < 0)):
+                if e < 0 and (np.any(bv == 0)
+                              or np.any(np.sign(bv[:-1]) * np.sign(bv[1:]) < 0)):
                     flag(n, "base vanishes on the interval with a negative exponent")
                     return None
             else:
@@ -423,7 +428,7 @@ def _reference_domain_check(node, interval, samples=1025):
                 with np.errstate(over="ignore"):
                     return np.exp(av)
             if n.fn == "sgn":
-                if np.any(av == 0) or np.any(av[:-1] * av[1:] < 0):
+                if np.any(av == 0) or np.any(np.sign(av[:-1]) * np.sign(av[1:]) < 0):
                     flag(n, "argument of sgn vanishes or changes sign on the interval (a jump)")
                     return None
                 return np.copysign(1.0, av)
