@@ -34,7 +34,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import bounds, oracle
-from .convexity import ConvexityCertificate, admissible_power, certify_convex
+from .convexity import ConvexityCertificate, admissible_power, certify_convex, grid
 # evaluate is unused here but stays a module attribute: perfbench/spans.py traces it.
 from .expr import ExprError, ExprNode, as_function, differentiate, evaluate, parse
 from .oracle import Interval, QuadratureResult
@@ -129,11 +129,23 @@ class Instance:
         rhs, p = bounds.bound(rule, self.d, self.interval, q, p)
         return Claim(lhs, rhs, p, bounds.formula_id(q, p, given))
 
+    @functools.cached_property
+    def _abs_fp(self) -> np.ndarray:
+        """|f'| on the certificate grid of the interval, read-only, evaluated
+        once for every certificate; an overflow or invalid value in f' is
+        named by certify_convex, not warned about."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            abs_fp = np.abs(self._fp(grid(self.interval)))
+        abs_fp.flags.writeable = False
+        return abs_fp
+
     def certificate(self, q: float) -> ConvexityCertificate:
         """Dyadic certificate that |f'|^q is convex, taken of (|f'|/m)^q as the
-        bound is (m = ``d.scale(q)``); at q = 1 and m = 1, g is |f'| itself."""
-        m, fp = self.d.scale(q), self._fp
-        abs_fp = (lambda x: np.abs(fp(x))) if m == 1 else lambda x: np.abs(fp(x)) / m
+        bound is (m = ``d.scale(q)``); at q = 1 and m = 1, g is |f'| itself.
+        g ignores its argument: certify_convex calls it on the grid that
+        ``_abs_fp`` holds |f'| on."""
+        m = self.d.scale(q)
+        abs_fp = (lambda x: self._abs_fp) if m == 1 else lambda x: self._abs_fp / m
         g = abs_fp if q == 1 else lambda x: abs_fp(x) ** q
         return certify_convex(g, self.interval)
 
@@ -203,9 +215,19 @@ _DRAWS = {"poly": _draw_poly, "power": _draw_power, "log": _draw_log,
 FAMILIES = ("mixed", *_DRAWS)
 
 
+# The mixed family's members and the cumulative distribution of their
+# probabilities 0.5/0.3/0.2, normalized as Generator.choice normalizes p.
+_MIXED = ("poly", "power", "log")
+_CDF = np.cumsum([0.5, 0.3, 0.2])
+_CDF /= _CDF[-1]
+_CDF.flags.writeable = False
+
+
 def draw_function(rng: np.random.Generator, family: str, q: float) -> FunctionDraw:
     if family == "mixed":
-        family = str(rng.choice(["poly", "power", "log"], p=[0.5, 0.3, 0.2]))
+        # Generator.choice(_MIXED, p=...)'s own algorithm, so the stream is
+        # the same: one random() placed in the CDF by a right-sided search
+        family = _MIXED[int(_CDF.searchsorted(rng.random(), side="right"))]
     if family not in _DRAWS:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
     source, iv = _DRAWS[family](rng, q)

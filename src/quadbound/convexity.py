@@ -23,7 +23,7 @@ import numpy as np
 
 from .oracle import Interval
 
-__all__ = ["ConvexityCertificate", "certify_convex", "admissible_power"]
+__all__ = ["ConvexityCertificate", "certify_convex", "grid", "admissible_power"]
 
 _LEVELS = 12
 _INTERVALS = 1 << _LEVELS  # the grid has 4,097 points
@@ -47,15 +47,25 @@ class ConvexityCertificate:
     witness: Optional[tuple[float, float]] = None
 
 
-# Grid indices (left, middle, right) of every triple, level by level, as the
-# rows of one read-only array: every certificate shares it.
-_TRIPLES = np.concatenate([np.arange(0, _INTERVALS - 2 * s + 1, s) + np.array([[0], [s], [2 * s]])
-                           for s in (1 << k for k in range(_LEVELS))], axis=1)
-_TRIPLES.flags.writeable = False
+# The grid indices of every level's points, level after level: 0, s, ..., 2^12
+# for s = 1, 2, ..., 2^11 (8,202 in all).  Consecutive triples of it are the
+# tree's triples, level by level and in order, except the 22 that straddle a
+# seam between two levels: each seam's two residuals are overwritten with the
+# level's last real one, which comes before them, so argmax still returns the
+# first maximum and the min is unchanged.  Every certificate shares them.
+_LEVEL_POINTS = np.concatenate([np.arange(0, _INTERVALS + 1, 1 << k) for k in range(_LEVELS)])
+_LEVEL_POINTS.flags.writeable = False
+_SAMPLES = _LEVEL_POINTS.size - 2 * _LEVELS  # 8,178 real triples
+# The residual index of the last real triple of every level but the top one,
+# and below it the indices of the two seam triples that follow it.
+_LAST_REAL = np.cumsum([(_INTERVALS >> k) + 1 for k in range(_LEVELS - 1)]) - 3
+_SEAMS = _LAST_REAL + np.array([[1], [2]])
+_LAST_REAL.flags.writeable = _SEAMS.flags.writeable = False
 
 
-def _grid(a: float, b: float) -> np.ndarray:
+def grid(interval: Interval) -> np.ndarray:
     """The certificate's points a + k(b-a)/2^12, with the last one b."""
+    a, b = float(interval.a), float(interval.b)
     x = _UNIT * (b - a)
     x += a
     x[-1] = b
@@ -69,12 +79,13 @@ def certify_convex(g: Callable, interval: Interval) -> ConvexityCertificate:
     called once, on the 4,097 grid points, and an evaluation failure
     propagates to the caller.
     """
-    x = _grid(float(interval.a), float(interval.b))
+    x = grid(interval)
     # an overflow in g or in a residual is named below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         g_all = np.asarray(g(x), dtype=float)
-        left, mid, right = g_all[_TRIPLES]
-        residuals = mid - (left + right) * 0.5
+        level = g_all[_LEVEL_POINTS]
+        residuals = level[1:-1] - (level[:-2] + level[2:]) * 0.5
+    residuals[_SEAMS] = residuals[_LAST_REAL]
     # argmax stops at the first NaN, so a NaN or +inf shows in the max
     worst = int(np.argmax(residuals))
     max_violation = float(residuals[worst])
@@ -83,11 +94,11 @@ def certify_convex(g: Callable, interval: Interval) -> ConvexityCertificate:
     # every g value enters a residual, so g is finite here
     valid = max_violation <= _ROUNDING_FACTOR * math.ulp(1.0) * float(max(g_all.max(), -g_all.min()))
     return ConvexityCertificate(
-        samples=residuals.size,
+        samples=_SAMPLES,
         evaluations=x.size,
         max_violation=max_violation,
         valid=valid,
-        witness=None if valid else (float(x[_TRIPLES[0, worst]]), float(x[_TRIPLES[2, worst]])),
+        witness=None if valid else (float(x[_LEVEL_POINTS[worst]]), float(x[_LEVEL_POINTS[worst + 2]])),
     )
 
 

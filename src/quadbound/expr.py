@@ -215,8 +215,9 @@ _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 def _violated(found, node: ExprNode, bad, rule: str) -> bool:
     """Report a violation of ``rule`` if ``bad`` holds anywhere: evaluation
     (``found`` None) raises; domain_check appends to its list ``found``, and
-    the sub-expression evaluates to None."""
-    if not np.any(bad):
+    the sub-expression evaluates to None.  At a number ``bad`` is a bool or
+    an np.bool_ and is read as it is: np.any would first make it an array."""
+    if not (bad.any() if isinstance(bad, np.ndarray) else bad):
         return False
     message, reason = _RULES[rule]
     if found is None:

@@ -30,6 +30,22 @@ def test_power_family_respects_admissibility():
         assert admissible_power(s, 1.2)
 
 
+def test_mixed_draw_follows_generator_choice():
+    # the mixed family is drawn as Generator.choice draws it with p, so the
+    # stream, and with it every seeded campaign, is the same as with choice
+    from quadbound.campaign import _DRAWS
+
+    for seed in range(200):
+        got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            q = float(want.uniform(1.05, 3.0))
+            assert float(got.uniform(1.05, 3.0)) == q
+            family = str(want.choice(["poly", "power", "log"], p=[0.5, 0.3, 0.2]))
+            _DRAWS[family](want, q)
+            assert draw_function(got, "mixed", q).family == family
+        assert got.bit_generator.state == want.bit_generator.state, seed
+
+
 def test_run_verify_no_violations_small():
     summary = run_verify(trials=100, seed=0)
     assert summary["violations"] == []
@@ -142,14 +158,13 @@ def _f_prime_points(monkeypatch, run) -> int:
 
 
 @pytest.mark.parametrize("family", ["mixed", "concave-test"])
-def test_trial_evaluates_f_prime_once_per_certificate_point(monkeypatch, family):
-    # each certificate evaluates f' once on its 4,097-point dyadic grid: a
-    # mixed trial builds one (|f'| passes), a concave-test trial two (|f'|
-    # fails, so |f'|^q is certified too); the two endpoints come from the
-    # same compiled f'
-    certificates = {"mixed": 1, "concave-test": 2}[family]
+def test_trial_evaluates_f_prime_once_per_grid_point_per_instance(monkeypatch, family):
+    # the instance evaluates f' once on its 4,097-point dyadic grid, however
+    # many certificates it builds: a mixed trial builds one (|f'| passes), a
+    # concave-test trial two (|f'| fails, so |f'|^q is certified too); the
+    # two endpoints come from the same compiled f'
     points = _f_prime_points(monkeypatch, lambda: run_verify(trials=1, seed=3, family=family))
-    assert points == certificates * 4097 + 2
+    assert points == 4097 + 2
 
 
 def test_bound_evaluates_f_prime_once_per_certificate_point(monkeypatch, capsys):

@@ -125,19 +125,24 @@ def _reference_grid(a, b):
 def _reference_certify_convex(g, interval):
     a, b = float(interval.a), float(interval.b)
     x = _reference_grid(a, b)
-    gx = np.asarray(g(x), dtype=float)
-    residuals, pairs = [], []
-    for k in range(12):
-        sub, xs = gx[::2**k], x[::2**k]
-        residuals.append(sub[1:-1] - (sub[:-2] + sub[2:]) / 2)
-        pairs += zip(xs[:-2].tolist(), xs[2:].tolist())
+    residuals, lefts, rights = [], [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        gx = np.asarray(g(x), dtype=float)
+        for k in range(12):
+            sub, xs = gx[::2**k], x[::2**k]
+            residuals.append(sub[1:-1] - (sub[:-2] + sub[2:]) / 2)
+            lefts.append(xs[:-2])
+            rights.append(xs[2:])
     residuals = np.concatenate(residuals)
+    if not np.isfinite(residuals).all():
+        raise ValueError("g produced non-finite values during certification")
     worst = int(np.argmax(residuals))
     valid = residuals[worst] <= 1024 * _EPS * np.max(np.abs(gx))
     return ConvexityCertificate(
         samples=len(residuals), evaluations=len(x),
         max_violation=float(residuals[worst]), valid=bool(valid),
-        witness=None if valid else pairs[worst])
+        witness=None if valid else (float(np.concatenate(lefts)[worst]),
+                                    float(np.concatenate(rights)[worst])))
 
 
 def _every_offset_valid(g, interval):
@@ -156,13 +161,13 @@ def _derivative_power(source, q):
 
 
 def test_grid_and_tree_are_dyadic():
-    from quadbound.convexity import _TRIPLES, _UNIT, _grid
+    from quadbound.convexity import _LAST_REAL, _LEVEL_POINTS, _SEAMS, _UNIT, grid
 
     rng = np.random.default_rng(4096)
     for _ in range(4):
         a = float(rng.uniform(-3, 2))
         b = a + float(rng.uniform(1e-3, 4))
-        got = _grid(a, b)
+        got = grid(Interval(a, b))
         assert got.tobytes() == _reference_grid(a, b).tobytes(), (a, b)
         assert got[0] == a and got[-1] == b
     assert not _UNIT.flags.writeable  # every grid is scaled from it
@@ -170,8 +175,18 @@ def test_grid_and_tree_are_dyadic():
     want = [(j * s, (j + 1) * s, (j + 2) * s)
             for s in (2**k for k in range(12)) for j in range(4096 // s - 1)]
     assert len(want) == 8178
-    assert _TRIPLES.T.tolist() == [list(t) for t in want]
-    assert not _TRIPLES.flags.writeable
+    # consecutive triples of the level points, minus the seams, are the tree's
+    points = _LEVEL_POINTS.tolist()
+    seams = set(_SEAMS.ravel().tolist())
+    assert len(points) == 8202 and len(seams) == 22
+    got = [tuple(points[i:i + 3]) for i in range(len(points) - 2) if i not in seams]
+    assert got == want
+    # each seam pair follows its level's last real triple
+    assert (_SEAMS == _LAST_REAL + np.array([[1], [2]])).all()
+    assert [tuple(points[i:i + 3]) for i in _LAST_REAL.tolist()] == [
+        (4096 - 2 * s, 4096 - s, 4096) for s in (2**k for k in range(11))]
+    for constant in (_LEVEL_POINTS, _SEAMS, _LAST_REAL):
+        assert not constant.flags.writeable
 
 
 @pytest.mark.parametrize("source, a, b", [
@@ -296,3 +311,69 @@ def test_concave_derivatives_stay_rejected():
         draw = draw_function(rng, "concave-test", q)
         for power in (1.0, q):
             assert not certify_convex(_derivative_power(draw.source, power), draw.interval).valid
+
+
+def test_certificate_equals_reference_on_seeded_widths():
+    # 2,000 seeded g's of every campaign family, at q = 1 and q > 1, on
+    # intervals of relative width 1e-12 to 10: the certificate is the
+    # reference's, bit for bit, whether it passes or fails
+    rng = np.random.default_rng(8202)
+    verdicts = []
+    for trial in range(2000):
+        family = ("poly", "power", "log", "concave-test")[trial % 4]
+        q = 1.0 if rng.random() < 0.5 else float(rng.uniform(1.05, 3.0))
+        draw = draw_function(rng, family, q)
+        a = float(draw.interval.a)
+        interval = Interval(a, a + max(abs(a), 0.1) * 10 ** float(rng.uniform(-12, 1)))
+        g = _derivative_power(draw.source, q)
+        cert = certify_convex(g, interval)
+        assert cert == _reference_certify_convex(g, interval), (draw.source, interval, q)
+        verdicts.append(cert.valid)
+    assert 200 < sum(verdicts) < len(verdicts) - 200
+
+
+def _values(values):
+    """A g that returns ``values`` (one per grid point) wherever it is called."""
+    return lambda x: values
+
+
+@pytest.mark.parametrize("k", [0, 4096])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_g_at_a_seam_point_is_named(k, bad):
+    # every level ends at grid point 4096 and the next one starts at 0, so
+    # the seam triples between levels touch both; the real triples name it
+    values = np.linspace(-1.0, 1.0, 4097) ** 2
+    values[k] = bad
+    g, interval = _values(values), Interval(0.5, 2.0)
+    for certify in (certify_convex, _reference_certify_convex):
+        with pytest.raises(ValueError, match="^g produced non-finite values during certification$"):
+            certify(g, interval)
+
+
+@pytest.mark.parametrize("k, first", [
+    (2, (1, 3)),            # levels 0 and 1
+    (4094, (4093, 4095)),   # levels 0 and 1, the last triple of level 1
+    (3072, (3071, 3073)),   # levels 0 to 10, the last triple of level 10
+])
+def test_equal_maxima_on_several_levels_witness_the_first(k, first):
+    # a unit bump at grid point k is the middle of one triple on every level
+    # that holds k, each with residual 1; the witness is level 0's, even
+    # where a level's last triple, copied into the seams after it, holds it
+    values = np.zeros(4097)
+    values[k] = 1.0
+    g, interval = _values(values), Interval(-0.8, 1.3)
+    x = _reference_grid(interval.a, interval.b)
+    cert = certify_convex(g, interval)
+    assert cert == _reference_certify_convex(g, interval)
+    assert cert.max_violation == 1.0 and not cert.valid
+    assert cert.witness == (float(x[first[0]]), float(x[first[1]]))
+
+
+def test_overflowing_sum_of_outer_points_is_named():
+    # g is finite everywhere, but g(a) + g(b) overflows in the top triple
+    interval = Interval(-1.0, 3.0)
+    values = 1.7e308 * np.linspace(-1.0, 1.0, 4097) ** 2
+    assert np.isfinite(values).all() and values[0] == values[-1] == 1.7e308
+    for certify in (certify_convex, _reference_certify_convex):
+        with pytest.raises(ValueError, match="^g produced non-finite values during certification$"):
+            certify(_values(values), interval)

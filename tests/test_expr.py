@@ -91,6 +91,30 @@ def test_eval_domain_errors():
     assert evaluate(parse("x^3"), -2.0) == -8.0
 
 
+@pytest.mark.parametrize("source, bad, message", [
+    ("ln(x)", 0.0, "ln of a non-positive value"),
+    ("1/x", 0.0, "division by zero"),
+    ("x^-1.5", 0.0, "zero base with negative exponent"),
+    ("x^-2", 0.0, "zero base with negative exponent"),
+    ("x^0.5", -1.0, "negative base with non-integer exponent"),
+])
+def test_domain_error_is_the_same_at_a_number_and_on_an_array(source, bad, message, monkeypatch):
+    # a number's test is a bool or an np.bool_, read without np.any, which
+    # is made to fail here; an array's is reduced by its own any()
+    def no_reduction(*args, **kwargs):
+        raise AssertionError("np.any called")
+
+    monkeypatch.setattr(np, "any", no_reduction)
+    assert isinstance(np.float64(bad) == 0, np.bool_)
+    fn = as_function(parse(source))
+    for x in (bad, np.float64(bad), np.array([bad])):
+        with pytest.raises(EvalDomainError, match=f"^{message}$"):
+            fn(x)
+    # and evaluates where the operation is defined
+    for x in (2.0, np.float64(2.0), np.array([2.0])):
+        assert np.isfinite(fn(x))
+
+
 def test_eval_vectorized():
     xs = np.linspace(1.0, 2.0, 7)
     got = evaluate(parse("x^2+1"), xs)
