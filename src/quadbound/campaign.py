@@ -140,13 +140,13 @@ class Instance:
         return abs_fp
 
     def certificate(self, q: float) -> ConvexityCertificate:
-        """Dyadic certificate that |f'|^q is convex, taken of (|f'|/m)^q as the
-        bound is (m = ``d.scale(q)``); at q = 1 and m = 1, g is |f'| itself.
-        g ignores its argument: certify_convex calls it on the grid that
-        ``_abs_fp`` holds |f'| on."""
-        m = self.d.scale(q)
-        abs_fp = (lambda x: self._abs_fp) if m == 1 else lambda x: self._abs_fp / m
-        g = abs_fp if q == 1 else lambda x: abs_fp(x) ** q
+        """Dyadic certificate that |f'|^q is convex, taken of g = (|f'|/m)^q as
+        the bound is (m = ``d.scale(q)``); at q = 1 and m = 1, g is |f'| itself.
+        An overflow in g is named by certify_convex, not warned about."""
+        m, g = self.d.scale(q), self._abs_fp
+        with np.errstate(over="ignore"):
+            g = g if m == 1 else g / m
+            g = g if q == 1 else g ** q
         return certify_convex(g, self.interval)
 
 

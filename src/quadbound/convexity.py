@@ -1,8 +1,8 @@
 """Dyadic midpoint-convexity certificates.
 
 Every error bound in this package assumes |f'|^q is convex on [a, b].  That
-hypothesis is checked numerically: g is evaluated once on the 4,097 points
-x_k = a + k(b-a)/2^12, and the midpoint residual
+hypothesis is checked numerically: g is given by its values on the 4,097
+points x_k = a + k(b-a)/2^12 (``grid``), and the midpoint residual
 g(x_{j+s}) - (g(x_j) + g(x_{j+2s}))/2 is taken on the dyadic tree: for every
 spacing s = 2^k (k = 0..11), the triples (js, (j+1)s, (j+2)s), 8,178 in all.
 That is midpoint convexity at every dyadic scale on those points, Jensen's
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -41,7 +41,7 @@ _ROUNDING_FACTOR = 1024
 @dataclass(frozen=True)
 class ConvexityCertificate:
     samples: int  # residuals checked
-    evaluations: int  # points g was evaluated on: the 4,097 of the grid
+    evaluations: int  # values of g taken: one on each of the grid's 4,097 points
     max_violation: float
     valid: bool
     witness: Optional[tuple[float, float]] = None
@@ -72,18 +72,16 @@ def grid(interval: Interval) -> np.ndarray:
     return x
 
 
-def certify_convex(g: Callable, interval: Interval) -> ConvexityCertificate:
-    """Certify that ``g`` is (midpoint) convex on ``interval`` on the dyadic tree.
-
-    ``g`` must be vectorized over numpy arrays and defined on [a, b]; it is
-    called once, on the 4,097 grid points, and an evaluation failure
-    propagates to the caller.
-    """
-    x = grid(interval)
-    # an overflow in g or in a residual is named below, not warned about
+def certify_convex(g, interval: Interval) -> ConvexityCertificate:
+    """Certify that g, given by its 4,097 values on ``grid(interval)``, is
+    (midpoint) convex on the dyadic tree.  It evaluates nothing; it builds the
+    grid only to name the witness pair of a failing certificate."""
+    g_all = np.asarray(g, dtype=float)
+    if g_all.shape != _UNIT.shape:
+        raise ValueError(f"g must be its {_UNIT.size} values on the grid, got shape {g_all.shape}")
+    level = g_all[_LEVEL_POINTS]
+    # an overflow in a residual is named below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        g_all = np.asarray(g(x), dtype=float)
-        level = g_all[_LEVEL_POINTS]
         residuals = level[1:-1] - (level[:-2] + level[2:]) * 0.5
     residuals[_SEAMS] = residuals[_LAST_REAL]
     # argmax stops at the first NaN, so a NaN or +inf shows in the max
@@ -95,10 +93,10 @@ def certify_convex(g: Callable, interval: Interval) -> ConvexityCertificate:
     valid = max_violation <= _ROUNDING_FACTOR * math.ulp(1.0) * float(max(g_all.max(), -g_all.min()))
     return ConvexityCertificate(
         samples=_SAMPLES,
-        evaluations=x.size,
+        evaluations=g_all.size,
         max_violation=max_violation,
         valid=valid,
-        witness=None if valid else (float(x[_LEVEL_POINTS[worst]]), float(x[_LEVEL_POINTS[worst + 2]])),
+        witness=None if valid else tuple(grid(interval)[_LEVEL_POINTS[[worst, worst + 2]]].tolist()),
     )
 
 

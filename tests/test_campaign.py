@@ -380,7 +380,7 @@ def test_integral_past_the_float_range_is_named(a, b):
 
 
 def test_trial_341_q_certificate_is_rejected():
-    from quadbound.convexity import certify_convex
+    from quadbound.convexity import certify_convex, grid
     from quadbound.expr import as_function, differentiate, parse
     from quadbound.oracle import Interval
 
@@ -388,7 +388,7 @@ def test_trial_341_q_certificate_is_rejected():
     fp = as_function(differentiate(parse(source)))
     g = lambda x: np.abs(fp(x)) ** q
     interval = Interval(a, b)
-    cert = certify_convex(g, interval)
+    cert = certify_convex(g(grid(interval)), interval)
     assert not cert.valid
     # its witness pair violates midpoint convexity beyond rounding
     x, y = cert.witness
@@ -403,14 +403,15 @@ def test_trial_341_q_certificate_is_rejected():
 
 
 def test_trial_802_end_concave_poly_is_rejected_at_q_1():
-    from quadbound.convexity import certify_convex
+    from quadbound.convexity import certify_convex, grid
     from quadbound.expr import as_function, differentiate, parse
     from quadbound.oracle import Interval
 
     source, a, b, q = _TRIAL_802
     fp = as_function(differentiate(parse(source)))
     g = lambda x: np.abs(fp(x))
-    cert = certify_convex(g, Interval(a, b))
+    interval = Interval(a, b)
+    cert = certify_convex(g(grid(interval)), interval)
     assert not cert.valid
     # the witness lies in the concave end
     assert min(cert.witness) > a + 0.98 * (b - a)
@@ -422,7 +423,7 @@ def test_trial_802_end_concave_poly_is_rejected_at_q_1():
     concave = x[1:-1][residuals > 1024 * np.finfo(float).eps * gx.max()]
     assert concave.size > 100 and concave.min() > a + 0.98 * (b - a)
     # |f'|^q is convex there, so the campaign skips the q = 1 path alone
-    assert certify_convex(lambda x: g(x) ** q, Interval(a, b)).valid
+    assert certify_convex(g(grid(interval)) ** q, interval).valid
     before, through = run_verify(trials=802, seed=0), run_verify(trials=803, seed=0)
     assert through["skipped_q1_certificate"] == before["skipped_q1_certificate"] + 1
     assert through["skipped_q_certificate"] == before["skipped_q_certificate"]

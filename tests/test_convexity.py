@@ -1,28 +1,37 @@
+import re
+
 import numpy as np
 import pytest
 
 from quadbound.campaign import Instance, draw_function
-from quadbound.convexity import ConvexityCertificate, admissible_power, certify_convex
+from quadbound.convexity import ConvexityCertificate, admissible_power, certify_convex, grid
 from quadbound.expr import as_function, differentiate, parse
 from quadbound.oracle import Interval
 
 
+def _certify(g, interval):
+    """The certificate of the callable g, from its values on the grid."""
+    return certify_convex(g(grid(interval)), interval)
+
+
 def test_certify_linear_is_convex():
-    cert = certify_convex(lambda x: np.abs(2 * x), Interval(1, 2))
+    cert = _certify(lambda x: np.abs(2 * x), Interval(1, 2))
     assert cert.valid
+    # one residual per triple of the tree, one value per grid point
+    assert (cert.samples, cert.evaluations) == (8178, 4097)
     assert cert.max_violation <= 1e-10
     assert cert.witness is None
 
 
 def test_certify_inverse_square_is_convex():
     # |d/dx ln x|^2 = x^(-2) on a positive interval
-    cert = certify_convex(lambda x: np.abs(1 / x) ** 2, Interval(1, 2))
+    cert = _certify(lambda x: np.abs(1 / x) ** 2, Interval(1, 2))
     assert cert.valid
 
 
 def test_certify_concave_yields_definitive_witness():
     g = lambda x: -(x**2)
-    cert = certify_convex(g, Interval(0, 1))
+    cert = _certify(g, Interval(0, 1))
     assert not cert.valid
     assert cert.max_violation > 1e-10
     x, y = cert.witness
@@ -32,33 +41,32 @@ def test_certify_concave_yields_definitive_witness():
     assert abs(residual - cert.max_violation) <= 1e-12 * max(1.0, abs(residual))
 
 
-def test_certify_calls_g_once_without_a_kink():
-    calls = []
-
-    def g(x):
-        calls.append(np.size(x))
-        return np.abs(x) ** 1.5
-
-    cert = certify_convex(g, Interval(-1, 2))
-    # the 4,097 grid points, once; one residual per triple of the tree
-    assert calls == [4097]
-    assert (cert.samples, cert.evaluations) == (8178, 4097)
-
-
 def test_certify_takes_no_seed():
     # the dyadic grid is fixed by [a, b] alone
-    g = lambda x: np.abs(x) ** 1.5
+    g = np.abs(grid(Interval(-1, 2))) ** 1.5
     assert certify_convex(g, Interval(-1, 2)) == certify_convex(g, Interval(-1, 2))
     with pytest.raises(TypeError):
         certify_convex(g, Interval(-1, 2), seed=42)
 
 
-def test_certify_propagates_evaluation_failure():
+@pytest.mark.parametrize("shape", [(4096,), (8193,), (), (1, 4097)])
+def test_g_of_another_shape_is_named(shape):
+    # g must be its values on the 4,097 grid points: a finer grid would be
+    # certified on the wrong points, and a scalar has no triples
+    message = f"g must be its 4097 values on the grid, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        certify_convex(np.ones(shape), Interval(0.0, 1.0))
+
+
+def test_instance_certificate_propagates_evaluation_failure():
+    # f' = -1/x^2 is evaluable at -1 and 1, but not at the grid's midpoint 0
     from quadbound.expr import EvalDomainError
 
-    g = as_function(parse("ln(x)"))
+    ast = parse("1/x")
+    inst = Instance(ast, differentiate(ast), Interval(-1.0, 1.0))
+    assert grid(inst.interval)[2048] == 0.0
     with pytest.raises(EvalDomainError):
-        certify_convex(g, Interval(-1, 1))
+        inst.certificate(1.0)
 
 
 def test_non_finite_g_is_named_without_a_warning():
@@ -74,7 +82,7 @@ def test_v_shaped_derivative_magnitude_is_certified():
     # |d/dx abs(x)| is 1 on both sides of the kink and at it, where sgn(+0.0)
     # gives the one-sided value; on [-1, 1] the kink is the grid's midpoint
     fp = as_function(differentiate(parse("abs(x)")))
-    cert = certify_convex(lambda x: np.abs(fp(x)), Interval(-1.0, 1.0))
+    cert = _certify(lambda x: np.abs(fp(x)), Interval(-1.0, 1.0))
     assert cert.valid and cert.evaluations == 4097
 
 
@@ -102,7 +110,7 @@ def test_certificate_agrees_with_power_predicate():
         a = float(rng.uniform(0.3, 2.0))
         b = a + float(rng.uniform(0.3, 1.5))
         fp = as_function(differentiate(parse(f"x^{repr(s)}")))
-        cert = certify_convex(lambda x: np.abs(fp(x)) ** q, Interval(a, b))
+        cert = _certify(lambda x: np.abs(fp(x)) ** q, Interval(a, b))
         assert cert.valid, (s, q, a, b, cert.max_violation)
         accepted += 1
     assert accepted > 200
@@ -203,7 +211,7 @@ def test_grid_and_tree_are_dyadic():
 @pytest.mark.parametrize("q", [1.0, 2.7])
 def test_certificate_equals_reference(source, a, b, q):
     g = _derivative_power(source, q)
-    assert certify_convex(g, Interval(a, b)) == _reference_certify_convex(g, Interval(a, b))
+    assert _certify(g, Interval(a, b)) == _reference_certify_convex(g, Interval(a, b))
 
 
 # every 64th grid point (the ends, the midpoint and the quarter points among
@@ -217,15 +225,8 @@ def test_kink_on_a_grid_point_keeps_the_verdict(k):
     kink = float(_reference_grid(interval.a, interval.b)[k])
     g = _derivative_power(f"abs(x-{kink!r})^3", 1.5)
     assert np.isfinite(g(np.array([kink]))).all()
-    calls = []
-
-    def counted(x):
-        calls.append(len(x))
-        return g(x)
-
-    cert = certify_convex(counted, interval)
+    cert = _certify(g, interval)
     assert cert.valid and cert.evaluations == 4097
-    assert calls == [4097]
     assert cert == _reference_certify_convex(g, interval)
 
 
@@ -242,8 +243,8 @@ def test_verdict_does_not_depend_on_the_scale_of_f(k):
             cases.append((draw.source, draw.interval, float(q)))
     verdicts = []
     for source, interval, q in cases:
-        cert = certify_convex(_derivative_power(source, q), interval)
-        scaled = certify_convex(_derivative_power(f"1e{k}*({source})", q), interval)
+        cert = _certify(_derivative_power(source, q), interval)
+        scaled = _certify(_derivative_power(f"1e{k}*({source})", q), interval)
         assert scaled.valid == cert.valid, (source, interval, q)
         verdicts.append(cert.valid)
     assert 0 < sum(verdicts) < len(verdicts)
@@ -258,10 +259,10 @@ def test_certificate_equals_reference_on_seeded_intervals():
         kinked = _derivative_power(f"abs(x-{kink!r})^3", 1.5)
         assert np.isfinite(kinked(np.array([kink]))).all()
         for g in (lambda x: np.abs(x - a) ** 1.7, lambda x: -(x - a) ** 2, kinked):
-            cert = certify_convex(g, interval)
+            cert = _certify(g, interval)
             assert cert == _reference_certify_convex(g, interval)
         assert cert.valid
-        concave = certify_convex(lambda x: -(x - a) ** 2, interval)
+        concave = _certify(lambda x: -(x - a) ** 2, interval)
         assert concave.witness is not None
 
 
@@ -296,7 +297,7 @@ def test_tree_verdict_equals_every_offset_verdict():
             q = 1.0 if rng.random() < 0.5 else float(rng.uniform(1.05, 3.0))
             draw = draw_function(rng, family, q)
             g = _derivative_power(draw.source, q)
-            cert = certify_convex(g, draw.interval)
+            cert = _certify(g, draw.interval)
             assert cert.valid == _every_offset_valid(g, draw.interval), (draw.source, q)
             verdicts.append(cert.valid)
     assert 0 < sum(verdicts) < len(verdicts)
@@ -304,13 +305,13 @@ def test_tree_verdict_equals_every_offset_verdict():
 
 def test_concave_derivatives_stay_rejected():
     # a scaled-down concave |f'| and every concave-test draw, at q = 1 and q > 1
-    assert not certify_convex(_derivative_power("1e-10*exp(0-x^2)", 1.0), Interval(0.2, 0.8)).valid
+    assert not _certify(_derivative_power("1e-10*exp(0-x^2)", 1.0), Interval(0.2, 0.8)).valid
     rng = np.random.default_rng(37)
     for _ in range(25):
         q = float(rng.uniform(1.05, 3.0))
         draw = draw_function(rng, "concave-test", q)
         for power in (1.0, q):
-            assert not certify_convex(_derivative_power(draw.source, power), draw.interval).valid
+            assert not _certify(_derivative_power(draw.source, power), draw.interval).valid
 
 
 def test_certificate_equals_reference_on_seeded_widths():
@@ -326,7 +327,7 @@ def test_certificate_equals_reference_on_seeded_widths():
         a = float(draw.interval.a)
         interval = Interval(a, a + max(abs(a), 0.1) * 10 ** float(rng.uniform(-12, 1)))
         g = _derivative_power(draw.source, q)
-        cert = certify_convex(g, interval)
+        cert = _certify(g, interval)
         assert cert == _reference_certify_convex(g, interval), (draw.source, interval, q)
         verdicts.append(cert.valid)
     assert 200 < sum(verdicts) < len(verdicts) - 200
@@ -345,7 +346,7 @@ def test_non_finite_g_at_a_seam_point_is_named(k, bad):
     values = np.linspace(-1.0, 1.0, 4097) ** 2
     values[k] = bad
     g, interval = _values(values), Interval(0.5, 2.0)
-    for certify in (certify_convex, _reference_certify_convex):
+    for certify in (_certify, _reference_certify_convex):
         with pytest.raises(ValueError, match="^g produced non-finite values during certification$"):
             certify(g, interval)
 
@@ -363,7 +364,7 @@ def test_equal_maxima_on_several_levels_witness_the_first(k, first):
     values[k] = 1.0
     g, interval = _values(values), Interval(-0.8, 1.3)
     x = _reference_grid(interval.a, interval.b)
-    cert = certify_convex(g, interval)
+    cert = _certify(g, interval)
     assert cert == _reference_certify_convex(g, interval)
     assert cert.max_violation == 1.0 and not cert.valid
     assert cert.witness == (float(x[first[0]]), float(x[first[1]]))
@@ -374,6 +375,6 @@ def test_overflowing_sum_of_outer_points_is_named():
     interval = Interval(-1.0, 3.0)
     values = 1.7e308 * np.linspace(-1.0, 1.0, 4097) ** 2
     assert np.isfinite(values).all() and values[0] == values[-1] == 1.7e308
-    for certify in (certify_convex, _reference_certify_convex):
+    for certify in (_certify, _reference_certify_convex):
         with pytest.raises(ValueError, match="^g produced non-finite values during certification$"):
             certify(_values(values), interval)

@@ -85,6 +85,9 @@ CASES = [
     # g overflows on the certificate's grid: the certificate names it, with
     # no numpy warning
     (["bound", "--f", "exp(709-1000*(x-0.5)^2)", "--a", "0", "--b", "1", "--rule", "simpson"], 1),
+    # f' is finite on the grid, but |f'|^2 overflows: named, with no warning
+    (["bound", "--f", "exp(700-2800*(x-0.5)^2)", "--a", "0", "--b", "1", "--rule", "simpson",
+      "--q", "2", "--p", "1"], 1),
     # |f'|^3 underflows, and the concave |f'| is still rejected
     (["bound", "--f", "1e-110*exp(0-x^2)", "--a", "0.5", "--b", "1.1", "--rule", "midpoint",
       "--q", "3", "--p", "1"], 2),
