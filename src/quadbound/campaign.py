@@ -1,6 +1,7 @@
 """Seeded randomized verification campaigns.
 
-The documented generator family (reproducible from the seed alone):
+The documented generator family, each f an expression tree (reproducible
+from the seed alone):
 
 * ``poly``  -- polynomials of degree <= 4 with coefficients uniform in
   [-2, 2], on intervals inside [-2.5, 2.5] of width in [0.3, 2.0];
@@ -9,14 +10,16 @@ The documented generator family (reproducible from the seed alone):
   intervals inside [0.3, 3.5];
 * ``log``   -- f(x) = ln x on positive intervals inside [0.3, 3.5];
 * ``mixed`` -- poly/power/log with probabilities 0.5/0.3/0.2;
-* ``concave-test`` -- a deliberately inadmissible family (|f'| concave on
-  the drawn interval), used to exercise certificate gating: such instances
-  must be skipped and counted, never asserted.
+* ``concave-test`` -- f(x) = exp(-x^2), whose |f'| = 2x exp(-x^2) is concave
+  on (0, sqrt(3/2)), on intervals inside it: a deliberately inadmissible
+  family, used to exercise certificate gating: such instances must be
+  skipped and counted, never asserted.
 
 Rule weights are uniform over 0 <= lam <= 1/2 <= mu <= 1, q is uniform in
 (1.05, 3], and p = q * uniform(0.01, 1].  Each instance is checked against
 every bound path whose convexity certificate passes; a path is a violation
-unless its ``Claim`` holds, bound >= |deficit|, the verdict every command uses.
+unless its ``Claim`` holds, bound >= |deficit|, the verdict every command uses;
+a violation records f as ``to_source`` prints it (``x^2.0``, ``0.0-1.5*x``).
 The dyadic certificates take no seed; |f'|^q is certified only when |f'|
 fails, since a convex |f'| makes |f'|^q convex for q >= 1.
 
@@ -35,8 +38,9 @@ import numpy as np
 
 from . import bounds, oracle
 from .convexity import ConvexityCertificate, admissible_power, certify_convex, grid
-# evaluate is unused here but stays a module attribute: perfbench/spans.py traces it.
-from .expr import ExprError, ExprNode, as_function, differentiate, evaluate, parse
+# evaluate and parse are unused here but stay module attributes: perfbench/spans.py traces them.
+from .expr import (BinOp, Call, Const, ExprError, ExprNode, Pow, Var, as_function,
+                   differentiate, evaluate, parse, to_source)
 from .oracle import Interval, QuadratureResult
 from .rules import LMRule, RuleParams, lhs_value
 
@@ -45,6 +49,7 @@ __all__ = ["Claim", "Instance", "FunctionDraw", "draw_function", "run_verify"]
 Q_LOW = 1.05
 Q_HIGH = 3.0
 QUAD_RTOL = 1e-11
+_CONCAVE = Call("exp", BinOp("-", Const(0.0), Pow(Var(), 2.0)))  # exp(0-x^2)
 
 
 @dataclass(frozen=True)
@@ -153,63 +158,59 @@ class Instance:
 @dataclass(frozen=True)
 class FunctionDraw:
     family: str
-    source: str
     ast: ExprNode
     deriv: ExprNode
     interval: Interval
 
+    @property
+    def source(self) -> str:
+        return to_source(self.ast)
 
-def _poly_source(coeffs) -> str:
-    terms = []
-    for k, c in enumerate(coeffs):
+
+def _poly(coeffs) -> ExprNode:
+    """The tree of sum c_k x^k written left to right: zero terms left out,
+    |c_k| joined by + or -, and a negative first c x^k (k > 0) as 0 - |c| x^k."""
+    node = None
+    for k, c in enumerate(map(float, coeffs)):
         if c == 0:
             continue
-        if k == 0:
-            body = repr(float(c))
-        elif k == 1:
-            body = f"{repr(abs(float(c)))}*x"
-        else:
-            body = f"{repr(abs(float(c)))}*x^{k}"
-        if not terms:
-            terms.append(body if (c > 0 or k == 0) else f"0-{body}")
-        else:
-            terms.append(f"+{body}" if c > 0 else f"-{body}")
-    if not terms:
-        return "0"
-    return "".join(terms)
+        term = Const(c) if k == 0 else BinOp(
+            "*", Const(abs(c)), Var() if k == 1 else Pow(Var(), float(k)))
+        left = Const(0.0) if node is None and c < 0 < k else node
+        node = term if left is None else BinOp("+" if c > 0 else "-", left, term)
+    return Const(0.0) if node is None else node
 
 
-def _draw_poly(rng: np.random.Generator, q: float) -> tuple[str, Interval]:
+def _draw_poly(rng: np.random.Generator, q: float) -> tuple[ExprNode, Interval]:
     degree = int(rng.integers(1, 5))
     coeffs = rng.uniform(-2, 2, degree + 1)
     a = rng.uniform(-2.5, 0.5)
     b = a + rng.uniform(0.3, 2.0)
-    return _poly_source(coeffs), Interval(a, b)
+    return _poly(coeffs), Interval(a, b)
 
 
-def _draw_power(rng: np.random.Generator, q: float) -> tuple[str, Interval]:
+def _draw_power(rng: np.random.Generator, q: float) -> tuple[ExprNode, Interval]:
     s = 0.0
     while s == 0 or not admissible_power(s, q):
         s = rng.uniform(-2, 3)
     a = rng.uniform(0.3, 2.0)
     b = a + rng.uniform(0.3, 1.5)
-    return f"x^{repr(float(s))}", Interval(a, b)
+    return Pow(Var(), float(s)), Interval(a, b)
 
 
-def _draw_log(rng: np.random.Generator, q: float) -> tuple[str, Interval]:
+def _draw_log(rng: np.random.Generator, q: float) -> tuple[ExprNode, Interval]:
     a = rng.uniform(0.3, 2.0)
     b = a + rng.uniform(0.3, 1.5)
-    return "ln(x)", Interval(a, b)
+    return Call("ln", Var()), Interval(a, b)
 
 
-def _draw_concave(rng: np.random.Generator, q: float) -> tuple[str, Interval]:
-    # |d/dx exp(-x^2)| = 2x exp(-x^2) is concave on (0, sqrt(3/2)).
+def _draw_concave(rng: np.random.Generator, q: float) -> tuple[ExprNode, Interval]:
     a = rng.uniform(0.15, 0.5)
     b = a + rng.uniform(0.3, 0.7)
-    return "exp(0-x^2)", Interval(a, b)
+    return _CONCAVE, Interval(a, b)
 
 
-# family -> drawer of (source, interval); each takes (rng, q), only power uses q
+# family -> drawer of (f, interval); each takes (rng, q), only power uses q
 _DRAWS = {"poly": _draw_poly, "power": _draw_power, "log": _draw_log,
           "concave-test": _draw_concave}
 FAMILIES = ("mixed", *_DRAWS)
@@ -230,9 +231,8 @@ def draw_function(rng: np.random.Generator, family: str, q: float) -> FunctionDr
         family = _MIXED[int(_CDF.searchsorted(rng.random(), side="right"))]
     if family not in _DRAWS:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
-    source, iv = _DRAWS[family](rng, q)
-    ast = parse(source)
-    return FunctionDraw(family, source, ast, differentiate(ast), iv)
+    ast, iv = _DRAWS[family](rng, q)
+    return FunctionDraw(family, ast, differentiate(ast), iv)
 
 
 def run_verify(trials: int, seed: int = 0, family: str = "mixed") -> dict:

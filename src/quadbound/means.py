@@ -8,8 +8,8 @@ the usual dispatch Ls -> L at s = -1 and Ls -> I at s = 0.  All means return
 Each inequality is the three-point rule (m, ell) applied to f(x) = x**s or
 f(x) = ln x, whose mean on [a, b] is [Ls(a, b)]**s or ln I(a, b).  So
 ``means_gap`` is that rule's deficit, taken by ``rules.lhs_value``, and
-``means_bound`` its bound, taken by ``bounds.bound`` from |f'| at the ends:
-the mean inequalities are never a second copy of the algebra.
+``means_bound`` its bound, taken by ``bounds.bound`` from ``differentiate``'s
+|f'| at the ends: the mean inequalities are never a second copy of the algebra.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ import math
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import bounds
+from .campaign import Instance
 from .convexity import admissible_power
+from .expr import Call, Pow, Var, differentiate
 from .oracle import Interval, midpoint
 from .rules import LMRule, lhs_value, rule_from_lm
 
@@ -93,6 +93,8 @@ def compute_mean(kind: str, a: float, b: float, s: Optional[float] = None) -> fl
     if kind == "Ls":
         if s is None:
             raise ValueError("Ls requires the parameter s")
+        if not math.isfinite(s):
+            raise ValueError(f"s must be finite, got {s}")
         if a == b:
             return a
         if s == -1:
@@ -164,15 +166,10 @@ def means_bound(theorem: str, m: float, ell: float, a: float, b: float,
         )
     if a == b:
         return 0.0
-
-    if s is None:
-        d = bounds.DerivEndpoints(1 / a, 1 / b)
-    else:
-        # an end past the float range is inf, for bounds.bound to name
-        with np.errstate(over="ignore"):
-            d = bounds.DerivEndpoints(*(float(abs(s) * np.float64(x) ** (s - 1))
-                                        for x in (a, b)))
-    return bounds.bound(rule_from_lm(LMRule(m, ell)), d, Interval(a, b), q, p)[0]
+    # |f'| at the ends as an Instance takes it; bounds.bound names an inf
+    f, iv = Call("ln", Var()) if s is None else Pow(Var(), s), Interval(a, b)
+    d = Instance(f, differentiate(f), iv).d
+    return bounds.bound(rule_from_lm(LMRule(m, ell)), d, iv, q, p)[0]
 
 
 def means_gap(theorem: str, m: float, ell: float, a: float, b: float,
@@ -182,6 +179,8 @@ def means_gap(theorem: str, m: float, ell: float, a: float, b: float,
     s = _theorem(theorem, s)[0]
     _check_positive(a, b)
     _check_lm(m, ell)
+    if a > b:
+        raise ValueError(f"need a <= b, got a={a}, b={b}")
     if a == b:
         return 0.0
     nodes = (a, b, midpoint(a, b))

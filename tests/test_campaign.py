@@ -13,11 +13,27 @@ def test_families_listed():
 def test_draw_function_sources_reparse():
     from quadbound.expr import parse
 
-    rng = np.random.default_rng(53)
-    for _ in range(50):
-        draw = draw_function(rng, "mixed", q=2.0)
-        assert parse(draw.source) == draw.ast
-        assert draw.interval.a < draw.interval.b
+    for family in FAMILIES:
+        rng = np.random.default_rng(53)
+        for _ in range(50):
+            draw = draw_function(rng, family, q=2.0)
+            assert parse(draw.source) == draw.ast, family
+            assert draw.interval.a < draw.interval.b
+
+
+@pytest.mark.parametrize("coeffs, source", [
+    ([0.5, -1.0, 0.0, 2.0], "0.5-1.0*x+2.0*x^3"),
+    ([0.0, -1.5, 1.0], "0-1.5*x+1.0*x^2"),
+    ([0.0, 0.0, 0.0, -2.0], "0-2.0*x^3"),
+    ([-0.25, 1.0], "-0.25+1.0*x"),
+    ([0.0, 0.0], "0"),
+])
+def test_poly_tree_is_the_parse_of_the_written_sum(coeffs, source):
+    # zero terms left out, |c| after + or -, a negative first term from 0
+    from quadbound.campaign import _poly
+    from quadbound.expr import parse
+
+    assert _poly(np.array(coeffs)) == parse(source)
 
 
 def test_power_family_respects_admissibility():

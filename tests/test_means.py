@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from folded_fixtures import average_value, node_values
-from quadbound.bounds import DerivEndpoints, HolderParams, bound, bound_pq
+from quadbound.bounds import DerivEndpoints, HolderParams, bound, bound_pq, form_p
 from quadbound.convexity import admissible_power
 from quadbound.expr import as_function, differentiate, evaluate, parse
 from quadbound.means import (
@@ -107,6 +107,8 @@ def test_means_reject_non_finite_s(s):
         means_gap("4.2-p1", 6, 1, 1.0, 2.0, s=s)
     with pytest.raises(ValueError, match="s must be finite"):
         means_bound("4.2-p1", 6, 1, 1.0, 2.0, s=s)
+    with pytest.raises(ValueError, match="s must be finite"):
+        compute_mean("Ls", 1.0, 2.0, s=s)
 
 
 @pytest.mark.parametrize("s, a, b", [(3.0, 1.0, 1e200), (-2.0, 1e-200, 1.0)])
@@ -244,6 +246,8 @@ def test_gap_validation():
         means_gap("4.2-p1", 2, 1, 1, 2, s=0)  # s = 0
     with pytest.raises(ValueError):
         means_gap("4.5-p1", -1, 0, 1, 2)
+    with pytest.raises(ValueError, match="^need a <= b, got a=2.0, b=1.0$"):
+        means_gap("4.2-p1", 2, 1, 2.0, 1.0, s=2)  # as means_bound
 
 
 def test_means_bound_worked_instance():
@@ -311,6 +315,52 @@ def test_means_bound_routes_through_dsl_functions():
                    - bound(rule, d, iv, q, 1.0)[0]) <= 1e-12
         assert abs(means_bound("4.2-pq", m, ell, a, b, s=s, q=q)
                    - bound(rule, d, iv, q, q)[0]) <= 1e-12
+
+
+def _hand_written_bound(theorem, m, ell, a, b, s, p, q):
+    """means_bound with |f'| at the ends written out by hand: |s| x^(s-1)
+    by numpy's scalar power (inf past the float range), or 1/x."""
+    family, form = MEANS_THEOREMS[theorem]
+    s = {"power": s, "harmonic": -1.0, "log": None}[family]
+    if s is None:
+        d = DerivEndpoints(1 / a, 1 / b)
+    else:
+        with np.errstate(over="ignore"):
+            d = DerivEndpoints(*(float(abs(s) * np.float64(x) ** (s - 1)) for x in (a, b)))
+    return bound(rule_from_lm(LMRule(m, ell)), d, Interval(a, b), q, form_p(form, q, p))[0]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).hex()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_means_bound_equals_the_bound_on_hand_written_ends():
+    # bit for bit, and the same error where an end or the bound overflows,
+    # at 10^+-300 and relative widths down to 1e-15
+    rng = np.random.default_rng(71)
+    theorems = sorted(MEANS_THEOREMS)
+    errors = set()
+    for _ in range(2000):
+        theorem = theorems[int(rng.integers(len(theorems)))]
+        general = MEANS_THEOREMS[theorem][1] == "general"
+        m = float(rng.uniform(0.5, 6))
+        ell = float(rng.uniform(0, m / 2))
+        a = float(10.0 ** rng.uniform(-300, 300))
+        b = a * (1 + float(10.0 ** rng.uniform(-15, 0.5)))
+        q = float(rng.uniform(1.05, 3)) if general or rng.random() < 0.5 else 1.0
+        p = q * float(rng.uniform(0.05, 1)) if general else None
+        s = 0.0
+        while s == 0 or not admissible_power(s, q):
+            s = float(rng.uniform(-2, 3))
+        args = (theorem, m, ell, a, b, s, p, q)
+        got = _outcome(lambda *x: means_bound(*x[:5], s=x[5], p=x[6], q=x[7]), *args)
+        assert got == _outcome(_hand_written_bound, *args), args
+        if not got.startswith("0x"):
+            errors.add(got.split(" [")[0])
+    assert errors >= {"|f'| is not finite at the ends of", "the bound overflows on"}, errors
 
 
 def test_means_bound_admissibility_errors():
