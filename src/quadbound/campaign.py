@@ -79,13 +79,14 @@ def _at(fn, *xs: float) -> tuple[float, ...]:
 
 
 class Instance:
-    """One f on one [a, b]: f' compiled once, and f once on first use.  ``d``
-    (|f'| at the ends), ``nodes`` (f at a, (a+b)/2, b), ``quad`` (f integrated),
-    ``deficit(rule)``, ``certificate(q)``, ``claim(rule, q, p, given)``."""
+    """One f on one [a, b]: f' differentiated from f and compiled once, and f
+    compiled once on first use.  ``d`` (|f'| at the ends), ``nodes`` (f at a,
+    (a+b)/2, b), ``quad`` (f integrated), ``deficit(rule)``,
+    ``certificate(q)``, ``claim(rule, q, p, given)``."""
 
-    def __init__(self, ast: ExprNode, deriv: ExprNode, interval: Interval):
+    def __init__(self, ast: ExprNode, interval: Interval):
         self.ast, self.interval = ast, interval
-        self._fp = as_function(deriv)
+        self._fp = as_function(differentiate(ast))
         # f' needs only the endpoints and the certificate grid (an interior
         # abs kink is fine: |f'| convex covers V-shaped derivatives), so it is
         # checked where it is used rather than over the whole interval.  An
@@ -159,7 +160,6 @@ class Instance:
 class FunctionDraw:
     family: str
     ast: ExprNode
-    deriv: ExprNode
     interval: Interval
 
     @property
@@ -231,8 +231,7 @@ def draw_function(rng: np.random.Generator, family: str, q: float) -> FunctionDr
         family = _MIXED[int(_CDF.searchsorted(rng.random(), side="right"))]
     if family not in _DRAWS:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
-    ast, iv = _DRAWS[family](rng, q)
-    return FunctionDraw(family, ast, differentiate(ast), iv)
+    return FunctionDraw(family, *_DRAWS[family](rng, q))
 
 
 def run_verify(trials: int, seed: int = 0, family: str = "mixed") -> dict:
@@ -259,7 +258,7 @@ def run_verify(trials: int, seed: int = 0, family: str = "mixed") -> dict:
 
         family_counts[draw.family] = family_counts.get(draw.family, 0) + 1
         rule = RuleParams(lam, mu)
-        inst = Instance(draw.ast, draw.deriv, draw.interval)
+        inst = Instance(draw.ast, draw.interval)
 
         # |f'| convex makes |f'|^q convex, as t -> t^q is convex and
         # nondecreasing on t >= 0 for q >= 1; so the q certificate is built

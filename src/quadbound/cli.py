@@ -28,10 +28,11 @@ import sys
 from typing import Optional, Union
 
 from . import bounds, campaign, means
-# certify_convex, as_function, integrate and lhs_value are unused here but stay
-# module attributes: perfbench/spans.py traces them.
+# certify_convex, as_function, differentiate, integrate and lhs_value are unused
+# here but stay module attributes: perfbench/spans.py traces them.
 from .convexity import certify_convex
-from .expr import ExprError, as_function, differentiate, domain_check, parse
+from .expr import (ExprError, ExprNode, Pow, Var, as_function, differentiate,
+                   domain_check, parse)
 from .oracle import Interval, IntegrationError, integrate
 from .rules import LMRule, NAMED_RULES, RuleParams, lhs_value, named_rule, rule_from_lm
 
@@ -77,17 +78,20 @@ def _resolve_rule(cfg: argparse.Namespace, optimized: bool = False,
     return rule_from_lm(lm), lm
 
 
-def _instance(source: Optional[str], a: float, b: float) -> campaign.Instance:
-    """Parse f and check its domain on [a, b]: the instance of f on [a, b]."""
-    if source is None:
+def _parse_f(cfg: argparse.Namespace) -> ExprNode:
+    if cfg.f is None:
         raise ValueError("--f is required")
-    ast = parse(source)
+    return parse(cfg.f)
+
+
+def _instance(ast: ExprNode, a: float, b: float) -> campaign.Instance:
+    """The instance of f on [a, b], once f's domain is checked there."""
     interval = Interval(a, b)
     report = domain_check(ast, interval)
     if not report.ok:
         msgs = "; ".join(f"{v.node_source}: {v.reason}" for v in report.violations)
         raise ValueError(f"domain error for f on [{a}, {b}]: {msgs}")
-    return campaign.Instance(ast, differentiate(ast), interval)
+    return campaign.Instance(ast, interval)
 
 
 def _emit(cfg: argparse.Namespace, fields: dict) -> None:
@@ -110,7 +114,7 @@ def _emit(cfg: argparse.Namespace, fields: dict) -> None:
 # Each command returns its report fields and exit code; main writes the report.
 def cmd_bound(cfg: argparse.Namespace) -> tuple[dict, int]:
     rule, given = _resolve_rule(cfg)
-    inst = _instance(cfg.f, cfg.a, cfg.b)
+    inst = _instance(_parse_f(cfg), cfg.a, cfg.b)
     # the claim checks (q, p) before the certificate raises f' to q
     claim = inst.claim(rule, cfg.q, cfg.p, given)
     cert = inst.certificate(cfg.q)
@@ -185,14 +189,14 @@ def cmd_sweep(cfg: argparse.Namespace) -> tuple[dict, int]:
     if cfg.axis == "p" and cfg.q == 1:
         raise ValueError("axis 'p' needs --q > 1: the q = 1 bound does not involve p")
 
+    # f is fixed on every axis but s, where it is x^v
+    f = None if cfg.axis == "s" else _parse_f(cfg)
     rows = []
     for v in grid:
-        # f is fixed on every axis but s, where it is x^v
-        if not rows or cfg.axis == "s":
-            if cfg.axis == "s" and v == 0:
+        if not rows or f is None:
+            if f is None and v == 0:
                 raise ValueError("s = 0 is not a power function; exclude it from the grid")
-            source = f"x^{v!r}" if cfg.axis == "s" else cfg.f
-            inst = _instance(source, cfg.a, cfg.b)
+            inst = _instance(Pow(Var(), v) if f is None else f, cfg.a, cfg.b)
         point_rule, q, p = rule, cfg.q, cfg.p
         if cfg.axis == "lambda":
             point_rule = RuleParams(v, cfg.mu if cfg.mu is not None else 1 - v)
@@ -230,7 +234,7 @@ def cmd_means(cfg: argparse.Namespace) -> tuple[dict, int]:
 
 def cmd_optimize(cfg: argparse.Namespace) -> tuple[dict, int]:
     rule, given = _resolve_rule(cfg, optimized=cfg.what == "rule")
-    inst = _instance(cfg.f, cfg.a, cfg.b)
+    inst = _instance(_parse_f(cfg), cfg.a, cfg.b)
     d = inst.d
     fields = {"what": cfg.what}
     if cfg.what == "p":

@@ -8,8 +8,9 @@ the usual dispatch Ls -> L at s = -1 and Ls -> I at s = 0.  All means return
 Each inequality is the three-point rule (m, ell) applied to f(x) = x**s or
 f(x) = ln x, whose mean on [a, b] is [Ls(a, b)]**s or ln I(a, b).  So
 ``means_gap`` is that rule's deficit, taken by ``rules.lhs_value``, and
-``means_bound`` its bound, taken by ``bounds.bound`` from ``differentiate``'s
-|f'| at the ends: the mean inequalities are never a second copy of the algebra.
+``means_bound`` its bound, taken by ``bounds.bound`` from the |f'| at the ends
+of ``Instance(f, [a, b])``: the mean inequalities are never a second copy of
+the algebra.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional
 from . import bounds
 from .campaign import Instance
 from .convexity import admissible_power
-from .expr import Call, Pow, Var, differentiate
+from .expr import Call, Pow, Var
 from .oracle import Interval, midpoint
 from .rules import LMRule, lhs_value, rule_from_lm
 
@@ -111,11 +112,6 @@ def compute_mean(kind: str, a: float, b: float, s: Optional[float] = None) -> fl
     raise ValueError(f"kind must be one of {MEAN_KINDS}, got {kind!r}")
 
 
-def _check_lm(m: float, ell: float) -> None:
-    if not LMRule(m, ell).bound_admissible:
-        raise ValueError(f"need m > 0 and m >= 2*ell >= 0, got m={m}, ell={ell}")
-
-
 # theorem id -> (gap family, bound form (see bounds.form_p)).  Each gap is
 # that of f(x) = x**s, at s = -1 for the harmonic family, or of f(x) = ln x.
 MEANS_THEOREMS = {
@@ -130,9 +126,11 @@ MEANS_THEOREMS = {
 }
 
 
-def _theorem(theorem: str, s: Optional[float]) -> tuple[Optional[float], str]:
-    """The exponent s of f(x) = x**s (None for f(x) = ln x) and the bound
-    form of ``theorem``."""
+def _checked(theorem: str, m: float, ell: float, a: float, b: float,
+             s: Optional[float]) -> tuple[Optional[float], str]:
+    """The exponent s of f(x) = x**s (None for f(x) = ln x) and the bound form
+    of ``theorem``, once its arguments pass, checked in this order: the
+    theorem and s, a and b positive, a <= b, then (m, ell)."""
     try:
         family, form = MEANS_THEOREMS[theorem]
     except KeyError:
@@ -146,6 +144,11 @@ def _theorem(theorem: str, s: Optional[float]) -> tuple[Optional[float], str]:
             raise ValueError(f"s must be finite, got {s}")
         if s == 0:
             raise ValueError("s must be nonzero")
+    _check_positive(a, b)
+    if a > b:
+        raise ValueError(f"need a <= b, got a={a}, b={b}")
+    if not LMRule(m, ell).bound_admissible:
+        raise ValueError(f"need m > 0 and m >= 2*ell >= 0, got m={m}, ell={ell}")
     return {"power": s, "harmonic": -1.0, "log": None}[family], form
 
 
@@ -153,11 +156,7 @@ def means_bound(theorem: str, m: float, ell: float, a: float, b: float,
                 s: Optional[float] = None, p: Optional[float] = None,
                 q: float = 1.0) -> float:
     """Bound on |means_gap| for the given theorem, routed through bounds."""
-    _check_positive(a, b)
-    if a > b:
-        raise ValueError(f"need a <= b, got a={a}, b={b}")
-    _check_lm(m, ell)
-    s, mode = _theorem(theorem, s)
+    s, mode = _checked(theorem, m, ell, a, b, s)
     p = bounds.form_p(mode, q, p)
     if s is not None and not admissible_power(s, q):
         raise ValueError(
@@ -168,7 +167,7 @@ def means_bound(theorem: str, m: float, ell: float, a: float, b: float,
         return 0.0
     # |f'| at the ends as an Instance takes it; bounds.bound names an inf
     f, iv = Call("ln", Var()) if s is None else Pow(Var(), s), Interval(a, b)
-    d = Instance(f, differentiate(f), iv).d
+    d = Instance(f, iv).d
     return bounds.bound(rule_from_lm(LMRule(m, ell)), d, iv, q, p)[0]
 
 
@@ -176,11 +175,7 @@ def means_gap(theorem: str, m: float, ell: float, a: float, b: float,
               s: Optional[float] = None) -> float:
     """The signed gap matching ``means_bound``: the deficit of rule (m, ell)
     on f(x) = x**s, or on f(x) = ln x, over [a, b]."""
-    s = _theorem(theorem, s)[0]
-    _check_positive(a, b)
-    _check_lm(m, ell)
-    if a > b:
-        raise ValueError(f"need a <= b, got a={a}, b={b}")
+    s = _checked(theorem, m, ell, a, b, s)[0]
     if a == b:
         return 0.0
     nodes = (a, b, midpoint(a, b))

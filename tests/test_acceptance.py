@@ -31,7 +31,7 @@ from quadbound.bounds import (
 )
 from quadbound.campaign import draw_function, run_verify
 from quadbound.convexity import admissible_power
-from quadbound.expr import as_function
+from quadbound.expr import as_function, differentiate
 from quadbound.means import MEANS_THEOREMS, compute_mean, means_bound, means_gap
 from quadbound.oracle import Interval, kernel_moment_numeric
 from quadbound.rules import (
@@ -56,14 +56,14 @@ def test_criterion_1_identity_suite():
         mean = average_value(as_function(draw.ast), draw.interval)
 
         lhs = lhs_value(rule, *node_values(draw.ast, draw.interval), mean)
-        rhs = identity_rhs_half(rule, draw.deriv, draw.interval)
+        rhs = identity_rhs_half(rule, differentiate(draw.ast), draw.interval)
         dev = abs(lhs - rhs) / max(1.0, abs(lhs))
         worst = max(worst, dev)
         assert dev <= 1e-9, (draw.source, lam, mu)
 
         lam_f, mu_f = folded_params_for_rule(rule)
         lhs2 = lhs_value_folded(lam_f, mu_f, draw.ast, draw.interval, mean)
-        rhs2 = identity_rhs_folded(lam_f, mu_f, draw.deriv, draw.interval)
+        rhs2 = identity_rhs_folded(lam_f, mu_f, differentiate(draw.ast), draw.interval)
         dev2 = abs(lhs2 - rhs2) / max(1.0, abs(lhs2))
         worst = max(worst, dev2)
         assert dev2 <= 1e-9, (draw.source, lam_f, mu_f)

@@ -146,8 +146,8 @@ def test_run_verify_rejects_bad_trials():
 
 def _f_prime_points(monkeypatch, run) -> int:
     """Points at which ``run()`` evaluates the one f' it differentiates.
-    draw_function differentiates in campaign, the CLI's _instance in cli."""
-    from quadbound import campaign, cli
+    Every Instance differentiates its f in campaign."""
+    from quadbound import campaign
 
     derivs, points = [], {}
     differentiate, as_function = campaign.differentiate, campaign.as_function
@@ -166,7 +166,6 @@ def _f_prime_points(monkeypatch, run) -> int:
         return counted
 
     monkeypatch.setattr(campaign, "differentiate", counted_differentiate)
-    monkeypatch.setattr(cli, "differentiate", counted_differentiate)
     monkeypatch.setattr(campaign, "as_function", counted_as_function)
     run()
     (deriv,) = derivs
@@ -197,8 +196,13 @@ def _instance_work(monkeypatch, run):
     node, the floats each node was evaluated at, and the integrations."""
     from quadbound import campaign, rules
 
-    instances, compiles, floats, integrations = [], {}, {}, []
-    as_function, integrate = campaign.as_function, campaign.oracle.integrate
+    instances, derivs, compiles, floats, integrations = [], [], {}, {}, []
+    differentiate, as_function = campaign.differentiate, campaign.as_function
+    integrate = campaign.oracle.integrate
+
+    def recorded_differentiate(node):
+        derivs.append(differentiate(node))
+        return derivs[-1]
 
     def counted_as_function(node):
         compiles[id(node)] = compiles.get(id(node), 0) + 1
@@ -212,10 +216,11 @@ def _instance_work(monkeypatch, run):
         return counted
 
     class CountedInstance(campaign.Instance):
-        def __init__(self, ast, deriv, interval):
+        def __init__(self, ast, interval):
             instances.append(self)  # kept alive, so node ids stay unique
-            self.deriv, self.claims = deriv, 0
-            super().__init__(ast, deriv, interval)
+            self.claims = 0
+            super().__init__(ast, interval)
+            self.deriv = derivs[-1]  # the f' this instance differentiated
 
         def claim(self, *args):
             self.claims += 1
@@ -227,6 +232,7 @@ def _instance_work(monkeypatch, run):
 
     for module in (campaign, rules):  # rules too, so that lhs_value compiling f is counted
         monkeypatch.setattr(module, "as_function", counted_as_function)
+    monkeypatch.setattr(campaign, "differentiate", recorded_differentiate)
     monkeypatch.setattr(campaign, "Instance", CountedInstance)
     monkeypatch.setattr(campaign.oracle, "integrate", counted_integrate)
     run()
@@ -303,11 +309,10 @@ def test_instance_takes_an_overflowing_end_as_inf(source, a, d):
     # f' that overflows at an end is an infinite |f'| there, left for
     # bounds.bound to name, not an errno tuple raised from the constructor
     from quadbound.campaign import Instance
-    from quadbound.expr import differentiate, parse
+    from quadbound.expr import parse
     from quadbound.oracle import Interval
 
-    ast = parse(source)
-    inst = Instance(ast, differentiate(ast), Interval(a, 1.0))
+    inst = Instance(parse(source), Interval(a, 1.0))
     assert (inst.d.da, inst.d.db) == d
 
 
@@ -320,11 +325,10 @@ def test_instance_nodes_keep_the_sign_of_an_overflow(source, nodes):
     # a power past the float range at a number is numpy's signed inf, so
     # the node is an inf of f's sign
     from quadbound.campaign import Instance
-    from quadbound.expr import differentiate, parse
+    from quadbound.expr import parse
     from quadbound.oracle import Interval
 
-    ast = parse(source)
-    assert Instance(ast, differentiate(ast), Interval(1.0, 1e10)).nodes == nodes
+    assert Instance(parse(source), Interval(1.0, 1e10)).nodes == nodes
 
 
 def _earlier_point(node, x: float) -> float:
@@ -340,19 +344,19 @@ def _earlier_point(node, x: float) -> float:
 
 
 def _points():
-    """(f, f', interval) of 2,000 seeded draws of each family, then 10^400*x
+    """(f, interval) of 2,000 seeded draws of each family, then 10^400*x
     on [-2, -1] and [0, 1]."""
-    from quadbound.expr import differentiate, parse
+    from quadbound.expr import parse
     from quadbound.oracle import Interval
 
     for family in FAMILIES:
         rng = np.random.default_rng(26)
         for _ in range(2000):
             draw = draw_function(rng, family, float(rng.uniform(1.05, 3.0)))
-            yield draw.ast, draw.deriv, draw.interval
+            yield draw.ast, draw.interval
     ast = parse("10^400*x")
     for a, b in ((-2.0, -1.0), (0.0, 1.0)):
-        yield ast, differentiate(ast), Interval(a, b)
+        yield ast, Interval(a, b)
 
 
 def test_instance_points_are_the_earlier_points_bit_for_bit(monkeypatch):
@@ -360,6 +364,7 @@ def test_instance_points_are_the_earlier_points_bit_for_bit(monkeypatch):
     # signed inf (or nan) that the one-element-array retry gave.
     import test_expr
     from quadbound.campaign import Instance
+    from quadbound.expr import differentiate
 
     array_power = test_expr._reference_power
 
@@ -368,8 +373,8 @@ def test_instance_points_are_the_earlier_points_bit_for_bit(monkeypatch):
 
     monkeypatch.setattr(test_expr, "_reference_power", raising_power)
     nodes = []
-    for ast, deriv, iv in _points():
-        inst = Instance(ast, deriv, iv)
+    for ast, iv in _points():
+        inst, deriv = Instance(ast, iv), differentiate(ast)
         with np.errstate(over="ignore", invalid="ignore"):
             want_nodes = [_earlier_point(ast, x) for x in (iv.a, iv.midpoint, iv.b)]
             want_d = [abs(_earlier_point(deriv, x)) for x in (iv.a, iv.b)]
@@ -385,10 +390,10 @@ def test_instance_points_are_the_earlier_points_bit_for_bit(monkeypatch):
 def test_integral_past_the_float_range_is_named(a, b):
     # f = x is finite at a, (a+b)/2 and b, but (b - a) * max|f| is not
     from quadbound.campaign import Instance
-    from quadbound.expr import Const, Var
+    from quadbound.expr import Var
     from quadbound.oracle import Interval
 
-    inst = Instance(Var(), Const(1.0), Interval(a, b))
+    inst = Instance(Var(), Interval(a, b))
     with pytest.raises(ValueError) as exc:
         inst.quad
     assert str(exc.value) == (f"the integral of f on [{a}, {b}] is past the float range: "
@@ -455,7 +460,7 @@ def test_verdict_and_bound_do_not_depend_on_the_scale_of_f():
     # the bound, with |f'|^q below or above the float range as well as in it
     from quadbound import bounds
     from quadbound.campaign import Instance
-    from quadbound.expr import BinOp, Const, differentiate
+    from quadbound.expr import BinOp, Const
     from quadbound.rules import RuleParams
 
     rng = np.random.default_rng(11)
@@ -466,13 +471,13 @@ def test_verdict_and_bound_do_not_depend_on_the_scale_of_f():
         rule = RuleParams(float(rng.uniform(0, 0.5)), float(rng.uniform(0.5, 1)))
         p = q * float(rng.uniform(0.01, 1.0))
         draw = draw_function(rng, families[i % 4], q)
-        base = Instance(draw.ast, draw.deriv, draw.interval)
+        base = Instance(draw.ast, draw.interval)
         valid = base.certificate(q).valid
         rhs = bounds.bound(rule, base.d, draw.interval, q, p)[0]
         passes += valid
         for k in _SCALES:
             ast = BinOp("*", Const(2.0 ** k), draw.ast)
-            inst = Instance(ast, differentiate(ast), draw.interval)
+            inst = Instance(ast, draw.interval)
             case = (draw.source, draw.interval, q, p, k)
             assert inst.certificate(q).valid == valid, case
             scaled = bounds.bound(rule, inst.d, draw.interval, q, p)[0]

@@ -58,6 +58,12 @@ def test_bound_endpoint_derivative_error_exit_1(capsys):
     assert out == ""
 
 
+def test_bound_without_f_is_exit_1(capsys):
+    code = main(["bound", "--a", "1", "--b", "2", "--rule", "simpson"])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: --f is required\n")
+
+
 def test_bound_accepts_interior_abs_kink():
     # |f'| convex covers V-shaped derivatives; an interior kink of f' must
     # not be rejected
@@ -640,7 +646,7 @@ def test_derivative_overflow_at_the_ends_is_named_exit_1(argv, message):
 def test_derivative_q_past_the_float_range_is_taken_at_its_scale(capsys, argv, key, rules):
     # |f'(b)| = 400 e^400 is finite but its square is not: each bound is the
     # bound at |f'|/m on [0, m], m = |f'(b)|, the same floats as it is computed
-    d = cli._instance("exp(400*x)", 0.0, 1.0).d
+    d = cli._instance(cli.parse("exp(400*x)"), 0.0, 1.0).d
     m = d.scale(2.0)
     assert m == d.db > 1e155
     unit = bounds.DerivEndpoints(d.da / m, 1.0)
@@ -693,19 +699,27 @@ def test_sweep_builds_the_instance_once_unless_it_sweeps_s(axis, fixed, monkeypa
     # f does not depend on the swept value, except on the s axis, where f = x^s
     grid = {"lambda": ("0", "0.375"), "mu": ("0.5", "0.875"), "p": ("0.5", "0.875"),
             "q": ("1", "1.375"), "s": ("-2", "-1.625")}[axis]
-    calls = []
-    parse = cli.parse
-    monkeypatch.setattr(cli, "parse", lambda source: calls.append(source) or parse(source))
+    from quadbound import campaign
+    from quadbound.expr import Pow, Var, parse
+
+    built = []
+
+    class CountedInstance(campaign.Instance):
+        def __init__(self, ast, interval):
+            built.append(ast)
+            super().__init__(ast, interval)
+
+    monkeypatch.setattr(campaign, "Instance", CountedInstance)
     integrals = _count_integrals(monkeypatch)
     f = [] if axis == "s" else ["--f", "x^3"]
     code = main(["sweep", *f, "--a", "1", "--b", "2", *fixed, "--axis", axis,
                  "--from", grid[0], "--to", grid[1], "--step", "0.125"])
     assert code == 0
     assert len(capsys.readouterr().out.splitlines()) == 5
-    assert calls == (["x^-2.0", "x^-1.875", "x^-1.75", "x^-1.625"] if axis == "s"
-                     else ["x^3"])
+    assert built == ([Pow(Var(), s) for s in (-2.0, -1.875, -1.75, -1.625)] if axis == "s"
+                     else [parse("x^3")])
     # and integrates f once per instance
-    assert len(integrals) == len(calls)
+    assert len(integrals) == len(built)
 
 
 def _count_integrals(monkeypatch) -> list:

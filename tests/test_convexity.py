@@ -63,7 +63,7 @@ def test_instance_certificate_propagates_evaluation_failure():
     from quadbound.expr import EvalDomainError
 
     ast = parse("1/x")
-    inst = Instance(ast, differentiate(ast), Interval(-1.0, 1.0))
+    inst = Instance(ast, Interval(-1.0, 1.0))
     assert grid(inst.interval)[2048] == 0.0
     with pytest.raises(EvalDomainError):
         inst.certificate(1.0)
@@ -73,7 +73,7 @@ def test_non_finite_g_is_named_without_a_warning():
     # |f'| overflows near x = 1/2, and the residuals beside it are inf - inf:
     # one named error, and no numpy warning (an error under pytest)
     ast = parse("exp(709-1000*(x-0.5)^2)")
-    inst = Instance(ast, differentiate(ast), Interval(0.0, 1.0))
+    inst = Instance(ast, Interval(0.0, 1.0))
     with pytest.raises(ValueError, match="^g produced non-finite values during certification$"):
         inst.certificate(1.0)
 
@@ -274,7 +274,7 @@ def test_instance_certificate_equals_reference(q):
         for _ in range(3):
             draw = draw_function(rng, family, q)
             ast = parse(draw.source)
-            inst = Instance(ast, differentiate(ast), draw.interval)
+            inst = Instance(ast, draw.interval)
             want = _reference_certify_convex(_derivative_power(draw.source, q), draw.interval)
             assert inst.certificate(q) == want, (draw.source, q)
     # a kink on grid point 9, evaluated there
@@ -282,7 +282,7 @@ def test_instance_certificate_equals_reference(q):
     kink = float(_reference_grid(interval.a, interval.b)[9])
     source = f"abs(x-{kink!r})^3+x"
     ast = parse(source)
-    inst = Instance(ast, differentiate(ast), interval)
+    inst = Instance(ast, interval)
     assert np.isfinite(_derivative_power(source, q)(np.array([kink]))).all()
     assert inst.certificate(q) == _reference_certify_convex(_derivative_power(source, q), interval)
 

@@ -9,7 +9,7 @@ import pytest
 from folded_fixtures import average_value, node_values
 from quadbound.bounds import DerivEndpoints, HolderParams, bound, bound_pq, form_p
 from quadbound.convexity import admissible_power
-from quadbound.expr import as_function, differentiate, evaluate, parse
+from quadbound.expr import Call, Pow, Var, as_function, differentiate, evaluate, parse
 from quadbound.means import (
     MEANS_THEOREMS,
     _ls_power,
@@ -315,6 +315,20 @@ def test_means_bound_routes_through_dsl_functions():
                    - bound(rule, d, iv, q, 1.0)[0]) <= 1e-12
         assert abs(means_bound("4.2-pq", m, ell, a, b, s=s, q=q)
                    - bound(rule, d, iv, q, q)[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("theorem, s", [("4.2-p1", 2.5), ("4.3-p1", None), ("4.5-p1", None)])
+def test_means_bound_differentiates_f_once_through_the_instance(monkeypatch, theorem, s):
+    # f' is differentiated from f by the Instance the bound builds, once
+    from quadbound import campaign
+
+    calls = []
+    differentiate = campaign.differentiate
+    monkeypatch.setattr(campaign, "differentiate",
+                        lambda node: calls.append(node) or differentiate(node))
+    means_bound(theorem, 2, 1, 1.0, 2.0, s=s, q=1.0)
+    f = {"4.2-p1": Pow(Var(), 2.5), "4.3-p1": Pow(Var(), -1.0), "4.5-p1": Call("ln", Var())}
+    assert calls == [f[theorem]]
 
 
 def _hand_written_bound(theorem, m, ell, a, b, s, p, q):

@@ -126,7 +126,7 @@ def test_identity_random_instances():
         rule = RuleParams(lam, mu)
         mean = average_value(as_function(draw.ast), draw.interval)
         lhs = lhs_value(rule, *node_values(draw.ast, draw.interval), mean)
-        rhs = identity_rhs_half(rule, draw.deriv, draw.interval)
+        rhs = identity_rhs_half(rule, differentiate(draw.ast), draw.interval)
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs)), draw.source
 
 
@@ -148,7 +148,7 @@ def test_second_parametrization_and_equivalence():
         mu_f = float(rng.uniform(-0.5, 1.5))
         mean = average_value(as_function(draw.ast), draw.interval)
         lhs_f = lhs_value_folded(lam_f, mu_f, draw.ast, draw.interval, mean)
-        rhs_f = identity_rhs_folded(lam_f, mu_f, draw.deriv, draw.interval)
+        rhs_f = identity_rhs_folded(lam_f, mu_f, differentiate(draw.ast), draw.interval)
         assert abs(lhs_f - rhs_f) <= 1e-9 * max(1.0, abs(lhs_f))
         # the two parametrizations agree through the substitution
         rule = rule_for_folded(lam_f, mu_f)
@@ -167,5 +167,5 @@ def test_named_rule_identities():
         draw = draw_function(rng, "poly", q=1.0)
         mean = average_value(as_function(draw.ast), draw.interval)
         lhs = lhs_value(rule, *node_values(draw.ast, draw.interval), mean)
-        rhs = identity_rhs_half(rule, draw.deriv, draw.interval)
+        rhs = identity_rhs_half(rule, differentiate(draw.ast), draw.interval)
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs)), name
