@@ -11,15 +11,20 @@ bisections, not a descent to underflow.  Breakpoints seed the first panels
 (QUADPACK QAGP), and the kernel moments grade them toward their kink, so
 they need few bisections.  Each step calls the integrand once, on the nodes
 of all its panels, whose sums are ``np.vecdot`` rows: one BLAS dot per row,
-rounded as a 1-D product per panel is.  Deterministic for fixed inputs;
-exhausting the node budget is an explicit failure, never a silent
-best-effort value.
+rounded as a 1-D product per panel is.  The step is array-shaped: it takes
+the panel edges as one array; their nodes and values come from whole-array
+expressions and their errors from one pass over the values, with no Python
+loop over the panels.  A first call that meets the tolerance returns at
+once; the heap of panels is built only when a panel must be bisected.
+Deterministic for fixed inputs; exhausting the node budget is an explicit
+failure, never a silent best-effort value.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -104,32 +109,40 @@ _WGK_HALF, _WG_HALF = _WGK / 2, _WG / 2
 _EPS = float(np.finfo(float).eps)
 
 
-def _panel(f: Callable, *edges: float) -> list[tuple[float, float]]:
-    """K15 value and |K15 - G7| error of each panel between consecutive
-    ``edges``, from one call of ``f`` on the nodes of all of them."""
-    ch = np.array([(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in zip(edges, edges[1:])])
-    x = (ch[:, :1] + ch[:, 1:] * _XGK).ravel()
-    y = np.asarray(f(x), dtype=float)
+def _panel(f: Callable, edges: np.ndarray) -> tuple[list[float], list[float]]:
+    """K15 values and |K15 - G7| errors of the panels between consecutive
+    ``edges`` (a float array), from one call of ``f`` on the nodes of all of
+    them.  Runs under ``integrate``'s errstate: a value past the float range
+    is raised as an error, not warned about."""
+    lo, hi = edges[:-1], edges[1:]
+    w = hi - lo
+    x = (0.5 * (lo + hi)[:, None] + 0.5 * w[:, None] * _XGK).ravel()
+    y = f(x)
+    if type(y) is not np.ndarray or y.dtype != float:
+        y = np.asarray(y, dtype=float)
     if y.ndim == 0:
         y = np.full(x.shape, float(y))
     # One BLAS dot per row, as a 1-D product takes per panel: a batched
-    # (n, 15) @ (15,) product can round differently.
+    # (n, 15) @ (15,) product can round differently.  Halving and doubling
+    # are exact, so a sum against the halved weights times hi - lo (= 2h) is
+    # the sum against the weights times h, to the bit.
     y = y.reshape(-1, 15)
-    k15s = np.vecdot(y, _WGK_HALF).tolist()
-    g7s = np.vecdot(y[:, 1::2], _WG_HALF).tolist()
-    # Every node has a positive Kronrod weight, so a K15 sum is non-finite
-    # exactly where a value is: the values are scanned only then.
-    if not all(map(math.isfinite, k15s)):
-        k = int(np.argmin(np.isfinite(y.ravel()))) // 15
-        raise IntegrationError(f"non-finite integrand value on [{edges[k]}, {edges[k + 1]}]")
-    out = []
-    # Halving and doubling are exact, so a sum against the halved weights
-    # times hi - lo (= 2h) is the sum against the weights times h, to the bit.
-    for lo, hi, k15, g7 in zip(edges, edges[1:], k15s, g7s):
-        w = hi - lo
-        k15 *= w
-        out.append((k15, abs(k15 - w * g7)))
-    return out
+    k15 = np.vecdot(y, _WGK_HALF)
+    values = (k15 * w).tolist()
+    if not all(map(math.isfinite, values)):
+        # Every node has a positive Kronrod weight, so a K15 sum is
+        # non-finite exactly where a value is: the values are scanned only
+        # then.  Otherwise a finite sum times the width overflowed.
+        if not np.isfinite(k15).all():
+            k = int(np.argmin(np.isfinite(y.ravel()))) // 15
+            raise IntegrationError(f"non-finite integrand value on [{edges[k]}, {edges[k + 1]}]")
+        k = next(k for k, v in enumerate(values) if not math.isfinite(v))
+        raise IntegrationError(f"the K15 value of the panel [{edges[k]}, {edges[k + 1]}] is "
+                               "past the float range")
+    # The float subtraction rounds as numpy's does, and on two panels (a
+    # bisection) one pass over the lists is cheaper than two more array calls.
+    g7w = (w * np.vecdot(y[:, 1::2], _WG_HALF)).tolist()
+    return values, list(map(abs, map(operator.sub, values, g7w)))
 
 
 def integrate(f: Callable, interval: Interval, tol: float = DEFAULT_TOL,
@@ -152,9 +165,10 @@ def integrate(f: Callable, interval: Interval, tol: float = DEFAULT_TOL,
     panel whose midpoint no longer splits it is kept as it is; if only such
     panels are left, the result is returned with the error they carry.
 
-    Raises :class:`IntegrationError` on a non-finite integrand value, and
-    after ``MAX_EVALS`` integrand evaluations rather than returning an
-    unconverged value.
+    ``f`` runs with numpy's overflow and invalid-value warnings off.  Raises
+    :class:`IntegrationError` on a non-finite integrand value, on a panel
+    value or a sum of them past the float range, and after ``MAX_EVALS``
+    integrand evaluations rather than returning an unconverged value.
     """
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
@@ -165,35 +179,50 @@ def integrate(f: Callable, interval: Interval, tol: float = DEFAULT_TOL,
     evals = 15 * (len(edges) - 1)
     if evals > MAX_EVALS:
         raise IntegrationError(_budget_message(tol))
-    # Max-heap on error: entries are (-err, lo, hi, value).
-    heap = [(-err, lo, hi, value)
-            for lo, hi, (value, err) in zip(edges, edges[1:], _panel(f, *edges))]
-    heapq.heapify(heap)
-    kept: list[tuple[float, float, float, float]] = []
-    # Zero running sums send the first pass to the exact sums below.
-    err_sum = abs_sum = 0.0
-    while True:
-        # The running sums drift; confirm a stop with exact sums.
-        if not heap or err_sum <= max(tol, 4 * _EPS * abs_sum):
-            panels = heap + kept
-            value_sum = math.fsum(p[3] for p in panels)
-            err_sum = math.fsum(-p[0] for p in panels)
-            abs_sum = math.fsum(abs(p[3]) for p in panels)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, errors = _panel(f, np.array(edges))
+        value_sum, err_sum, abs_sum = _exact_sums(values, errors, interval)
+        # Most first calls meet tol: they return with no heap.
+        if err_sum <= max(tol, 4 * _EPS * abs_sum):
+            return QuadratureResult(value_sum, err_sum, evals)
+        # Max-heap on error: entries are (-err, lo, hi, value).
+        heap = [(-err, lo, hi, value)
+                for lo, hi, value, err in zip(edges, edges[1:], values, errors)]
+        heapq.heapify(heap)
+        kept: list[tuple[float, float, float, float]] = []
+        while True:
+            # The running sums drift; confirm a stop with exact sums.
             if not heap or err_sum <= max(tol, 4 * _EPS * abs_sum):
-                return QuadratureResult(value_sum, err_sum, evals)
-        neg_err, lo, hi, value = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            kept.append((neg_err, lo, hi, value))
-            continue
-        evals += 30
-        if evals > MAX_EVALS:
-            raise IntegrationError(_budget_message(tol))
-        (v1, e1), (v2, e2) = _panel(f, lo, mid, hi)
-        heapq.heappush(heap, (-e1, lo, mid, v1))
-        heapq.heappush(heap, (-e2, mid, hi, v2))
-        err_sum += e1 + e2 + neg_err
-        abs_sum += abs(v1) + abs(v2) - abs(value)
+                panels = heap + kept
+                value_sum, err_sum, abs_sum = _exact_sums(
+                    [p[3] for p in panels], [-p[0] for p in panels], interval)
+                if not heap or err_sum <= max(tol, 4 * _EPS * abs_sum):
+                    return QuadratureResult(value_sum, err_sum, evals)
+            neg_err, lo, hi, value = heap[0]
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                kept.append(heapq.heappop(heap))
+                continue
+            evals += 30
+            if evals > MAX_EVALS:
+                raise IntegrationError(_budget_message(tol))
+            (v1, v2), (e1, e2) = _panel(f, np.array((lo, mid, hi)))
+            # No two entries compare equal (their ends differ), so the pops
+            # that follow turn only on the entries held, not on their layout.
+            heapq.heapreplace(heap, (-e1, lo, mid, v1))
+            heapq.heappush(heap, (-e2, mid, hi, v2))
+            err_sum += e1 + e2 + neg_err
+            abs_sum += abs(v1) + abs(v2) - abs(value)
+
+
+def _exact_sums(values: list[float], errors: list[float],
+                interval: Interval) -> tuple[float, float, float]:
+    """math.fsum of the panel values, of their errors and of |values|."""
+    try:
+        return math.fsum(values), math.fsum(errors), math.fsum(map(abs, values))
+    except OverflowError:
+        raise IntegrationError(f"the panel values on [{interval.a}, {interval.b}] sum "
+                               "past the float range") from None
 
 
 def _budget_message(tol: float) -> str:
@@ -201,8 +230,9 @@ def _budget_message(tol: float) -> str:
             f"reaching tol={tol}")
 
 
+# None is the weight 1, which the integrand skips: y * 1.0 is y, to the bit.
 _WEIGHTS = {
-    "1": lambda t: 1.0,
+    "1": None,
     "t": lambda t: t,
     "1-t": lambda t: 1.0 - t,
 }
@@ -213,6 +243,7 @@ _MOMENT_TOL = 1e-12
 # kink to each end, for k = 1 .. _GRADE_DEPTH.
 _GRADE_RATIO = 0.35
 _GRADE_DEPTH = 14
+_GRADES = tuple(_GRADE_RATIO ** k for k in range(1, _GRADE_DEPTH + 1))
 
 
 def kernel_moment_numeric(side: str, shift: float, exponent: float,
@@ -228,12 +259,16 @@ def kernel_moment_numeric(side: str, shift: float, exponent: float,
     bisections are left to do.  A cut that rounds onto its neighbour or an
     end is dropped, so every panel has a positive width.
     """
-    if exponent < 0:
+    if not exponent >= 0:
         raise ValueError(f"exponent must be >= 0, got {exponent}")
     if side == "left":
         lo, hi = 0.0, 0.5
+        if not lo <= shift <= hi:
+            raise ValueError(f"left shift must lie in [0, 1/2], got {shift}")
     elif side == "right":
         lo, hi = 0.5, 1.0
+        if not lo <= shift <= hi:
+            raise ValueError(f"right shift must lie in [1/2, 1], got {shift}")
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     try:
@@ -242,11 +277,11 @@ def kernel_moment_numeric(side: str, shift: float, exponent: float,
         raise ValueError(f"weight must be one of {sorted(_WEIGHTS)}, got {weight!r}")
 
     def integrand(t):
-        return np.abs(shift - t) ** exponent * w(t)
+        y = np.abs(shift - t) ** exponent
+        return y if w is None else y * w(t)
 
-    grades = [_GRADE_RATIO ** k for k in range(1, _GRADE_DEPTH + 1)]
-    cuts = ([shift - (shift - lo) * g for g in grades] + [shift]
-            + [shift + (hi - shift) * g for g in reversed(grades)])
+    cuts = ([shift - (shift - lo) * g for g in _GRADES] + [shift]
+            + [shift + (hi - shift) * g for g in reversed(_GRADES)])
     edges = [lo]
     for x in cuts:
         if edges[-1] < x < hi:

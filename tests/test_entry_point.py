@@ -126,6 +126,9 @@ CASES = [
     # |f'|^2 underflows at the ends, but the bound does not
     (["bound", "--f", "1e-200*x^2", "--a", "1", "--b", "2", "--rule", "trapezoid", "--q", "2",
       "--p", "1"], 0),
+    # f is finite at a, (a+b)/2 and b, but peaks between them, and its integral
+    # (~2.1e308) is past the float range: the first panel's value names it
+    (["bound", "--f", "exp(709.7-2*(x-1)^2)", "--a", "0", "--b", "3.9", "--rule", "simpson"], 1),
     # x^400 overflows inside [a, b] while f = 1/x^400 and f' = -400 x^-401 stay finite
     (["bound", "--f", "1/x^400", "--a", "1", "--b", "1e10", "--rule", "simpson"], 0),
 ]

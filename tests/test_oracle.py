@@ -141,6 +141,28 @@ def test_integrate_panel_sums_past_the_float_range(f, top, exact, budget):
     assert abs(r.value - exact) <= tol
 
 
+def test_integrate_names_a_panel_value_past_the_float_range():
+    # K15 * (hi - lo) overflows on the first panel: named at once, with no
+    # warning, rather than an inf value, a NaN error and the node budget
+    points = []
+
+    def f(x):
+        points.append(x.size)
+        return 1e308 + 0 * x
+
+    with pytest.raises(IntegrationError) as exc:
+        integrate(f, Interval(0, 10))
+    assert str(exc.value) == "the K15 value of the panel [0.0, 10.0] is past the float range"
+    assert sum(points) < 1000
+
+
+def test_integrate_names_panel_values_that_sum_past_the_float_range():
+    # each panel value is finite, their sum is not
+    with pytest.raises(IntegrationError) as exc:
+        integrate(lambda x: 1e308 + 0 * x, Interval(0, 1.9), 1e300, [0.95])
+    assert str(exc.value) == "the panel values on [0, 1.9] sum past the float range"
+
+
 def test_integrate_keeps_panels_that_no_longer_split():
     # sin(1e17 x) turns within an ulp of 1, so bisection reaches the eight
     # one-ulp panels, whose midpoints round onto an end: they are kept, with
@@ -159,6 +181,20 @@ def test_kernel_moment_examples():
 def test_kernel_moment_rejects_negative_exponent():
     with pytest.raises(ValueError):
         kernel_moment_numeric("left", 0.2, -0.5)
+
+
+@pytest.mark.parametrize("side, shift, exponent, message", [
+    ("left", 0.2, math.nan, "exponent must be >= 0, got nan"),
+    ("left", math.nan, 1.0, r"left shift must lie in \[0, 1/2\], got nan"),
+    ("right", 0.2, 1.0, r"right shift must lie in \[1/2, 1\], got 0.2"),
+], ids=["nan-exponent", "nan-shift", "shift-off-side"])
+def test_kernel_moment_checks_its_arguments_as_the_closed_form_does(side, shift, exponent,
+                                                                    message):
+    with pytest.raises(ValueError, match=message):
+        kernel_moment_numeric(side, shift, exponent)
+    if not math.isnan(exponent):  # a shift off its side: the closed form's words
+        with pytest.raises(ValueError, match=message):
+            kernel_moments_closed(shift, side, HolderParams(1.5, 2.0))
 
 
 def test_kernel_moment_split_equals_panel_sum():
@@ -297,6 +333,12 @@ def _integrate_one_panel(f, interval, tol=oracle.DEFAULT_TOL):
         abs_sum += abs(v1) + abs(v2) - abs(value)
 
 
+def _panel_pairs(f, *edges):
+    # the array-shaped _panel, as the (value, error) pairs _panel_loop returns
+    values, errors = _panel(f, np.array(edges))
+    return list(zip(values, errors))
+
+
 def test_panel_equals_the_per_panel_loop():
     rng = np.random.default_rng(11)
     for _ in range(2000):
@@ -304,17 +346,64 @@ def test_panel_equals_the_per_panel_loop():
         edges = np.unique(rng.uniform(-3, 3, n + 1)).tolist()
         m = 15 * (len(edges) - 1)
         values = rng.standard_normal(m) * 10.0 ** rng.uniform(-5, 5, m)
-        assert _panel(lambda x: values, *edges) == _panel_loop(lambda x: values, *edges)
+        assert _panel_pairs(lambda x: values, *edges) == _panel_loop(lambda x: values, *edges)
     # a scalar-valued f, and the panel a non-finite value is reported on
-    assert _panel(lambda x: 2.5, 0.0, 0.3, 1.0) == _panel_loop(lambda x: 2.5, 0.0, 0.3, 1.0)
+    assert _panel_pairs(lambda x: 2.5, 0.0, 0.3, 1.0) == _panel_loop(lambda x: 2.5, 0.0, 0.3, 1.0)
+    assert (_panel_pairs(lambda x: np.array(2.5), 0.0, 0.3, 1.0)
+            == _panel_loop(lambda x: np.array(2.5), 0.0, 0.3, 1.0))
     for bad in (math.inf, -math.inf, math.nan):
         values = np.ones(45)
         values[int(rng.integers(15, 45))] = bad
         with pytest.raises(IntegrationError) as got:
-            _panel(lambda x: values, 0.0, 1.0, 2.0, 3.0)
+            _panel_pairs(lambda x: values, 0.0, 1.0, 2.0, 3.0)
         with pytest.raises(IntegrationError) as want:
             _panel_loop(lambda x: values, 0.0, 1.0, 2.0, 3.0)
         assert str(got.value) == str(want.value)
+
+
+# A verbatim copy of integrate as it was before the panel step took edge
+# arrays and a first call that meets tol returned with no heap (the panel
+# step is _panel_loop, which _panel equals).  Results must be equal, not close.
+
+def _integrate_heap(f, interval, tol=oracle.DEFAULT_TOL, breakpoints=()):
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    edges = (float(interval.a), *map(float, breakpoints), float(interval.b))
+    if not all(lo < hi for lo, hi in zip(edges, edges[1:])):
+        raise ValueError("breakpoints must be finite, strictly increasing and strictly "
+                         f"inside ({edges[0]}, {edges[-1]}), got {list(edges[1:-1])}")
+    evals = 15 * (len(edges) - 1)
+    if evals > oracle.MAX_EVALS:
+        raise IntegrationError(_budget_message(tol))
+    # Max-heap on error: entries are (-err, lo, hi, value).
+    heap = [(-err, lo, hi, value)
+            for lo, hi, (value, err) in zip(edges, edges[1:], _panel_loop(f, *edges))]
+    heapq.heapify(heap)
+    kept = []
+    # Zero running sums send the first pass to the exact sums below.
+    err_sum = abs_sum = 0.0
+    while True:
+        # The running sums drift; confirm a stop with exact sums.
+        if not heap or err_sum <= max(tol, 4 * _EPS * abs_sum):
+            panels = heap + kept
+            value_sum = math.fsum(p[3] for p in panels)
+            err_sum = math.fsum(-p[0] for p in panels)
+            abs_sum = math.fsum(abs(p[3]) for p in panels)
+            if not heap or err_sum <= max(tol, 4 * _EPS * abs_sum):
+                return QuadratureResult(value_sum, err_sum, evals)
+        neg_err, lo, hi, value = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            kept.append((neg_err, lo, hi, value))
+            continue
+        evals += 30
+        if evals > oracle.MAX_EVALS:
+            raise IntegrationError(_budget_message(tol))
+        (v1, e1), (v2, e2) = _panel_loop(f, lo, mid, hi)
+        heapq.heappush(heap, (-e1, lo, mid, v1))
+        heapq.heappush(heap, (-e2, mid, hi, v2))
+        err_sum += e1 + e2 + neg_err
+        abs_sum += abs(v1) + abs(v2) - abs(value)
 
 
 def _integrands():
@@ -337,6 +426,12 @@ def test_integrate_with_no_breakpoints_equals_the_one_panel_start():
     for f, iv, tols in _integrands():
         for tol in tols:
             assert integrate(f, iv, tol) == _integrate_one_panel(f, iv, tol)
+
+
+def test_integrate_equals_the_heap_loop():
+    for f, iv, tols in _integrands():
+        for tol in tols:
+            assert integrate(f, iv, tol) == _integrate_heap(f, iv, tol)
 
 
 # -- breakpoints ----------------------------------------------------------------
@@ -384,6 +479,25 @@ def _criterion_4_draws():
             side, shift = "right", float(rng.uniform(0.5, 1.0))
         for exponent, weight in (((q - p) / (q - 1), "1"), (p, "t"), (p, "1-t")):
             yield side, shift, exponent, weight
+
+
+def test_kernel_moments_equal_the_heap_loop(monkeypatch):
+    # every breakpoint start of the criterion-4 moments, first call and
+    # bisections alike, against the heap loop
+    real, calls = oracle.integrate, []
+
+    def both(f, interval, tol, breakpoints):
+        got = real(f, interval, tol, breakpoints)
+        assert got == _integrate_heap(f, interval, tol, breakpoints), breakpoints
+        calls.append(got.evaluations > 15 * (len(breakpoints) + 1))
+        return got
+
+    monkeypatch.setattr(oracle, "integrate", both)
+    for draw in _criterion_4_draws():
+        kernel_moment_numeric(*draw)
+    assert len(calls) == 1500
+    # both paths are taken: a first call that meets tol, and bisections
+    assert 0 < sum(calls) < 1500
 
 
 def test_kernel_moment_is_one_integrate_call_of_few_panel_calls(monkeypatch):
