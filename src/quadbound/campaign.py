@@ -240,6 +240,8 @@ def run_verify(trials: int, seed: int = 0, family: str = "mixed") -> dict:
     fixed configuration)."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     paths_checked = 0
     skipped_q1 = 0

@@ -163,7 +163,10 @@ def integrate(f: Callable, interval: Interval, tol: float = DEFAULT_TOL,
     ``error_estimate`` are the sums of the panel values and errors, so on
     success ``error_estimate <= tol`` unless it is at that rounding floor.  A
     panel whose midpoint no longer splits it is kept as it is; if only such
-    panels are left, the result is returned with the error they carry.
+    panels are left, the result is returned with the error they carry.  A
+    panel whose error is inf (|K15 - G7| past the float range) is
+    bisected like any other: the running error sum it turns NaN is re-taken
+    exactly, so the bisection goes on until the halves carry finite errors.
 
     ``f`` runs with numpy's overflow and invalid-value warnings off.  Raises
     :class:`IntegrationError` on a non-finite integrand value, on a panel
@@ -191,8 +194,9 @@ def integrate(f: Callable, interval: Interval, tol: float = DEFAULT_TOL,
         heapq.heapify(heap)
         kept: list[tuple[float, float, float, float]] = []
         while True:
-            # The running sums drift; confirm a stop with exact sums.
-            if not heap or err_sum <= max(tol, 4 * _EPS * abs_sum):
+            # The running sums drift, and turn NaN (inf - inf) once a panel's
+            # error is inf; confirm a stop, or re-take a NaN, with exact sums.
+            if not heap or not err_sum > max(tol, 4 * _EPS * abs_sum):
                 panels = heap + kept
                 value_sum, err_sum, abs_sum = _exact_sums(
                     [p[3] for p in panels], [-p[0] for p in panels], interval)

@@ -41,14 +41,6 @@ def test_bound_simpson_value():
     assert abs(payload["rhs"] - 5 / 12) <= 1e-14
 
 
-def test_bound_domain_error_exit_1():
-    r = run_cli("bound", "--f", "ln(x)", "--a", "-1", "--b", "2",
-                "--rule", "trapezoid", "--q", "1")
-    assert r.returncode == 1
-    assert "error" in r.stderr
-    assert r.stdout == ""
-
-
 def test_bound_endpoint_derivative_error_exit_1(capsys):
     # f = x^0.5 is defined on [0, 1], but f' is not at 0
     code = main(["bound", "--f", "x^0.5", "--a", "0", "--b", "1", "--rule", "simpson"])
@@ -192,12 +184,6 @@ def test_verify_concave_family_gating():
     assert payload["skipped_q_certificate"] == 10
 
 
-def test_verify_zero_trials_usage_error():
-    r = run_cli("verify", "--trials", "0")
-    assert r.returncode == 1
-    assert "trials" in r.stderr
-
-
 def test_verify_deterministic_bytes():
     r1 = run_cli("verify", "--trials", "25", "--seed", "11")
     r2 = run_cli("verify", "--trials", "25", "--seed", "11")
@@ -268,13 +254,6 @@ def test_sweep_q_near_1_prints_every_row(capsys):
     assert abs(rhs[0] - 5 / 12) <= 1e-14
 
 
-def test_sweep_empty_grid_rejected():
-    r = run_cli("sweep", "--f", "x^2", "--a", "1", "--b", "2", "--axis", "p",
-                "--from", "2", "--to", "1", "--step", "0.5",
-                "--rule", "trapezoid", "--q", "2")
-    assert r.returncode == 1
-
-
 def test_sweep_grid_over_the_cap_exits_1_at_once(capsys):
     # 5*10^11 points: an uncapped grid loops until memory runs out, so the
     # first call runs in a subprocess whose timeout fails the test instead
@@ -306,13 +285,6 @@ def test_means_equal_endpoints():
     assert payload["gap"] == 0.0
     assert payload["rhs"] == 0.0
     assert r.returncode == 0
-
-
-def test_means_inadmissible_exit_1():
-    r = run_cli("means", "--theorem", "4.1", "--m", "2", "--ell", "1",
-                "--s", "1.5", "--a", "1", "--b", "2", "--q", "1.2", "--p", "1")
-    assert r.returncode == 1
-    assert "inadmissible" in r.stderr
 
 
 def test_optimize_rule_output():
@@ -534,108 +506,9 @@ def test_reused_parser_leaks_nothing_between_calls(capsys):
     assert cli.build_parser.cache_info().misses == 1
 
 
-# Non-finite grid bounds, a NaN step and an infinite interval endpoint are
-# input errors.  An unchecked unbounded sweep loops forever, so each call has
-# a timeout that fails the test instead of hanging it; the loop's list grows
-# by ~55 MB/s, so the timeout also bounds its memory.
-
-SWEEP_P = ["sweep", "--f", "x^2", "--a", "0", "--b", "1", "--axis", "p", "--q", "2"]
-TO_INF = ("--a", "0", "--b", "inf")
-
-
-@pytest.mark.parametrize("argv", [
-    [*SWEEP_P, "--from", "0.5", "--to", "inf", "--step", "0.5"],
-    [*SWEEP_P, "--from=-inf", "--to", "1", "--step", "0.5"],
-    ["sweep", "--f", "x^2", "--a", "0", "--b", "1", "--axis", "lambda",
-     "--from", "0", "--to", "0.5", "--step", "nan"],
-    ["bound", "--f", "x^2", *TO_INF, "--rule", "simpson", "--q", "1"],
-    ["optimize", "--f", "x^2", *TO_INF, "--what", "p", "--rule", "simpson", "--q", "2"],
-    ["optimize", "--f", "x^2", *TO_INF, "--what", "rule", "--q", "2"],
-    ["sweep", "--f", "x^2", *TO_INF, "--axis", "lambda", "--from", "0",
-     "--to", "0.5", "--step", "0.25"],
-    ["means", "--theorem", "4.2-p1", "--m", "6", "--ell", "1", "--s", "2",
-     "--a", "1", "--b", "inf"],
-    ["means", "--theorem", "4.3-p1", "--m", "6", "--ell", "1", "--a", "1",
-     "--b", "inf"],
-    # non-finite rule parameters and exponents
-    ["bound", "--f", "x^2", "--a", "1", "--b", "2", "--rule", "simpson", "--q", "nan"],
-    ["bound", "--f", "x^2", "--a", "1", "--b", "2", "--rule", "simpson", "--q", "inf"],
-    ["means", "--theorem", "4.2-p1", *MEANS, "--s", "2", "--q", "nan"],
-    ["bound", "--f", "x^2", "--a", "1", "--b", "2", "--m", "inf", "--ell", "1"],
-    ["means", "--theorem", "4.2-p1", "--m", "inf", "--ell", "1", "--s", "2",
-     "--a", "1", "--b", "2"],
-    ["means", "--theorem", "4.2-p1", "--m", "2", "--ell", "1", "--s", "inf",
-     "--a", "1", "--b", "2"],
-], ids=lambda argv: " ".join(argv))
-def test_non_finite_input_exit_1(argv):
-    r = run_cli(*argv, timeout=5)
-    assert r.returncode == 1
-    assert r.stdout == ""
-    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
-    assert "RuntimeWarning" not in r.stderr
-
-
-def test_f_overflow_is_named_exit_1():
-    # f = exp(1000x) is inf at b: the quadrature tolerance, from the spread of
-    # f, would be inf too, so the error names f's overflow instead
-    r = run_cli("bound", "--f", "exp(1000*x)", "--a", "0", "--b", "1",
-                "--rule", "simpson", timeout=5)
-    assert r.returncode == 1
-    assert r.stdout == ""
-    assert r.stderr.startswith("error: f overflows on [0.0, 1.0]")
-    assert r.stderr.count("\n") == 1, r.stderr
-
-
-@pytest.mark.parametrize("what", [["--what", "p", "--rule", "simpson"], ["--what", "rule"]],
-                         ids=["p", "rule"])
-def test_optimize_with_infinite_derivative_is_exit_1(what):
-    # |f'(b)| of exp(1000x) overflows, so every bound is infinite: optimize
-    # names the overflow instead of printing "rhs_star": Infinity
-    r = run_cli("optimize", *what, "--q", "2", "--f", "exp(1000*x)", "--a", "0", "--b", "1",
-                timeout=5)
-    assert r.returncode == 1
-    assert r.stdout == ""
-    assert r.stderr == ("error: |f'| is not finite at the ends of [0.0, 1.0]: "
-                        "|f'(a)|, |f'(b)| = 1000.0, inf\n")
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["optimize", "--what", "rule", "--q", "1", "--f", "1e305*x^2", "--a", "0", "--b", "500"],
-     "the bound overflows on [0.0, 500.0] at q = 1.0: rhs = inf "
-     "from |f'(a)|, |f'(b)| = 0.0, 1e+308"),
-    (["optimize", "--what", "p", "--rule", "simpson", "--q", "1.5", "--f", "1e200*x",
-      "--a", "0", "--b", "1.5e109"],
-     "the bound overflows on [0.0, 1.5e+109] at q = 1.5: rhs = inf "
-     "from |f'(a)|, |f'(b)| = 1e+200, 1e+200"),
-], ids=["rule", "p"])
-def test_bound_overflow_is_named_exit_1(argv, message):
-    # |f'| and |f'|^q are finite at the ends, but the bound built from them
-    # is not, and JSON has no Infinity: every command's bound goes through
-    # bounds.bound, which names it
-    r = run_cli(*argv, timeout=5)
-    assert r.returncode == 1
-    assert r.stdout == ""
-    assert r.stderr == f"error: {message}\n"
-
-
-_EXP_709 = ["--f", "exp(709*x)", "--a", "0", "--b", "1"]
 _EXP_400 = ["--f", "exp(400*x)", "--a", "0", "--b", "1", "--q", "2"]
 _LAMBDA_AXIS = ["--axis", "lambda", "--from", "0", "--to", "0.5", "--step", "0.5"]
-_INFINITE_FP = "|f'| is not finite at the ends of [0.0, 1.0]: |f'(a)|, |f'(b)| = 709.0, inf"
 _SIMPSON = rule_from_lm(named_rule("simpson"))
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["sweep", *_EXP_709, *_LAMBDA_AXIS, "--format", "json"], _INFINITE_FP),
-    (["bound", *_EXP_709, "--rule", "simpson"], _INFINITE_FP),
-], ids=["sweep-inf", "bound-inf"])
-def test_derivative_overflow_at_the_ends_is_named_exit_1(argv, message):
-    # f is finite on [0, 1], but |f'(b)| is not, so every bound would be
-    # infinite, and JSON has no Infinity
-    r = run_cli(*argv, timeout=5)
-    assert r.returncode == 1
-    assert r.stdout == ""
-    assert r.stderr == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv, key, rules", [
@@ -656,17 +529,8 @@ def test_derivative_q_past_the_float_range_is_taken_at_its_scale(capsys, argv, k
     assert got == [bounds.bound(r, unit, Interval(0.0, m), 2.0)[0] for r in rules]
 
 
-def test_domain_check_of_inf_minus_inf_warns_nothing():
-    # f is inf - inf at b: the domain check's grid meets it before quad does
-    r = run_cli("bound", "--f", "exp(1000*x)-exp(1000*x)", "--a", "0", "--b", "1",
-                "--rule", "simpson", timeout=5)
-    assert r.returncode == 1
-    assert r.stdout == ""
-    assert r.stderr == ("error: f overflows on [0.0, 1.0]: "
-                        "f(a), f((a+b)/2), f(b) = 0.0, 0.0, nan\n")
-
-
-SIMPSON_X2 =["bound", "--f", "x^2", "--b", "1", "--rule", "simpson"]
+SWEEP_P = ["sweep", "--f", "x^2", "--a", "0", "--b", "1", "--axis", "p", "--q", "2"]
+SIMPSON_X2 = ["bound", "--f", "x^2", "--b", "1", "--rule", "simpson"]
 
 
 @pytest.mark.parametrize("argv, option, value, code", [
@@ -688,7 +552,6 @@ def test_negative_number_value_spellings_agree(argv, option, value, code, capsys
         outcomes.append((exit_code, *capsys.readouterr()))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == code
-
 
 
 @pytest.mark.parametrize("axis, fixed", [

@@ -5,6 +5,12 @@ Exit 0 prints a report and nothing on stderr; exit 1 prints one ``error:``
 line and nothing on stdout; exit 2 is a ``bound`` report whose certificate
 failed, or an argparse usage error with nothing on stdout.  No command
 lets a numpy RuntimeWarning or a bare overflow errno through.
+
+A row of ``CASES`` is ``(argv, code)`` or ``(argv, code, stderr_prefix)``:
+stderr must start with the third column, so a whole ``error: ...\n`` line,
+with the one-line rule of exit 1, pins the message exactly.  Each command's
+contract is a row here; CI runs the installed console script only to see
+that it is installed and runs.
 """
 
 import json
@@ -12,6 +18,11 @@ import subprocess
 import sys
 
 import pytest
+
+SWEEP_P = ["sweep", "--f", "x^2", "--a", "0", "--b", "1", "--axis", "p", "--q", "2"]
+TO_INF = ["--a", "0", "--b", "inf"]
+NOT_FINITE = "error: interval requires finite a < b, got [0.0, inf]\n"
+FP_INF = "error: |f'| is not finite at the ends of [0.0, 1.0]: |f'(a)|, |f'(b)| = {}, inf\n"
 
 CASES = [
     (["--help"], 0),
@@ -21,9 +32,29 @@ CASES = [
     (["sweep", "--a", "1", "--b", "2", "--rule", "midpoint", "--axis", "s",
       "--from", "-2", "--to", "-0.5", "--step", "0.5"], 0),
     (["verify", "--trials", "20", "--format", "text"], 0),
+    # every campaign family (the concave-test trials build both certificates
+    # from one f' grid per instance), and a trial count or seed out of range
+    (["verify", "--trials", "20", "--seed", "0"], 0),
+    (["verify", "--trials", "20", "--seed", "0", "--family", "concave-test"], 0),
+    (["verify", "--trials", "20", "--seed", "0", "--family", "poly"], 0),
+    (["verify", "--trials", "20", "--seed", "0", "--family", "power"], 0),
+    (["verify", "--trials", "20", "--seed", "0", "--family", "log"], 0),
+    (["verify", "--trials", "0"], 1, "error: trials must be >= 1, got 0\n"),
+    (["verify", "--seed", "-1"], 1, "error: seed must be >= 0, got -1\n"),
     (["means", "--theorem", "4.2-p1", "--m", "2", "--ell", "1", "--s", "2", "--a", "1", "--b", "2"], 0),
+    # the log means bound, as the s-axis sweep does, builds f as a tree
+    (["means", "--theorem", "4.4", "--m", "6", "--ell", "1", "--a", "1", "--b", "2", "--q", "3",
+      "--p", "1.2"], 0),
+    (["means", "--theorem", "4.1", "--m", "2", "--ell", "1", "--s", "1.5", "--a", "1", "--b", "2",
+      "--q", "1.2", "--p", "1"], 1,
+     "error: (s=1.5, q=1.2) inadmissible: |s x^(s-1)|^q is convex only for s > 1 with "
+     "(s-1)q >= 1, or s < 1 with s != 0\n"),
     (["optimize", "--f", "x^2", "--a", "1", "--b", "2", "--what", "rule", "--q", "2"], 0),
     (["optimize", "--f", "x^2", "--a", "1", "--b", "2", "--what", "rule", "--q", "2", "--p", "1"], 0),
+    (["optimize", "--f", "x^3", "--a", "1", "--b", "2", "--rule", "simpson", "--q", "2",
+      "--what", "p"], 0),
+    (["sweep", "--a", "1", "--b", "2", "--rule", "midpoint", "--axis", "s", "--q", "1.5",
+      "--p", "1", "--from", "-2", "--to", "-0.5", "--step", "0.5"], 0),
     # at q = 1.001 the smallest p's underflow; optimizing over p still exits 0
     (["bound", "--f", "x^2", "--a", "1", "--b", "2", "--rule", "simpson", "--q", "1.001"], 0),
     (["optimize", "--f", "x^2", "--a", "1", "--b", "2", "--rule", "simpson", "--q", "1.001",
@@ -34,6 +65,39 @@ CASES = [
       "--q", "1"], 2),
     (["sweep", "--f", "x^2", "--a", "1", "--b", "2", "--rule", "simpson", "--axis", "lambda",
       "--from", "0", "--to", "0.5", "--step", "1e-12"], 1),
+    (["sweep", "--f", "x^2", "--a", "1", "--b", "2", "--axis", "p", "--from", "2", "--to", "1",
+      "--step", "0.5", "--rule", "trapezoid", "--q", "2"], 1,
+     "error: sweep grid must have 1 to 100000 points: from=2.0, to=1.0, step=0.5\n"),
+    # non-finite grid bounds, a NaN step, an infinite end of the interval and
+    # non-finite rule parameters and exponents are input errors
+    ([*SWEEP_P, "--from", "0.5", "--to", "inf", "--step", "0.5"], 1,
+     "error: --from and --to must be finite, got 0.5 and inf\n"),
+    ([*SWEEP_P, "--from=-inf", "--to", "1", "--step", "0.5"], 1,
+     "error: --from and --to must be finite, got -inf and 1.0\n"),
+    (["sweep", "--f", "x^2", "--a", "0", "--b", "1", "--axis", "lambda", "--from", "0",
+      "--to", "0.5", "--step", "nan"], 1, "error: --step must be positive, got nan\n"),
+    (["bound", "--f", "x^2", *TO_INF, "--rule", "simpson", "--q", "1"], 1, NOT_FINITE),
+    (["optimize", "--f", "x^2", *TO_INF, "--what", "p", "--rule", "simpson", "--q", "2"], 1,
+     NOT_FINITE),
+    (["optimize", "--f", "x^2", *TO_INF, "--what", "rule", "--q", "2"], 1, NOT_FINITE),
+    (["sweep", "--f", "x^2", *TO_INF, "--axis", "lambda", "--from", "0", "--to", "0.5",
+      "--step", "0.25"], 1, NOT_FINITE),
+    (["means", "--theorem", "4.2-p1", "--m", "6", "--ell", "1", "--s", "2", "--a", "1",
+      "--b", "inf"], 1, "error: means are defined for finite positive numbers, got a=1.0, b=inf\n"),
+    (["means", "--theorem", "4.3-p1", "--m", "6", "--ell", "1", "--a", "1", "--b", "inf"], 1,
+     "error: means are defined for finite positive numbers, got a=1.0, b=inf\n"),
+    (["bound", "--f", "x^2", "--a", "1", "--b", "2", "--rule", "simpson", "--q", "nan"], 1,
+     "error: q must be finite and >= 1, got nan\n"),
+    (["bound", "--f", "x^2", "--a", "1", "--b", "2", "--rule", "simpson", "--q", "inf"], 1,
+     "error: q must be finite and >= 1, got inf\n"),
+    (["means", "--theorem", "4.2-p1", "--m", "6", "--ell", "1", "--a", "1", "--b", "2", "--s", "2",
+      "--q", "nan"], 1, "error: the p1 form requires q >= 1, got q=nan\n"),
+    (["bound", "--f", "x^2", "--a", "1", "--b", "2", "--m", "inf", "--ell", "1"], 1,
+     "error: m and ell must be finite, got m=inf, ell=1.0\n"),
+    (["means", "--theorem", "4.2-p1", "--m", "inf", "--ell", "1", "--s", "2", "--a", "1",
+      "--b", "2"], 1, "error: m and ell must be finite, got m=inf, ell=1.0\n"),
+    (["means", "--theorem", "4.2-p1", "--m", "2", "--ell", "1", "--s", "inf", "--a", "1",
+      "--b", "2"], 1, "error: s must be finite, got inf\n"),
     # verify judges every path by rhs >= |lhs|, as bound does, with no floor
     (["verify", "--trials", "200", "--seed", "1", "--family", "poly"], 0),
     (["verify", "--trials", "200", "--seed", "1", "--family", "power"], 0),
@@ -51,24 +115,45 @@ CASES = [
     (["bound", "--f", "abs(x-0.5)", "--a", "0", "--b", "1", "--rule", "trapezoid", "--q", "1"], 0),
     # a kink at an end: f'(0) is sgn(0) = +1, the one-sided derivative on [0, 1]
     (["bound", "--f", "abs(x)", "--a", "0", "--b", "1", "--rule", "simpson"], 0),
-    # a jump of f is a domain error
+    # f outside its domain, or a jump of f, is a domain error
+    (["bound", "--f", "ln(x)", "--a", "-1", "--b", "2", "--rule", "trapezoid", "--q", "1"], 1,
+     "error: domain error for f on [-1.0, 2.0]: ln(x): argument of ln is not strictly positive "
+     "on the interval\n"),
     (["bound", "--f", "sgn(x-0.5)", "--a", "0", "--b", "1", "--rule", "simpson"], 1),
     # also where the argument is too small for the product of neighbours
     (["bound", "--f", "sgn(1e-200*(x-0.51234567))", "--a", "0", "--b", "1", "--rule",
       "simpson"], 1),
-    # an f that overflows at b is an input error naming f
-    (["bound", "--f", "exp(1000*x)", "--a", "0", "--b", "1", "--rule", "simpson"], 1),
+    # an f that overflows at b is an input error naming f (and the quadrature
+    # tolerance, from the spread of f, would be inf); f((a+b)/2) is np.exp's
+    (["bound", "--f", "exp(1000*x)", "--a", "0", "--b", "1", "--rule", "simpson"], 1,
+     "error: f overflows on [0.0, 1.0]: f(a), f((a+b)/2), f(b) = 1.0, "),
     # optimize never integrates f, so an |f'| that overflows at b is named
     # there, not printed as "rhs_star": Infinity
     (["optimize", "--what", "p", "--rule", "simpson", "--q", "2", "--f", "exp(1000*x)",
-      "--a", "0", "--b", "1"], 1),
-    (["optimize", "--what", "rule", "--q", "2", "--f", "exp(1000*x)", "--a", "0", "--b", "1"], 1),
+      "--a", "0", "--b", "1"], 1, FP_INF.format("1000.0")),
+    (["optimize", "--what", "rule", "--q", "2", "--f", "exp(1000*x)", "--a", "0", "--b", "1"], 1,
+     FP_INF.format("1000.0")),
     # inf - inf on the domain check's grid is an error line, not a warning
-    (["bound", "--f", "exp(1000*x)-exp(1000*x)", "--a", "0", "--b", "1", "--rule", "simpson"], 1),
-    # an |f'| that is not finite at an end
+    (["bound", "--f", "exp(1000*x)-exp(1000*x)", "--a", "0", "--b", "1", "--rule", "simpson"], 1,
+     "error: f overflows on [0.0, 1.0]: f(a), f((a+b)/2), f(b) = 0.0, 0.0, nan\n"),
+    # an |f'| that is not finite at an end: every bound would be inf, and
+    # JSON has no Infinity
     (["sweep", "--f", "exp(709*x)", "--a", "0", "--b", "1", "--axis", "lambda", "--from", "0",
-      "--to", "0.5", "--step", "0.5", "--format", "json"], 1),
-    (["bound", "--f", "exp(709*x)", "--a", "0", "--b", "1", "--rule", "simpson"], 1),
+      "--to", "0.5", "--step", "0.5", "--format", "json"], 1, FP_INF.format("709.0")),
+    (["bound", "--f", "exp(709*x)", "--a", "0", "--b", "1", "--rule", "simpson"], 1,
+     FP_INF.format("709.0")),
+    # the harmonic means bound, whose |f'| = x^-2 overflows at a
+    (["means", "--theorem", "4.3-p1", "--m", "2", "--ell", "1", "--a", "1e-160", "--b", "1"], 1,
+     "error: |f'| is not finite at the ends of [1e-160, 1.0]: |f'(a)|, |f'(b)| = inf, 1.0\n"),
+    # |f'| and |f'|^q are finite at the ends, but the bound built from them is
+    # not: every command's bound goes through bounds.bound, which names it
+    (["optimize", "--what", "rule", "--q", "1", "--f", "1e305*x^2", "--a", "0", "--b", "500"], 1,
+     "error: the bound overflows on [0.0, 500.0] at q = 1.0: rhs = inf "
+     "from |f'(a)|, |f'(b)| = 0.0, 1e+308\n"),
+    (["optimize", "--what", "p", "--rule", "simpson", "--q", "1.5", "--f", "1e200*x",
+      "--a", "0", "--b", "1.5e109"], 1,
+     "error: the bound overflows on [0.0, 1.5e+109] at q = 1.5: rhs = inf "
+     "from |f'(a)|, |f'(b)| = 1e+200, 1e+200\n"),
     # an |f'|^q past the float range at an end: the bound and the certificate
     # take |f'| relative to its larger end
     (["bound", "--f", "exp(400*x)", "--a", "0", "--b", "1", "--rule", "simpson", "--q", "2"], 0),
@@ -87,7 +172,7 @@ CASES = [
     (["bound", "--f", "exp(709-1000*(x-0.5)^2)", "--a", "0", "--b", "1", "--rule", "simpson"], 1),
     # f' is finite on the grid, but |f'|^2 overflows: named, with no warning
     (["bound", "--f", "exp(700-2800*(x-0.5)^2)", "--a", "0", "--b", "1", "--rule", "simpson",
-      "--q", "2", "--p", "1"], 1),
+      "--q", "2", "--p", "1"], 1, "error: g produced non-finite values during certification\n"),
     # |f'|^3 underflows, and the concave |f'| is still rejected
     (["bound", "--f", "1e-110*exp(0-x^2)", "--a", "0.5", "--b", "1.1", "--rule", "midpoint",
       "--q", "3", "--p", "1"], 2),
@@ -128,17 +213,22 @@ CASES = [
       "--p", "1"], 0),
     # f is finite at a, (a+b)/2 and b, but peaks between them, and its integral
     # (~2.1e308) is past the float range: the first panel's value names it
-    (["bound", "--f", "exp(709.7-2*(x-1)^2)", "--a", "0", "--b", "3.9", "--rule", "simpson"], 1),
+    (["bound", "--f", "exp(709.7-2*(x-1)^2)", "--a", "0", "--b", "3.9", "--rule", "simpson"], 1,
+     "error: the K15 value of the panel [0.0, 3.9] is past the float range\n"),
     # x^400 overflows inside [a, b] while f = 1/x^400 and f' = -400 x^-401 stay finite
     (["bound", "--f", "1/x^400", "--a", "1", "--b", "1e10", "--rule", "simpson"], 0),
 ]
 
 
-@pytest.mark.parametrize("argv, code", CASES, ids=[" ".join(argv) for argv, _ in CASES])
-def test_entry_point(argv, code):
+@pytest.mark.parametrize("argv, code, stderr_prefix", [(*case, "")[:3] for case in CASES],
+                         ids=[" ".join(case[0]) for case in CASES])
+def test_entry_point(argv, code, stderr_prefix):
+    # the timeout fails a command that hangs, such as an unbounded sweep, whose
+    # grid grows by ~55 MB/s: so it also caps that memory at ~275 MB
     r = subprocess.run([sys.executable, "-m", "quadbound", *argv], capture_output=True,
-                       text=True, timeout=60)
+                       text=True, timeout=5)
     assert r.returncode == code, r.stderr
+    assert r.stderr.startswith(stderr_prefix), r.stderr
     assert "RuntimeWarning" not in r.stderr
     if code == 0:
         assert r.stdout and r.stderr == ""

@@ -163,6 +163,14 @@ def test_integrate_names_panel_values_that_sum_past_the_float_range():
     assert str(exc.value) == "the panel values on [0, 1.9] sum past the float range"
 
 
+def test_integrate_bisects_a_panel_whose_error_is_inf():
+    # at the centre node 3.0 the K15 value is finite but |K15 - G7| is not:
+    # bisecting that panel turns the running error sum inf - inf = NaN, which
+    # is re-taken exactly rather than run into the node budget
+    r = integrate(lambda x: np.where(x == 3.0, 1.7e308, 0.0), Interval(0.0, 6.0), 1.0)
+    assert (r.value, r.error_estimate, r.evaluations) == (0.0, 0.0, 45)
+
+
 def test_integrate_keeps_panels_that_no_longer_split():
     # sin(1e17 x) turns within an ulp of 1, so bisection reaches the eight
     # one-ulp panels, whose midpoints round onto an end: they are kept, with
