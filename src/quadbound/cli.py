@@ -216,8 +216,13 @@ def cmd_sweep(cfg: argparse.Namespace) -> tuple[dict, int]:
 def cmd_means(cfg: argparse.Namespace) -> tuple[dict, int]:
     if cfg.m is None or cfg.ell is None:
         raise ValueError("--m and --ell are required for means")
-    if cfg.s is not None and means.MEANS_THEOREMS[cfg.theorem][0] != "power":
+    family, form = means.MEANS_THEOREMS[cfg.theorem]
+    if cfg.s is not None and family != "power":
         raise ValueError(f"theorem {cfg.theorem} is not about x^s; do not pass --s")
+    if cfg.p is None and form == "general":
+        raise ValueError(f"theorem {cfg.theorem} requires --p")
+    if cfg.p is not None and form != "general":
+        raise ValueError(f"theorem {cfg.theorem} fixes p; do not pass --p")
     gap = means.means_gap(cfg.theorem, cfg.m, cfg.ell, cfg.a, cfg.b, s=cfg.s)
     rhs = means.means_bound(cfg.theorem, cfg.m, cfg.ell, cfg.a, cfg.b,
                             s=cfg.s, p=cfg.p, q=cfg.q)

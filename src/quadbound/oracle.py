@@ -8,8 +8,9 @@ of all panels is at most the tolerance (or at the rounding floor of the panel
 values), so work goes where the error is -- an integrable endpoint
 singularity such as ``t**-0.5`` or ``|shift - t|**0.001`` costs a few dozen
 bisections, not a descent to underflow.  Breakpoints seed the first panels
-(QUADPACK QAGP), and the kernel moments grade them toward their kink, so
-they need few bisections.  Each step calls the integrand once, on the nodes
+(QUADPACK QAGP), and the kernel moments grade them toward their kink, as
+deep as the kink's exponent needs, so their first call meets the tolerance
+and they bisect nothing.  Each step calls the integrand once, on the nodes
 of all its panels, whose sums are ``np.vecdot`` rows: one BLAS dot per row,
 rounded as a 1-D product per panel is.  The step is array-shaped: it takes
 the panel edges as one array; their nodes and values come from whole-array
@@ -244,10 +245,18 @@ _WEIGHTS = {
 
 _MOMENT_TOL = 1e-12
 # Cuts graded toward the kink: at _GRADE_RATIO**k of the distance from the
-# kink to each end, for k = 1 .. _GRADE_DEPTH.
-_GRADE_RATIO = 0.35
-_GRADE_DEPTH = 14
-_GRADES = tuple(_GRADE_RATIO ** k for k in range(1, _GRADE_DEPTH + 1))
+# kink to each end, for k = 1 .. D.  The error of the panel next to the kink
+# scales as its width**(1 + e), and D = ceil(_GRADE_REACH / ((1 + e)
+# ln(1/_GRADE_RATIO))) cuts, at least 1, make (_GRADE_RATIO**D)**(1 + e) at
+# most exp(-_GRADE_REACH): 31 cuts at e = 0, 7 at e = 4.  With these two
+# constants every criterion-4 moment meets _MOMENT_TOL in its first call (at
+# ratio 0.35 the outer panels' G7 estimates alone miss it at e near 0).
+# _GRADES holds the cuts of e = 0.
+_GRADE_RATIO = 0.45
+_GRADE_REACH = 24.0
+_LOG_RATIO = math.log(1 / _GRADE_RATIO)
+_GRADES = tuple(_GRADE_RATIO ** k
+                for k in range(1, math.ceil(_GRADE_REACH / _LOG_RATIO) + 1))
 
 
 def kernel_moment_numeric(side: str, shift: float, exponent: float,
@@ -259,9 +268,13 @@ def kernel_moment_numeric(side: str, shift: float, exponent: float,
     call to 1e-12; no closed form is used.  The kink at ``shift`` (for
     exponents below 1, an algebraic singularity of the derivatives) and cuts
     that close in on it geometrically from each side are breakpoints, so the
-    first panels already shrink toward it (Babuska and Guo, 1988), and few
-    bisections are left to do.  A cut that rounds onto its neighbour or an
-    end is dropped, so every panel has a positive width.
+    first panels already shrink toward it (Babuska and Guo, 1988).  The
+    number of cuts follows the exponent, the strength of the singularity
+    (Schwab, 1994): fewer for a smooth kernel, more for a strong one, so the
+    first panels meet the tolerance and no bisection is left to do.  The
+    exponent only shapes the mesh; the value is plain Gauss-Kronrod
+    quadrature.  A cut that rounds onto its neighbour or an end is dropped,
+    so every panel has a positive width.
     """
     if not exponent >= 0:
         raise ValueError(f"exponent must be >= 0, got {exponent}")
@@ -284,8 +297,9 @@ def kernel_moment_numeric(side: str, shift: float, exponent: float,
         y = np.abs(shift - t) ** exponent
         return y if w is None else y * w(t)
 
-    cuts = ([shift - (shift - lo) * g for g in _GRADES] + [shift]
-            + [shift + (hi - shift) * g for g in reversed(_GRADES)])
+    grades = _GRADES[:max(1, math.ceil(_GRADE_REACH / ((1 + exponent) * _LOG_RATIO)))]
+    cuts = ([shift - (shift - lo) * g for g in grades] + [shift]
+            + [shift + (hi - shift) * g for g in reversed(grades)])
     edges = [lo]
     for x in cuts:
         if edges[-1] < x < hi:

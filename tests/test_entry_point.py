@@ -49,6 +49,15 @@ CASES = [
       "--q", "1.2", "--p", "1"], 1,
      "error: (s=1.5, q=1.2) inadmissible: |s x^(s-1)|^q is convex only for s > 1 with "
      "(s-1)q >= 1, or s < 1 with s != 0\n"),
+    # the general theorems take --p, the p1 and pq theorems fix it
+    (["means", "--theorem", "4.1", "--m", "2", "--ell", "1", "--a", "1", "--b", "2", "--s", "2",
+      "--q", "2"], 1, "error: theorem 4.1 requires --p\n"),
+    (["means", "--theorem", "4.4", "--m", "2", "--ell", "1", "--a", "1", "--b", "2", "--q", "2"],
+     1, "error: theorem 4.4 requires --p\n"),
+    (["means", "--theorem", "4.2-p1", "--m", "6", "--ell", "1", "--a", "1", "--b", "2", "--s", "2",
+      "--p", "0.5"], 1, "error: theorem 4.2-p1 fixes p; do not pass --p\n"),
+    (["means", "--theorem", "4.5-pq", "--m", "6", "--ell", "1", "--a", "1", "--b", "2", "--q", "2",
+      "--p", "0.5"], 1, "error: theorem 4.5-pq fixes p; do not pass --p\n"),
     (["optimize", "--f", "x^2", "--a", "1", "--b", "2", "--what", "rule", "--q", "2"], 0),
     (["optimize", "--f", "x^2", "--a", "1", "--b", "2", "--what", "rule", "--q", "2", "--p", "1"], 0),
     (["optimize", "--f", "x^3", "--a", "1", "--b", "2", "--rule", "simpson", "--q", "2",

@@ -490,8 +490,8 @@ def _criterion_4_draws():
 
 
 def test_kernel_moments_equal_the_heap_loop(monkeypatch):
-    # every breakpoint start of the criterion-4 moments, first call and
-    # bisections alike, against the heap loop
+    # every criterion-4 moment against the heap loop: each returns from its
+    # first call
     real, calls = oracle.integrate, []
 
     def both(f, interval, tol, breakpoints):
@@ -504,28 +504,100 @@ def test_kernel_moments_equal_the_heap_loop(monkeypatch):
     for draw in _criterion_4_draws():
         kernel_moment_numeric(*draw)
     assert len(calls) == 1500
+    assert sum(calls) == 0
+
+
+def _ungraded_breakpoints(side, shift):
+    # the cuts before their number followed the exponent: 14 per side, at
+    # ratio 0.35, from which some criterion-4 moments bisect
+    lo, hi = (0.0, 0.5) if side == "left" else (0.5, 1.0)
+    grades = [0.35 ** k for k in range(1, 15)]
+    cuts = ([shift - (shift - lo) * g for g in grades] + [shift]
+            + [shift + (hi - shift) * g for g in reversed(grades)])
+    edges = [lo]
+    for x in cuts:
+        if edges[-1] < x < hi:
+            edges.append(x)
+    return edges[1:]
+
+
+def test_kernel_moment_integrands_bisect_as_the_heap_loop_does(monkeypatch):
+    # the criterion-4 integrands from the ungraded cuts: the first call and
+    # bisections alike, against the heap loop
+    real, bisected = oracle.integrate, []
+
+    def from_ungraded_cuts(f, interval, tol, breakpoints):
+        old = _ungraded_breakpoints(side, shift)
+        got = real(f, interval, tol, old)
+        assert got == _integrate_heap(f, interval, tol, old), (side, shift)
+        bisected.append(got.evaluations > 15 * (len(old) + 1))
+        return got
+
+    monkeypatch.setattr(oracle, "integrate", from_ungraded_cuts)
+    for side, shift, exponent, weight in _criterion_4_draws():
+        kernel_moment_numeric(side, shift, exponent, weight)
+    assert len(bisected) == 1500
     # both paths are taken: a first call that meets tol, and bisections
-    assert 0 < sum(calls) < 1500
+    assert 0 < sum(bisected) < 1500
 
 
-def test_kernel_moment_is_one_integrate_call_of_few_panel_calls(monkeypatch):
-    # Graded cuts leave few bisections: 2.67 panel calls per moment, where
-    # two integrate calls, one either side of the kink, needed 22.3.
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts the calls of oracle.integrate and oracle._panel."""
     calls = {"integrate": 0, "panel": 0}
 
-    def counted(name, fn):
+    def wrap(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(oracle, "integrate", counted("integrate", oracle.integrate))
-    monkeypatch.setattr(oracle, "_panel", counted("panel", oracle._panel))
+    monkeypatch.setattr(oracle, "integrate", wrap("integrate", oracle.integrate))
+    monkeypatch.setattr(oracle, "_panel", wrap("panel", oracle._panel))
+    return calls
+
+
+def test_kernel_moment_is_one_integrate_call_of_few_panel_calls(counted):
+    # Cuts graded by the exponent leave no bisection: one panel call per
+    # moment, where 14 cuts a side at ratio 0.35 needed 2.67 and two
+    # integrate calls, one either side of the kink, 22.3.
     moments = 0
     for draw in _criterion_4_draws():
-        before = calls["integrate"]
+        before = dict(counted)
         kernel_moment_numeric(*draw)
-        assert calls["integrate"] == before + 1, draw
+        assert counted == {"integrate": before["integrate"] + 1,
+                           "panel": before["panel"] + 1}, draw
         moments += 1
     assert moments == 1500
-    assert calls["panel"] / moments <= 3.0
+
+
+_EDGE_EXPONENTS = (0.0, 1e-9, 1e-6, 1e-3, 0.01, 0.05, 0.1, 0.3, 1.0, 3.9)
+
+
+@pytest.mark.parametrize("side, lo, hi", [("left", 0.0, 0.5), ("right", 0.5, 1.0)])
+def test_kernel_moment_edge_exponents_in_one_panel_call(side, lo, hi, counted):
+    shifts = (lo, hi, float(np.nextafter(lo, hi)), float(np.nextafter(hi, lo)), lo + 0.2)
+
+    def one_call(shift, exponent, weight):
+        before = counted["panel"]
+        got = kernel_moment_numeric(side, shift, exponent, weight)
+        assert counted["panel"] == before + 1, (shift, exponent, weight)
+        return got
+
+    for e in _EDGE_EXPONENTS:
+        for shift in shifts:
+            q, p = 1.2, 1.2 - 0.2 * e
+            km = kernel_moments_closed(shift, side, HolderParams(p, q))
+            got = one_call(shift, (q - p) / (q - 1), "1")
+            assert abs(km.hoelder_factor - got) <= 1e-12, (shift, e, "1")
+            if e > 0:
+                km = kernel_moments_closed(shift, side, HolderParams(e, max(2.0, e)))
+                weighted = km.weight_a, km.weight_b
+            else:  # no p is 0: the integrals of t and 1 - t over the side
+                weighted = (hi * hi - lo * lo) / 2, (hi - lo) - (hi * hi - lo * lo) / 2
+            for exact, weight in zip(weighted, ("t", "1-t")):
+                assert abs(exact - one_call(shift, e, weight)) <= 1e-12, (shift, e, weight)
+    for e in (1e300, math.inf):
+        for shift in shifts:
+            for weight in ("1", "t", "1-t"):
+                assert one_call(shift, e, weight) == 0.0
